@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error,
-3 solver nonconvergence/divergence, 4 invariant or ledger-audit failure.
+3 solver nonconvergence/divergence, 4 invariant or ledger-audit failure,
+5 internal error (a factorization or linear-residual gate that failed).
 The VMSNS_THREADS environment variable caps the worker pool used by the
 multi-level commands (study, spectra); the default is 1.
 """
@@ -14,7 +15,7 @@ from dataclasses import replace
 
 from . import io as io_mod
 from .config import parse_config_file
-from .errors import (ConfigurationError, InvariantViolation,
+from .errors import (ConfigurationError, InternalError, InvariantViolation,
                      SolverDivergence, SolverNonconvergence, UsageError)
 
 __all__ = ["main", "build_parser"]
@@ -216,7 +217,7 @@ def _cmd_init(args):
     out_root = io_mod.ensure_dir(cfg.out_dir)
     path = os.path.join(out_root, "init_state.vtk")
     io_mod.write_fields_vtk(state, path)
-    ke = 0.5 * float(state.u @ (disc.M_d @ state.u))
+    ke = 0.5 * float(state.u @ disc.V.mass.matvec(state.u))
     print(f"projected initial state: kinetic energy {ke!r}, "
           f"subscale magnitude {state.tilde.norm_l2()!r}, "
           f"continuity residual {state.continuity_residual:.3e}")
@@ -249,6 +250,9 @@ def main(argv=None):
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

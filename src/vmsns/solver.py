@@ -8,11 +8,12 @@ velocity a and frozen tau,
     ũ⁺ = (ũⁿ/dt - π⊥(N(a)u + ∇p)) / (1/dt + 1/tau)
 
 with the subscale update substituted in closed form, so the monolithic
-matrix couples only (u, p) plus one scalar multiplier pinning the pressure
-mean.  Because the substituted update is exactly the one applied afterwards,
-the discrete energy identity holds to solver roundoff for every converged
-step -- the skew transport form vanishes on the diagonal for any frozen
-advection field, and the resolved/subscale transport cross-terms cancel.
+system couples only (u, p), one scalar multiplier λ pinning the pressure
+mean, and the projection coefficient ζ below.  Because the substituted
+update is exactly the one applied afterwards, the discrete energy identity
+holds to solver roundoff for every converged step -- the skew transport
+form vanishes on the diagonal for any frozen advection field, and the
+resolved/subscale transport cross-terms cancel.
 
 The projector identities keep assembly cell-local:
 
@@ -23,15 +24,31 @@ The projector identities keep assembly cell-local:
 where N maps velocity coefficients to the transport term at quadrature
 points, 𝒢 maps pressure coefficients to ∇p there, W is the quadrature
 weight, and C(a), G are the standard convection and gradient-coupling
-matrices.  Desk-scale systems are solved by dense LU with one pass of
-iterative refinement.
+matrices.  The M⁻¹ terms are never formed: the coefficient
+ζ = M⁻¹(C(a)u + Gp) of the L² projection π(N(a)u + ∇p) is kept as an
+unknown, which gives the sparse augmented system (with β = 1/(1/dt + 1/τ))
+
+    [ M/dt + C + νK + βNᵀWN   G + βNᵀW𝒢   -βCᵀ        ] [u]
+    [ Gᵀ - β(NᵀW𝒢)ᵀ          -βK_Q        βGᵀ     m_p ] [p]
+    [ C                       G           -M          ] [ζ]
+    [                         m_pᵀ                     ] [λ]
+
+Its sparsity pattern depends only on the mesh, so
+:func:`build_discretization` builds it once, together with the data
+position of every term and a reverse Cuthill-McKee ordering (the mean
+multiplier last, since its row is dense).  Each Picard iteration fills
+the data of that pattern with one ``bincount`` and factors it with
+SuperLU, followed by one pass of iterative refinement and a residual
+gate.  The initialization projection is the same matrix at dt = 1, ν = 0,
+β = 1, a = 0, where ζ = M⁻¹Gξ.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     ConfigurationError,
@@ -46,7 +63,6 @@ from .fe import (
     assemble_gradient_coupling,
     build_space,
     linf_norm,
-    scatter_cell_blocks,
 )
 from .subgrid import (
     SubscaleField,
@@ -62,6 +78,7 @@ __all__ = [
     "StarState",
     "Discretization",
     "build_discretization",
+    "continuity_residual",
     "initialize",
     "step",
     "run",
@@ -95,22 +112,45 @@ class SolveConfig:
             raise ConfigurationError(problems)
 
 
+#: SuperLU settings for the augmented matrix.  The pattern is already in
+#: a fill-reducing order, so no column permutation is applied, and the
+#: threshold keeps a diagonal pivot unless it is ten times smaller than the
+#: largest entry of its column.
+SUPERLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                       options={"SymmetricMode": True})
+
+
+@dataclass
+class AugmentedPattern:
+    """Fixed CSC pattern of the augmented matrix, in solve order.
+
+    Unknowns are numbered [u, p, ζ, λ] and then permuted: solve-order row
+    i is unknown ``perm[i]``.  ``positions[e]`` is the data slot of term
+    entry e, in the order :func:`_system_matrix` lists its weights; entries
+    on eliminated dofs point at the spare slot ``nnz``.  ``values`` holds
+    the CSR data of M, K, G and K_Q and the pressure means m_p.
+    """
+
+    n: int
+    nnz: int
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    perm: np.ndarray = field(repr=False)
+    positions: np.ndarray = field(repr=False)
+    values: tuple = field(repr=False)
+
+
 @dataclass
 class Discretization:
-    """Spaces plus every velocity-independent operator, pre-assembled densely."""
+    """Spaces, the constant sparse operators, and the augmented pattern."""
 
     mesh: object
     V: object
     Q: object
     G: object                      # SparseOperator, (phi_i, ∇psi_j)
     h: float
-    M_d: np.ndarray = field(repr=False)      # velocity mass, dense
-    K_d: np.ndarray = field(repr=False)      # velocity stiffness, dense
-    G_d: np.ndarray = field(repr=False)
-    M_chol: tuple = field(repr=False)        # dense Cholesky of M_d
-    MinvG: np.ndarray = field(repr=False)
-    S_GG: np.ndarray = field(repr=False)     # 𝒢ᵀWπ⊥𝒢 = K_Q - GᵀM⁻¹G
     m_p: np.ndarray = field(repr=False)      # pressure-basis integrals
+    pattern: AugmentedPattern = field(repr=False)
 
     @property
     def n_u(self):
@@ -121,26 +161,83 @@ class Discretization:
         return self.Q.n_scalar
 
 
+def _csr_coords(mat):
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices
+
+
+def _build_pattern(V, Q, G):
+    """Pattern, data positions and ordering of the augmented matrix."""
+    # imported here, so that `import vmsns` (and the lab) does not load csgraph
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n_u, n_p = V.n_dofs, Q.n_scalar
+    p0, z0, lam = n_u, n_u + n_p, 2 * n_u + n_p
+    n = lam + 1
+    M, K, KQ = V.mass.entries, V.stiffness.entries, Q.stiffness.entries
+    G = G.entries
+    rM, cM = _csr_coords(M)
+    rK, cK = _csr_coords(K)
+    rG, cG = _csr_coords(G)
+    rQ, cQ = _csr_coords(KQ)
+    pdofs = p0 + np.arange(n_p)
+    lams = np.full(n_p, lam)
+    # constant terms, in the order _system_matrix lists their weights:
+    # M/dt, -M, νK, G, Gᵀ, G (ζ row), βGᵀ (ζ column), -βK_Q, m_p, m_pᵀ
+    const = [(rM, cM), (z0 + rM, z0 + cM), (rK, cK), (rG, p0 + cG),
+             (p0 + cG, rG), (z0 + rG, p0 + cG), (p0 + cG, z0 + rG),
+             (p0 + rQ, p0 + cQ), (pdofs, lams), (lams, pdofs)]
+
+    # cell-local terms: velocity/velocity blocks per component (C + βNᵀWN,
+    # C in the ζ rows, -βCᵀ in the ζ columns), then velocity/pressure
+    # blocks (βNᵀW𝒢 and its negated transpose)
+    d = V.components
+    sv, sq = V.cell_dofs, Q.cell_dofs
+    v_ok = sv >= 0
+    vdof = sv[:, :, None] * d + np.arange(d)                 # (nc, nl, d)
+    vi, vj, vv_ok = np.broadcast_arrays(
+        vdof[:, :, None, :], vdof[:, None, :, :],
+        v_ok[:, :, None, None] & v_ok[:, None, :, None])
+    vq, qj, vq_ok = np.broadcast_arrays(
+        vdof[:, :, None, :], p0 + sq[:, None, :, None],
+        v_ok[:, :, None, None] & (sq >= 0)[:, None, :, None])
+    cell = [(vi, vj, vv_ok), (z0 + vi, vj, vv_ok), (vj, z0 + vi, vv_ok),
+            (vq, qj, vq_ok), (qj, vq, vq_ok)]
+
+    rows = np.concatenate([r for r, _ in const] + [r.ravel() for r, _, _ in cell])
+    cols = np.concatenate([c for _, c in const] + [c.ravel() for _, c, _ in cell])
+    ok = np.concatenate([np.ones(sum(r.size for r, _ in const), dtype=bool)]
+                        + [m.ravel() for _, _, m in cell])
+    rows, cols = rows[ok], cols[ok]
+
+    # ordering: RCM on the pattern without the dense mean row, which goes last
+    inner = (rows < lam) & (cols < lam)
+    graph = sp.csr_matrix((np.ones(int(inner.sum())), (rows[inner], cols[inner])),
+                          shape=(lam, lam))
+    perm = np.append(reverse_cuthill_mckee(graph, symmetric_mode=True), lam)
+    where = np.empty(n, dtype=np.int64)
+    where[perm] = np.arange(n)
+
+    keys = where[cols] * n + where[rows]          # column-major: CSC order
+    uniq, slot = np.unique(keys, return_inverse=True)
+    nnz = uniq.size
+    positions = np.full(ok.size, nnz, dtype=np.int64)
+    positions[ok] = slot
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(uniq // n, minlength=n))]).astype(np.int32)
+    return AugmentedPattern(
+        n=n, nnz=nnz, indptr=indptr, indices=(uniq % n).astype(np.int32),
+        perm=perm, positions=positions,
+        values=(M.data, K.data, G.data, KQ.data, Q.mean_vector))
+
+
 def build_discretization(mesh, degree=1):
-    """Equal-order velocity/pressure spaces and the constant operator set."""
+    """Equal-order velocity/pressure spaces, the constant operator set and
+    the pattern of the augmented Picard matrix."""
     V = build_space(mesh, degree=degree, components=mesh.dim, constraint="zero_trace")
     Q = build_space(mesh, degree=degree, components=1, constraint="zero_mean")
     G = assemble_gradient_coupling(V, Q)
-    M_d = V.mass.toarray()
-    K_d = V.stiffness.toarray()
-    G_d = G.toarray()
-    try:
-        M_chol = sla.cho_factor(M_d, lower=True)
-    except sla.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise InternalError(f"velocity mass not positive definite: {exc}")
-    MinvG = sla.cho_solve(M_chol, G_d)
-    S_GG = Q.stiffness.toarray() - G_d.T @ MinvG
-    S_GG = 0.5 * (S_GG + S_GG.T)
-    return Discretization(
-        mesh=mesh, V=V, Q=Q, G=G, h=mesh.h_max,
-        M_d=M_d, K_d=K_d, G_d=G_d, M_chol=M_chol, MinvG=MinvG,
-        S_GG=S_GG, m_p=Q.mean_vector,
-    )
+    return Discretization(mesh=mesh, V=V, Q=Q, G=G, h=mesh.h_max,
+                          m_p=Q.mean_vector, pattern=_build_pattern(V, Q, G))
 
 
 @dataclass
@@ -185,52 +282,58 @@ def grad_pairing(Q, qp_field):
     return out
 
 
-def _component_blockdiag(scalar_dense, components):
-    n = scalar_dense.shape[0] * components
-    m = scalar_dense.shape[1] * components
-    out = np.zeros((n, m))
-    for k in range(components):
-        out[k::components, k::components] = scalar_dense
-    return out
-
-
-def _advection_operators(disc, a):
-    """Dense C(a), NᵀWN, and NᵀW𝒢 for a frozen advection velocity."""
+def _cell_blocks(disc, a):
+    """Cell-local C(a), NᵀWN and NᵀW𝒢 for a frozen advection velocity:
+    (nc, nl, nl), (nc, nl, nl) and (nc, nl, nl_q, dim)."""
     V, Q = disc.V, disc.Q
-    order = V.quad_order
-    tab = V.tabulation(order)
-    tabq = Q.tabulation(order)
+    tab = V.tabulation()
     w = tab["weights"]
-    n_fac = advection_factor(V, a, order)
-    conv_loc = np.einsum("cq,qi,cqj->cij", w, tab["phi"], n_fac)
-    nn_loc = np.einsum("cq,cqi,cqj->cij", w, n_fac, n_fac)
-    C = _component_blockdiag(
-        scatter_cell_blocks(V, V, conv_loc).toarray(), V.components)
-    NN = _component_blockdiag(
-        scatter_cell_blocks(V, V, nn_loc).toarray(), V.components)
-    NG = np.zeros((V.n_dofs, Q.n_scalar))
-    for k in range(V.components):
-        dk_loc = np.einsum("cq,cqi,cqj->cij", w, n_fac, tabq["grad"][:, :, :, k])
-        NG[k::V.components, :] = scatter_cell_blocks(V, Q, dk_loc).toarray()
-    return C, NN, NG
+    n_fac = advection_factor(V, a)
+    conv = np.einsum("cq,qi,cqj->cij", w, tab["phi"], n_fac)
+    nn = np.einsum("cq,cqi,cqj->cij", w, n_fac, n_fac)
+    ng = np.einsum("cq,cqi,cqjd->cijd", w, n_fac,
+                   Q.tabulation(V.quad_order)["grad"])
+    return conv, nn, ng
 
 
-def _refined_solve(A, rhs, linear_tol, what):
-    """Dense LU with one iterative-refinement pass and a residual gate."""
+def _system_matrix(disc, dt, nu, beta, a):
+    """The augmented matrix (module docstring) in the pattern's solve order."""
+    pat = disc.pattern
+    m, k, g, kq, mp = pat.values
+    conv, nn, ng = _cell_blocks(disc, a)
+    # the velocity/velocity blocks are the same for every component
+    vv = np.stack([conv + beta * nn, conv, -beta * conv])
+    vv = np.broadcast_to(vv[..., None], vv.shape + (disc.V.components,))
+    weights = np.concatenate([
+        m / dt, -m, nu * k, g, g, g, beta * g, -beta * kq, mp, mp,
+        vv.ravel(),
+        (beta * ng).ravel(), (-beta * ng).ravel(),
+    ])
+    data = np.bincount(pat.positions, weights, minlength=pat.nnz + 1)[:pat.nnz]
+    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(pat.n, pat.n))
+
+
+def _refined_solve(A, perm, rhs, linear_tol, what):
+    """SuperLU with one iterative-refinement pass and a residual gate.
+
+    ``A`` is in solve order; ``rhs`` and the result are in unknown order.
+    """
     try:
-        lu = sla.lu_factor(A)
-    except sla.LinAlgError as exc:
+        lu = spla.splu(A, **SUPERLU_OPTIONS)
+    except RuntimeError as exc:
         raise InternalError(f"{what}: factorization failed: {exc}")
-    x = sla.lu_solve(lu, rhs)
-    r = rhs - A @ x
-    x = x + sla.lu_solve(lu, r)
-    if not np.all(np.isfinite(x)):
+    b = rhs[perm]
+    y = lu.solve(b)
+    y = y + lu.solve(b - A @ y)
+    if not np.all(np.isfinite(y)):
         raise SolverDivergence(f"{what}: non-finite solution")
-    r = rhs - A @ x
-    scale = np.abs(A).max() * max(np.abs(x).max(), 1e-300) + np.abs(rhs).max()
+    r = b - A @ y
+    scale = np.abs(A.data).max() * max(np.abs(y).max(), 1e-300) + np.abs(b).max()
     if np.abs(r).max() > linear_tol * max(scale, 1e-300):
         raise InternalError(
             f"{what}: residual {np.abs(r).max():.3e} above tolerance")
+    x = np.empty_like(y)
+    x[perm] = y
     return x
 
 
@@ -246,7 +349,8 @@ def initialize(u0, disc, params=None):
         (u_h, v) + (v, ∇xi)            = (u0, v)
         (u_h, ∇q) - (π⊥∇xi, ∇q)_W      = -(π⊥u0, ∇q)_W     + mean multiplier
 
-    and reconstructs the subscale part ũ₀ = π⊥(u0 - ∇xi) pointwise.  The
+    -- the augmented matrix at dt = 1, ν = 0, β = 1, a = 0 -- and
+    reconstructs the subscale part ũ₀ = π⊥(u0 - ∇xi) pointwise.  The
     returned state satisfies the discrete continuity constraint and the
     subscale orthogonality invariant at solver precision.
     """
@@ -260,17 +364,10 @@ def initialize(u0, disc, params=None):
     rhs = np.concatenate([
         V.load_from_qp(u0_qp),
         -grad_pairing(Q, u0_perp),
-        [0.0],
+        np.zeros(n_u + 1),
     ])
-    n = n_u + n_p + 1
-    A = np.zeros((n, n))
-    A[:n_u, :n_u] = disc.M_d
-    A[:n_u, n_u:n_u + n_p] = disc.G_d
-    A[n_u:n_u + n_p, :n_u] = disc.G_d.T
-    A[n_u:n_u + n_p, n_u:n_u + n_p] = -disc.S_GG
-    A[n_u:n_u + n_p, -1] = disc.m_p
-    A[-1, n_u:n_u + n_p] = disc.m_p
-    x = _refined_solve(A, rhs, 1e-10, "initialization solve")
+    A = _system_matrix(disc, 1.0, 0.0, 1.0, np.zeros(n_u))
+    x = _refined_solve(A, disc.pattern.perm, rhs, 1e-10, "initialization solve")
 
     u_h = x[:n_u]
     xi = x[n_u:n_u + n_p]
@@ -287,10 +384,15 @@ def initialize(u0, disc, params=None):
     return state
 
 
-def _check_state_invariants(state, linear_tol):
+def continuity_residual(state):
+    """max_j |(u_h, ∇psi_j) + (ũ_h, ∇psi_j)| over the pressure basis."""
     disc = state.disc
-    res = disc.G_d.T @ state.u + grad_pairing(disc.Q, state.tilde.values)
-    state.continuity_residual = float(np.abs(res).max())
+    res = disc.G.entries.T @ state.u + grad_pairing(disc.Q, state.tilde.values)
+    return float(np.abs(res).max(initial=0.0))
+
+
+def _check_state_invariants(state, linear_tol):
+    state.continuity_residual = continuity_residual(state)
     if state.continuity_residual > 10.0 * linear_tol:
         raise InvariantViolation(
             f"continuity residual {state.continuity_residual:.3e} exceeds "
@@ -322,38 +424,27 @@ def step(state, f, cfg, params, convection=True):
     beta = 1.0 / (1.0 / dt + 1.0 / tau)
 
     F = V.load_from_qp(as_qp_field(V, f)) if f is not None else np.zeros(n_u)
-    base_rhs_u = F + disc.M_d @ state.u / dt
+    base_rhs_u = F + V.mass.matvec(state.u) / dt
 
     zero_vel = np.zeros(n_u)
     a = state.u.copy() if convection else zero_vel
     u_new = p_new = None
     iterations = 0
     increment = np.inf
-    n = n_u + n_p + 1
 
     while iterations < cfg.picard_max:
         iterations += 1
-        C, NN, NG = _advection_operators(disc, a)
-        MinvC = sla.cho_solve(disc.M_chol, C)
-        S_NN = NN - C.T @ MinvC
-        S_NG = NG - C.T @ disc.MinvG
-
-        A = np.zeros((n, n))
-        A[:n_u, :n_u] = disc.M_d / dt + C + params.nu * disc.K_d + beta * S_NN
-        A[:n_u, n_u:n_u + n_p] = disc.G_d + beta * S_NG
-        A[n_u:n_u + n_p, :n_u] = disc.G_d.T - beta * S_NG.T
-        A[n_u:n_u + n_p, n_u:n_u + n_p] = -beta * disc.S_GG
-        A[n_u:n_u + n_p, -1] = disc.m_p
-        A[-1, n_u:n_u + n_p] = disc.m_p
+        A = _system_matrix(disc, dt, params.nu, beta, a)
 
         mom_cross, cont_cross = cross_terms(V, Q, a, state.tilde)
         rhs = np.concatenate([
             base_rhs_u + (beta / dt) * mom_cross,
             -(beta / dt) * cont_cross,
-            [0.0],
+            np.zeros(n_u + 1),
         ])
 
-        x = _refined_solve(A, rhs, cfg.linear_tol, f"step solve at t={state.t:g}")
+        x = _refined_solve(A, disc.pattern.perm, rhs, cfg.linear_tol,
+                           f"step solve at t={state.t:g}")
         u_new = x[:n_u]
         p_new = x[n_u:n_u + n_p]
         if not convection:

@@ -5,7 +5,9 @@ deliberately different route: plain Python loops per cell, explicit
 barycentric solves instead of the vectorized einsum tabulation, a
 Legendre-based collapsed-coordinate quadrature instead of the Jacobi
 conical rule, and closed-form simplex monomial integrals.  Slow on
-purpose; only run on tiny meshes.
+purpose; only run on tiny meshes.  The dense Schur step is the exception:
+it keeps the package's loads and subscale update and differs from the
+solver in its linear algebra (projection eliminated, dense LU).
 """
 
 import math
@@ -520,3 +522,112 @@ def explicit_infsup_constant(space, s):
     vals = sla.eigh(0.5 * (dual + dual.T), 0.5 * (metric_p + metric_p.T),
                     eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# dense Schur-complement step (the eliminated form of the augmented system)
+# ---------------------------------------------------------------------------
+
+def _component_blockdiag(scalar_dense, components):
+    n = scalar_dense.shape[0] * components
+    m = scalar_dense.shape[1] * components
+    out = np.zeros((n, m))
+    for k in range(components):
+        out[k::components, k::components] = scalar_dense
+    return out
+
+
+def dense_advection_operators(disc, a):
+    """Dense C(a), NᵀWN and NᵀW𝒢 for a frozen advection velocity, scattered
+    block by block through the package's sparse scatter."""
+    from vmsns.fe import advection_factor, scatter_cell_blocks
+
+    V, Q = disc.V, disc.Q
+    order = V.quad_order
+    tab = V.tabulation(order)
+    tabq = Q.tabulation(order)
+    w = tab["weights"]
+    n_fac = advection_factor(V, a, order)
+    conv_loc = np.einsum("cq,qi,cqj->cij", w, tab["phi"], n_fac)
+    nn_loc = np.einsum("cq,cqi,cqj->cij", w, n_fac, n_fac)
+    C = _component_blockdiag(
+        scatter_cell_blocks(V, V, conv_loc).toarray(), V.components)
+    NN = _component_blockdiag(
+        scatter_cell_blocks(V, V, nn_loc).toarray(), V.components)
+    NG = np.zeros((V.n_dofs, Q.n_scalar))
+    for k in range(V.components):
+        dk_loc = np.einsum("cq,cqi,cqj->cij", w, n_fac, tabq["grad"][:, :, :, k])
+        NG[k::V.components, :] = scatter_cell_blocks(V, Q, dk_loc).toarray()
+    return C, NN, NG
+
+
+def _dense_refined_solve(A, rhs):
+    """Dense LU with one pass of iterative refinement."""
+    lu = sla.lu_factor(A)
+    x = sla.lu_solve(lu, rhs)
+    return x + sla.lu_solve(lu, rhs - A @ x)
+
+
+def dense_schur_step(state, f, cfg, params, convection=True):
+    """One backward-Euler step with the projection eliminated densely.
+
+    The Picard matrix carries the Schur blocks NᵀWN - CᵀM⁻¹C,
+    NᵀW𝒢 - CᵀM⁻¹G and K_Q - GᵀM⁻¹G, formed from dense copies of the
+    package's mass, stiffness and coupling operators and a Cholesky
+    factor of M, and is solved by dense LU.  Loads, cross terms, τ and
+    the subscale update are the package's own.  Returns the new StarState.
+    """
+    from vmsns.fe import as_qp_field, linf_norm
+    from vmsns.solver import StarState
+    from vmsns.subgrid import (advance_subscale, compute_tau, cross_terms,
+                               residual_field)
+
+    disc = state.disc
+    V, Q = disc.V, disc.Q
+    n_u, n_p = disc.n_u, disc.n_p
+    dt = cfg.dt
+    M_d = V.mass.toarray()
+    K_d = V.stiffness.toarray()
+    G_d = disc.G.toarray()
+    M_chol = sla.cho_factor(M_d, lower=True)
+    MinvG = sla.cho_solve(M_chol, G_d)
+    S_GG = Q.stiffness.toarray() - G_d.T @ MinvG
+    S_GG = 0.5 * (S_GG + S_GG.T)
+
+    tau = compute_tau(params, disc.h, linf_norm(V, state.u))
+    beta = 1.0 / (1.0 / dt + 1.0 / tau)
+    F = V.load_from_qp(as_qp_field(V, f)) if f is not None else np.zeros(n_u)
+    base_rhs_u = F + M_d @ state.u / dt
+
+    a = state.u.copy() if convection else np.zeros(n_u)
+    n = n_u + n_p + 1
+    for iterations in range(1, cfg.picard_max + 1):
+        C, NN, NG = dense_advection_operators(disc, a)
+        S_NN = NN - C.T @ sla.cho_solve(M_chol, C)
+        S_NG = NG - C.T @ MinvG
+        A = np.zeros((n, n))
+        A[:n_u, :n_u] = M_d / dt + C + params.nu * K_d + beta * S_NN
+        A[:n_u, n_u:n_u + n_p] = G_d + beta * S_NG
+        A[n_u:n_u + n_p, :n_u] = G_d.T - beta * S_NG.T
+        A[n_u:n_u + n_p, n_u:n_u + n_p] = -beta * S_GG
+        A[n_u:n_u + n_p, -1] = disc.m_p
+        A[-1, n_u:n_u + n_p] = disc.m_p
+        mom_cross, cont_cross = cross_terms(V, Q, a, state.tilde)
+        rhs = np.concatenate([base_rhs_u + (beta / dt) * mom_cross,
+                              -(beta / dt) * cont_cross, [0.0]])
+        x = _dense_refined_solve(A, rhs)
+        u_new, p_new = x[:n_u], x[n_u:n_u + n_p]
+        if not convection:
+            break
+        increment = np.linalg.norm(u_new - a) / max(np.linalg.norm(u_new), 1e-300)
+        if increment <= cfg.picard_tol:
+            break
+        a = u_new
+    else:
+        raise AssertionError("dense Schur step: Picard did not converge")
+
+    res = residual_field(V, Q, u_new, p_new, advection=a)
+    return StarState(u=u_new, p=p_new,
+                     tilde=advance_subscale(state.tilde, res, tau, dt),
+                     t=state.t + dt, disc=disc, tau_used=tau,
+                     picard_iters=iterations)

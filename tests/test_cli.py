@@ -87,6 +87,19 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    from vmsns import solver
+    from vmsns.errors import InternalError
+
+    def failing_step(*args, **kwargs):
+        raise InternalError("step solve at t=0: factorization failed")
+
+    monkeypatch.setattr(solver, "step", failing_step)
+    cfg = _write_cfg(tmp_path / "run.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "flow")]) == 5
+    assert "internal error: step solve" in capsys.readouterr().err
+
+
 def test_study_writes_totals_and_rates(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "study.cfg",
                      **{"mesh.n": "2",

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from vmsns import solver
 from vmsns.config import ScenarioConfig
 from vmsns.errors import ConfigurationError, SolverNonconvergence
 from vmsns.mesh import build_structured
@@ -52,7 +54,7 @@ def test_initialize_vortex_regression():
     agreement for this projection is part of the acceptance suite)."""
     disc = _disc(4)
     state = initialize(scenarios._vortex_velocity, disc)
-    ke = 0.5 * float(state.u @ (disc.M_d @ state.u))
+    ke = 0.5 * float(state.u @ disc.V.mass.matvec(state.u))
     assert abs(ke - 0.18026092874608626) < 1e-12
     assert abs(state.tilde.norm_l2() - 0.12032294045413607) < 1e-12
     assert state.continuity_residual < 1e-12
@@ -78,9 +80,93 @@ def test_grad_pairing_consistent_with_assembled_coupling():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(disc.n_u)
     gp = grad_pairing(disc.Q, disc.V.eval_at_qp(u))
-    assert orc.rel(gp, disc.G_d.T @ u) < 1e-12
+    assert orc.rel(gp, disc.G.entries.T @ u) < 1e-12
     # ... and sums to (f, grad 1) = 0 over all pressure dofs
     assert abs(gp.sum()) < 1e-13
+
+
+def _explicit_augmented(disc, dt, nu, beta, a):
+    """The four block rows of the augmented matrix, by ``sp.bmat``."""
+    C, NN, NG = (sp.csr_matrix(b) for b in orc.dense_advection_operators(disc, a))
+    M, K = disc.V.mass.entries, disc.V.stiffness.entries
+    G, KQ = disc.G.entries, disc.Q.stiffness.entries
+    m_p = sp.csr_matrix(disc.m_p[:, None])
+    return sp.bmat([
+        [M / dt + C + nu * K + beta * NN, G + beta * NG, -beta * C.T, None],
+        [G.T - beta * NG.T, -beta * KQ, beta * G.T, m_p],
+        [C, G, -M, None],
+        [None, m_p.T, None, None],
+    ]).toarray()
+
+
+def _unpermuted(disc, A):
+    where = np.empty_like(disc.pattern.perm)
+    where[disc.pattern.perm] = np.arange(where.size)
+    return A.toarray()[np.ix_(where, where)]
+
+
+def test_augmented_pattern_fill_matches_explicit_blocks():
+    disc = _disc(4)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(disc.n_u)
+    beta = float(rng.uniform(0.01, 0.5))
+    A = solver._system_matrix(disc, 0.05, 0.01, beta, a)
+    assert orc.rel(_unpermuted(disc, A),
+                   _explicit_augmented(disc, 0.05, 0.01, beta, a)) <= 1e-14
+
+
+def test_initialization_matrix_is_the_augmented_assembly(monkeypatch):
+    disc = _disc(4)
+    seen = []
+    refined_solve = solver._refined_solve
+
+    def capture(A, *args):
+        seen.append(A)
+        return refined_solve(A, *args)
+
+    monkeypatch.setattr(solver, "_refined_solve", capture)
+    initialize(scenarios._vortex_velocity, disc)
+    assert len(seen) == 1
+    want = _explicit_augmented(disc, 1.0, 0.0, 1.0, np.zeros(disc.n_u))
+    assert orc.rel(_unpermuted(disc, seen[0]), want) <= 1e-14
+
+
+def _vortex_3d(x):
+    return np.stack([np.sin(np.pi * x[:, 1]) * x[:, 2] * (1.0 - x[:, 2]),
+                     np.cos(2.0 * x[:, 0] + x[:, 2]),
+                     x[:, 0] * x[:, 1]], axis=-1)
+
+
+@pytest.mark.parametrize("dim,n,degree,initial,forced,convection", [
+    (2, 4, 1, "decaying_vortex", False, True),
+    (2, 4, 1, "decaying_vortex", False, False),
+    (2, 8, 1, "decaying_vortex", False, True),
+    (2, 8, 1, "decaying_vortex", False, False),
+    (2, 4, 1, "manufactured_poly", True, True),
+    (2, 8, 1, "manufactured_poly", True, True),
+    (2, 3, 2, "decaying_vortex", False, True),
+    (3, 3, 1, None, False, True),
+])
+def test_step_matches_dense_schur_oracle(dim, n, degree, initial, forced,
+                                         convection):
+    disc = build_discretization(build_structured(dim, n), degree=degree)
+    if initial is None:
+        u0, f = _vortex_3d, None
+    else:
+        fields = scenarios.fields_for(ScenarioConfig(
+            n=n, nu=0.01, initial=initial,
+            forcing="manufactured_poly" if forced else "none"))
+        u0, f = fields.initial, fields.forcing_at(0.0)
+    params = StabParams(nu=0.01)
+    cfg = SolveConfig(dt=0.02, T=1.0)
+    state = want = initialize(u0, disc)
+    for _ in range(3):
+        state = step(state, f, cfg, params, convection=convection)
+        want = orc.dense_schur_step(want, f, cfg, params, convection=convection)
+        assert state.picard_iters == want.picard_iters
+        assert orc.rel(state.u, want.u) <= 1e-10
+        assert orc.rel(state.p, want.p) <= 1e-10
+        assert orc.rel(state.tilde.values, want.tilde.values) <= 1e-10
 
 
 def test_step_rest_state_stays_at_rest():
@@ -101,7 +187,7 @@ def test_step_energy_monotone_without_forcing():
     cfg = SolveConfig(dt=0.02, T=1.0)
 
     def total_energy(s):
-        return 0.5 * float(s.u @ (disc.M_d @ s.u)) + 0.5 * s.tilde.norm_l2() ** 2
+        return 0.5 * float(s.u @ disc.V.mass.matvec(s.u)) + 0.5 * s.tilde.norm_l2() ** 2
 
     energies = [total_energy(state)]
     for _ in range(5):
