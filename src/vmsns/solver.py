@@ -282,13 +282,12 @@ def grad_pairing(Q, qp_field):
     return out
 
 
-def _cell_blocks(disc, a):
-    """Cell-local C(a), NᵀWN and NᵀW𝒢 for a frozen advection velocity:
-    (nc, nl, nl), (nc, nl, nl) and (nc, nl, nl_q, dim)."""
+def _cell_blocks(disc, n_fac):
+    """Cell-local C(a), NᵀWN and NᵀW𝒢 from the advection factor of a frozen
+    advection velocity a: (nc, nl, nl), (nc, nl, nl) and (nc, nl, nl_q, dim)."""
     V, Q = disc.V, disc.Q
     tab = V.tabulation()
     w = tab["weights"]
-    n_fac = advection_factor(V, a)
     conv = np.einsum("cq,qi,cqj->cij", w, tab["phi"], n_fac)
     nn = np.einsum("cq,cqi,cqj->cij", w, n_fac, n_fac)
     ng = np.einsum("cq,cqi,cqjd->cijd", w, n_fac,
@@ -296,11 +295,12 @@ def _cell_blocks(disc, a):
     return conv, nn, ng
 
 
-def _system_matrix(disc, dt, nu, beta, a):
-    """The augmented matrix (module docstring) in the pattern's solve order."""
+def _system_matrix(disc, dt, nu, beta, n_fac):
+    """The augmented matrix (module docstring) in the pattern's solve order,
+    for the advection factor ``n_fac`` of the frozen advection velocity."""
     pat = disc.pattern
     m, k, g, kq, mp = pat.values
-    conv, nn, ng = _cell_blocks(disc, a)
+    conv, nn, ng = _cell_blocks(disc, n_fac)
     # the velocity/velocity blocks are the same for every component
     vv = np.stack([conv + beta * nn, conv, -beta * conv])
     vv = np.broadcast_to(vv[..., None], vv.shape + (disc.V.components,))
@@ -366,7 +366,7 @@ def initialize(u0, disc, params=None):
         -grad_pairing(Q, u0_perp),
         np.zeros(n_u + 1),
     ])
-    A = _system_matrix(disc, 1.0, 0.0, 1.0, np.zeros(n_u))
+    A = _system_matrix(disc, 1.0, 0.0, 1.0, advection_factor(V, np.zeros(n_u)))
     x = _refined_solve(A, disc.pattern.perm, rhs, 1e-10, "initialization solve")
 
     u_h = x[:n_u]
@@ -434,9 +434,10 @@ def step(state, f, cfg, params, convection=True):
 
     while iterations < cfg.picard_max:
         iterations += 1
-        A = _system_matrix(disc, dt, params.nu, beta, a)
+        n_fac = advection_factor(V, a)
+        A = _system_matrix(disc, dt, params.nu, beta, n_fac)
 
-        mom_cross, cont_cross = cross_terms(V, Q, a, state.tilde)
+        mom_cross, cont_cross = cross_terms(V, Q, n_fac, state.tilde)
         rhs = np.concatenate([
             base_rhs_u + (beta / dt) * mom_cross,
             -(beta / dt) * cont_cross,

@@ -185,21 +185,22 @@ def advance_subscale(tilde_old, res, tau, dt, scheme="backward_euler"):
     return SubscaleField(values=new, space=V).check_finite()
 
 
-def cross_terms(V, Q, u, tilde, order=None):
+def cross_terms(V, Q, n_fac, tilde, order=None):
     """Couplings of the subscale with the resolved equations.
+
+    ``n_fac`` is the advection factor ``fe.advection_factor(V, u_h, order)``
+    of the advecting velocity, shape (nc, nq, nloc); the solver computes it
+    once per Picard iterate and shares it with the matrix assembly.
 
     Returns (momentum, continuity):
       momentum[i]   = b(u_h, phi_i, ũ)   -- the transport of phi_i against ũ
       continuity[j] = (ũ, ∇psi_j)
     assembled by quadrature.
     """
-    from .fe import advection_factor
-
     if order is None:
         order = V.quad_order
     tab = V.tabulation(order)
     vals = tilde.values
-    n_fac = advection_factor(V, u, order)            # (nc, nq, nloc)
     loc = np.einsum("cq,cqi,cqk->cik", tab["weights"], n_fac, vals)
     momentum = np.zeros((V.n_scalar, V.components))
     sdofs = V.cell_dofs

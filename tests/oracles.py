@@ -7,7 +7,10 @@ Legendre-based collapsed-coordinate quadrature instead of the Jacobi
 conical rule, and closed-form simplex monomial integrals.  Slow on
 purpose; only run on tiny meshes.  The dense Schur step is the exception:
 it keeps the package's loads and subscale update and differs from the
-solver in its linear algebra (projection eliminated, dense LU).
+solver in its linear algebra (projection eliminated, dense LU).  The lab
+oracles likewise take the package's composite-space operators and differ
+in their linear algebra: dense saddle solves and generalized pencils where
+the lab goes through its cached divergence-free eigenbasis.
 """
 
 import math
@@ -525,6 +528,58 @@ def explicit_infsup_constant(space, s):
 
 
 # ---------------------------------------------------------------------------
+# constrained projections and the W/V equivalence by dense saddle and
+# generalized-pencil routes
+# ---------------------------------------------------------------------------
+
+def dense_saddle_project(space, top_apply, v):
+    """Constrained projection of ``v`` orthogonal in the top block
+    ``top_apply`` (``space.apply_mass``: Leray; ``space.apply_form``:
+    Ritz), from one dense symmetric saddle solve
+
+        [A    C     0  ] [u]   [A v]
+        [Cᵀ   0     m_p] [r] = [ 0 ],   C = [G1; T_pp],
+        [0    m_pᵀ  0  ] [μ]   [ 0 ]
+
+    with A assembled as ``top_apply(I)``.  Returns (u, r)."""
+    n_t = space.n_star
+    npres = space.Q.n_dofs
+    C = np.vstack([space.G1, space.T_pp])
+    n = n_t + npres + 1
+    A = np.zeros((n, n))
+    A[:n_t, :n_t] = top_apply(np.eye(n_t))
+    A[:n_t, n_t:n_t + npres] = C
+    A[n_t:n_t + npres, :n_t] = C.T
+    A[n_t:n_t + npres, -1] = space.m_p
+    A[-1, n_t:n_t + npres] = space.m_p
+    rhs = np.zeros(n)
+    rhs[:n_t] = top_apply(np.asarray(v, dtype=float))
+    sol = sla.solve(A, rhs, assume_a="sym")
+    return sol[:n_t], sol[n_t:n_t + npres]
+
+
+def dense_wv_equivalence(space, s):
+    """Extremal squared-norm quotients of the W/V equivalence as the
+    generalized eigenvalues of the pencil (ambient Gram, intrinsic Gram)
+    over an explicit M_star-orthonormal null-space basis N of the
+    divergence constraint.  The ambient Gram is NᵀW_sN with the resolved
+    block M1 Z Λ₁ˢ Zᵀ M1 from the pencil (K1, M1) and the complement block
+    h^(-2s) I; the intrinsic Gram is U Λˢ Uᵀ from NᵀAN = U Λ Uᵀ."""
+    n1 = space.n1
+    N = sla.null_space(np.hstack([space.G1.T, space.T_pp.T]))
+    N = N @ np.linalg.inv(np.linalg.cholesky(N.T @ space.apply_mass(N)).T)
+    lamV, U = np.linalg.eigh(N.T @ space.apply_form(N))
+    lam1, Z = sla.eigh(space.K1, space.M1)
+    MZ = space.M1 @ Z
+    amb = N[:n1].T @ ((MZ * lam1 ** s) @ MZ.T) @ N[:n1]
+    amb += space.h ** (-2.0 * s) * N[n1:].T @ N[n1:]
+    intrinsic = (U * lamV ** s) @ U.T
+    vals = sla.eigh(0.5 * (amb + amb.T), 0.5 * (intrinsic + intrinsic.T),
+                    eigvals_only=True)
+    return float(vals[0]), float(vals[-1])
+
+
+# ---------------------------------------------------------------------------
 # dense Schur-complement step (the eliminated form of the augmented system)
 # ---------------------------------------------------------------------------
 
@@ -577,7 +632,7 @@ def dense_schur_step(state, f, cfg, params, convection=True):
     factor of M, and is solved by dense LU.  Loads, cross terms, τ and
     the subscale update are the package's own.  Returns the new StarState.
     """
-    from vmsns.fe import as_qp_field, linf_norm
+    from vmsns.fe import advection_factor, as_qp_field, linf_norm
     from vmsns.solver import StarState
     from vmsns.subgrid import (advance_subscale, compute_tau, cross_terms,
                                residual_field)
@@ -612,7 +667,8 @@ def dense_schur_step(state, f, cfg, params, convection=True):
         A[n_u:n_u + n_p, n_u:n_u + n_p] = -beta * S_GG
         A[n_u:n_u + n_p, -1] = disc.m_p
         A[-1, n_u:n_u + n_p] = disc.m_p
-        mom_cross, cont_cross = cross_terms(V, Q, a, state.tilde)
+        mom_cross, cont_cross = cross_terms(V, Q, advection_factor(V, a),
+                                            state.tilde)
         rhs = np.concatenate([base_rhs_u + (beta / dt) * mom_cross,
                               -(beta / dt) * cont_cross, [0.0]])
         x = _dense_refined_solve(A, rhs)

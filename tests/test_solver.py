@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from vmsns import solver
 from vmsns.config import ScenarioConfig
 from vmsns.errors import ConfigurationError, SolverNonconvergence
+from vmsns.fe import advection_factor
 from vmsns.mesh import build_structured
 from vmsns.solver import (
     SolveConfig,
@@ -110,7 +111,8 @@ def test_augmented_pattern_fill_matches_explicit_blocks():
     rng = np.random.default_rng(3)
     a = rng.standard_normal(disc.n_u)
     beta = float(rng.uniform(0.01, 0.5))
-    A = solver._system_matrix(disc, 0.05, 0.01, beta, a)
+    A = solver._system_matrix(disc, 0.05, 0.01, beta,
+                              advection_factor(disc.V, a))
     assert orc.rel(_unpermuted(disc, A),
                    _explicit_augmented(disc, 0.05, 0.01, beta, a)) <= 1e-14
 

@@ -44,6 +44,13 @@ def star4():
     return build_star_space(build_structured(2, 4))
 
 
+@pytest.fixture(scope="module", params=(4, 8), ids=("n4", "n8"))
+def star_levels(request, star4):
+    if request.param == 4:
+        return star4
+    return build_star_space(build_structured(2, request.param))
+
+
 @pytest.fixture(scope="module")
 def dirichlet_pencil():
     W = build_space(build_structured(2, 8), constraint="zero_trace")
@@ -317,9 +324,46 @@ def test_ritz_projection_fixes_divergence_free_fields(star4):
     assert orc.rel(w, u) < 1e-8
 
 
+def test_leray_projection_against_dense_saddle_oracle(star_levels):
+    """Two-route check: the cached-basis projection and its least-squares
+    multiplier against one dense saddle solve per probe."""
+    space = star_levels
+    rng = np.random.default_rng(9)
+    probes = [rng.standard_normal(space.n_star) for _ in range(3)]
+    probes.append(grad_probe(space, rng.standard_normal(space.Q.n_dofs))
+                  + 0.1 * rng.standard_normal(space.n_star))
+    for v in probes:
+        u, r = leray_project(space, v)
+        u_o, r_o = orc.dense_saddle_project(space, space.apply_mass, v)
+        assert orc.rel(u, u_o) < 1e-10
+        assert orc.rel(r, r_o) < 1e-10
+
+
+def test_ritz_projection_against_dense_saddle_oracle(star_levels):
+    space = star_levels
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        v = rng.standard_normal(space.n_star)
+        u, r = ritz_project(space, v)
+        u_o, r_o = orc.dense_saddle_project(space, space.apply_form, v)
+        assert orc.rel(u, u_o) < 1e-10
+        assert orc.rel(r, r_o) < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # norm equivalence on the divergence-free subspace
 # ---------------------------------------------------------------------------
+
+def test_wv_equivalence_against_generalized_pencil_oracle(star_levels):
+    """Two-route check: the standard-form eigenvalues over the cached
+    eigenbasis against the generalized pencil over an explicit null-space
+    basis, for every s of the report grid."""
+    for s in S_GRID_WV:
+        lo, hi = wv_equivalence(star_levels, s)
+        lo_o, hi_o = orc.dense_wv_equivalence(star_levels, s)
+        assert abs(lo - lo_o) < 1e-10 * abs(lo_o)
+        assert abs(hi - hi_o) < 1e-10 * abs(hi_o)
+
 
 def test_wv_equivalence_is_exact_at_the_endpoints(star4):
     for s in (0.0, 1.0):

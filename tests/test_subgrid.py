@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmsns.errors import ConfigurationError, InvariantViolation
-from vmsns.fe import build_space
+from vmsns.fe import advection_factor, build_space
 from vmsns.mesh import build_structured
 from vmsns.subgrid import (
     StabParams,
@@ -237,7 +237,8 @@ def test_advance_argument_validation():
 def test_cross_terms_vanish_for_zero_subscale():
     V, Q = _spaces(3)
     rng = np.random.default_rng(12)
-    mom, cont = cross_terms(V, Q, rng.standard_normal(V.n_dofs), zero_subscale(V))
+    n_fac = advection_factor(V, rng.standard_normal(V.n_dofs))
+    mom, cont = cross_terms(V, Q, n_fac, zero_subscale(V))
     assert np.max(np.abs(mom)) == 0.0
     assert np.max(np.abs(cont)) == 0.0
 
@@ -245,7 +246,7 @@ def test_cross_terms_vanish_for_zero_subscale():
 def test_cross_momentum_vanishes_for_zero_advection():
     V, Q = _spaces(3)
     tilde = SubscaleField(values=_orthogonal_noise(V, seed=13), space=V)
-    mom, cont = cross_terms(V, Q, np.zeros(V.n_dofs), tilde)
+    mom, cont = cross_terms(V, Q, advection_factor(V, np.zeros(V.n_dofs)), tilde)
     assert np.max(np.abs(mom)) < 1e-14
     assert np.max(np.abs(cont)) > 0.0
 
@@ -255,7 +256,8 @@ def test_cross_terms_against_dense_oracle():
     rng = np.random.default_rng(14)
     u = rng.standard_normal(V.n_dofs)
     tilde_vals = _orthogonal_noise(V, seed=15)
-    mom, cont = cross_terms(V, Q, u, SubscaleField(values=tilde_vals, space=V))
+    mom, cont = cross_terms(V, Q, advection_factor(V, u),
+                            SubscaleField(values=tilde_vals, space=V))
     mom_o, cont_o = orc.dense_cross_terms(V, Q, u, tilde_vals)
     assert orc.rel(mom, mom_o) < 1e-12
     assert orc.rel(cont, cont_o) < 1e-12
