@@ -3,8 +3,6 @@
 Exit codes: 0 success, 1 usage error, 2 configuration error,
 3 solver nonconvergence/divergence, 4 invariant or ledger-audit failure,
 5 internal error (a factorization or linear-residual gate that failed).
-The VMSNS_THREADS environment variable caps the worker pool used by the
-multi-level commands (study, spectra); the default is 1.
 """
 
 import argparse
@@ -55,18 +53,6 @@ def build_parser():
     add("check", "audit a previously written energy ledger")
     add("init", "run the initialization projection only and emit the state")
     return parser
-
-
-def _workers():
-    raw = os.environ.get("VMSNS_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"VMSNS_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigurationError(f"VMSNS_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _load_config(args):
@@ -125,17 +111,9 @@ def _cmd_study(args):
     cfg = _load_config(args)
     if args.levels < 1:
         raise UsageError("--levels must be >= 1")
-    ns = [cfg.n * 2 ** k for k in range(args.levels)]
     out_root = io_mod.ensure_dir(cfg.out_dir)
-    dirs = [os.path.join(out_root, f"level_{k}") for k in range(len(ns))]
-    workers = _workers()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: _run_level(cfg, *a), zip(ns, dirs)))
-    else:
-        rows = [_run_level(cfg, n, d) for n, d in zip(ns, dirs)]
+    rows = [_run_level(cfg, cfg.n * 2 ** k, os.path.join(out_root, f"level_{k}"))
+            for k in range(args.levels)]
 
     totals_rows = [(k, r["n"], r["h"], r["totals"], r["bound"])
                    for k, r in enumerate(rows)]
@@ -178,7 +156,7 @@ def _cmd_spectra(args):
     if args.levels < 1:
         raise UsageError("--levels must be >= 1")
     ns = tuple(cfg.n * 2 ** k for k in range(args.levels))
-    report = run_equivalence_suite(levels=ns, dim=cfg.dim, workers=_workers())
+    report = run_equivalence_suite(levels=ns, dim=cfg.dim)
     out_root = io_mod.ensure_dir(cfg.out_dir)
     path = os.path.join(out_root, "equivalence.csv")
     io_mod.write_equivalence_csv(report, path)
@@ -211,13 +189,13 @@ def _cmd_init(args):
 
     cfg = _load_config(args)
     mesh = build_structured(cfg.dim, cfg.n, cfg.box)
-    disc = build_discretization(mesh, degree=cfg.degree)
+    disc = build_discretization(mesh)
     fields = scenarios.fields_for(cfg)
     state = initialize(fields.initial, disc)
     out_root = io_mod.ensure_dir(cfg.out_dir)
     path = os.path.join(out_root, "init_state.vtk")
     io_mod.write_fields_vtk(state, path)
-    ke = 0.5 * float(state.u @ disc.V.mass.matvec(state.u))
+    ke = 0.5 * float(state.u @ (disc.V.mass @ state.u))
     print(f"projected initial state: kinetic energy {ke!r}, "
           f"subscale magnitude {state.tilde.norm_l2()!r}, "
           f"continuity residual {state.continuity_residual:.3e}")

@@ -39,7 +39,6 @@ class ScenarioConfig:
     linear_tol: float = 1e-10
     out_dir: str = "out"
     formats: tuple = ("csv",)
-    degree: int = 1            # equal-order degree (not a file key)
 
 
 def _parse_bool_switch(raw):

@@ -3,7 +3,7 @@
 Everything is tabulated once per space: basis values and physical
 gradients at the quadrature points of every cell.  Assemblers contract
 these tables with quadrature weights (vectorized over cells) and scatter
-into scipy sparse matrices.  Vector spaces use interleaved component
+into scipy CSR matrices.  Vector spaces use interleaved component
 ordering -- global dof = scalar_dof * components + component -- so
 component-diagonal operators are Kronecker products of their scalar
 counterparts with a small identity.
@@ -13,8 +13,6 @@ nodes from the dof numbering.  Zero-mean pressure spaces keep all nodes;
 the mean constraint is enforced downstream by a scalar multiplier, and
 projections subtract the mean explicitly.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +24,6 @@ from .quadrature import simplex_quadrature
 
 __all__ = [
     "FeSpace",
-    "SparseOperator",
     "build_space",
     "assemble_mass",
     "assemble_stiffness",
@@ -77,44 +74,16 @@ def _p2_basis(bary):
 _BASIS = {1: _p1_basis, 2: _p2_basis}
 
 
-# ---------------------------------------------------------------------------
-# operator container
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SparseOperator:
-    """A sparse matrix with its logical shape and symmetry promise.
-
-    ``entries`` is scipy CSR.  ``symmetric`` records whether the assembly
-    guarantees symmetry (mass, stiffness); it is asserted at build time.
-    """
-
-    rows: int
-    cols: int
-    entries: sp.csr_matrix = field(repr=False)
-    symmetric: bool = False
-
-    def matvec(self, x):
-        return self.entries.dot(x)
-
-    def rmatvec(self, x):
-        return self.entries.T.dot(x)
-
-    def toarray(self):
-        return self.entries.toarray()
-
-
-def _wrap(mat, symmetric=False):
+def _symmetrized(mat):
+    """CSR of an operator the assembly promises symmetric (mass,
+    stiffness): checked, then symmetrized in its last few ulps so
+    eigensolvers see an exact pair."""
     mat = mat.tocsr()
-    if symmetric:
-        gap = abs(mat - mat.T)
-        scale = max(abs(mat).max(), 1e-300)
-        if gap.nnz and gap.max() > 1e-13 * scale:
-            raise InternalError("operator expected symmetric is not")
-        # symmetrize the last few ulps so eigensolvers see an exact pair
-        mat = (mat + mat.T) * 0.5
-    return SparseOperator(rows=mat.shape[0], cols=mat.shape[1],
-                          entries=mat, symmetric=symmetric)
+    gap = abs(mat - mat.T)
+    scale = max(abs(mat).max(), 1e-300)
+    if gap.nnz and gap.max() > 1e-13 * scale:
+        raise InternalError("operator expected symmetric is not")
+    return (mat + mat.T) * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +176,6 @@ class FeSpace:
         self._mass_lu = None
         self._mean = None
 
-    # -- dof map -----------------------------------------------------------
-
-    def dof_map(self, cell):
-        """Global (vector) dof indices of one cell, -1 where eliminated."""
-        sdofs = self.cell_dofs[cell]
-        out = np.empty(sdofs.shape[0] * self.components, dtype=np.int64)
-        for k in range(self.components):
-            col = sdofs * self.components + k
-            col[sdofs < 0] = -1
-            out[k::self.components] = col
-        return out
-
     # -- tabulation --------------------------------------------------------
 
     @property
@@ -260,16 +217,20 @@ class FeSpace:
 
     # -- evaluation / pairing ----------------------------------------------
 
-    def _cellwise(self, coeffs):
-        """Coefficients gathered per cell: (nc, n_loc, components)."""
+    def nodal_values(self, coeffs):
+        """Field values at every scalar node: (n_nodes, components), with
+        eliminated nodes read as zero."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.n_dofs,):
             raise ConfigurationError(
                 f"coefficient vector has shape {coeffs.shape}, expected ({self.n_dofs},)")
-        c = coeffs.reshape(self.n_scalar, self.components)
         full = np.zeros((self.nodes.shape[0], self.components))
-        full[self.node_dof >= 0] = c
-        return full[self.cell_nodes]
+        full[self.node_dof >= 0] = coeffs.reshape(self.n_scalar, self.components)
+        return full
+
+    def _cellwise(self, coeffs):
+        """Coefficients gathered per cell: (nc, n_loc, components)."""
+        return self.nodal_values(coeffs)[self.cell_nodes]
 
     def eval_at_qp(self, coeffs, order=None):
         """Field values at quadrature points: (nc, nq, components)."""
@@ -290,12 +251,7 @@ class FeSpace:
         tab = self.tabulation(order)
         qp_field = np.asarray(qp_field, dtype=float)
         loc = np.einsum("cq,qi,cqk->cik", tab["weights"], tab["phi"], qp_field)
-        out = np.zeros((self.n_scalar, self.components))
-        sdofs = self.cell_dofs
-        valid = sdofs >= 0
-        for k in range(self.components):
-            np.add.at(out[:, k], sdofs[valid], loc[:, :, k][valid])
-        return out.ravel()
+        return _scatter_add(self, loc)
 
     def evaluate_callable(self, f, order=None):
         """Evaluate a callable field x -> (components,) at quadrature points."""
@@ -322,7 +278,7 @@ class FeSpace:
         """Solve M x = rhs with a cached sparse LU factorization."""
         if self._mass_lu is None:
             try:
-                self._mass_lu = spla.factorized(self.mass.entries.tocsc())
+                self._mass_lu = spla.factorized(self.mass.tocsc())
             except RuntimeError as exc:  # pragma: no cover - SPD by construction
                 raise InternalError(f"mass factorization failed: {exc}")
         rhs = np.asarray(rhs, dtype=float)
@@ -371,6 +327,17 @@ def scatter_cell_blocks(space_rows, space_cols, local):
     return mat.tocsr()
 
 
+def _scatter_add(space, loc):
+    """Sum cell-local vectors (nc, n_loc, components) into a coefficient
+    vector of ``space``, in interleaved order; eliminated dofs are dropped."""
+    out = np.zeros((space.n_scalar, space.components))
+    sdofs = space.cell_dofs
+    valid = sdofs >= 0
+    for k in range(space.components):
+        np.add.at(out[:, k], sdofs[valid], loc[:, :, k][valid])
+    return out.ravel()
+
+
 def _expand_components(scalar_csr, components):
     if components == 1:
         return scalar_csr
@@ -381,16 +348,16 @@ def assemble_mass(V):
     """L² mass operator; SPD on the constrained space."""
     tab = V.tabulation()
     local = np.einsum("cq,qi,qj->cij", tab["weights"], tab["phi"], tab["phi"])
-    mat = _expand_components(scatter_cell_blocks(V, V, local), V.components)
-    return _wrap(mat, symmetric=True)
+    return _symmetrized(
+        _expand_components(scatter_cell_blocks(V, V, local), V.components))
 
 
 def assemble_stiffness(V):
     """Dirichlet form (∇·, ∇·); PSD, and PD under zero_trace."""
     tab = V.tabulation()
     local = np.einsum("cq,cqid,cqjd->cij", tab["weights"], tab["grad"], tab["grad"])
-    mat = _expand_components(scatter_cell_blocks(V, V, local), V.components)
-    return _wrap(mat, symmetric=True)
+    return _symmetrized(
+        _expand_components(scatter_cell_blocks(V, V, local), V.components))
 
 
 def assemble_gradient_coupling(V, Q):
@@ -416,7 +383,7 @@ def assemble_gradient_coupling(V, Q):
         e_k = sp.csr_matrix((np.ones(1), ([k], [0])), shape=(V.components, 1))
         term = sp.kron(d_k, e_k, format="csr")
         mat = term if mat is None else mat + term
-    return _wrap(mat)
+    return mat.tocsr()
 
 
 def advection_factor(V, a, order=None):
@@ -446,8 +413,7 @@ def assemble_convection(V, a):
     tab = V.tabulation()
     n_fac = advection_factor(V, a)
     local = np.einsum("cq,qi,cqj->cij", tab["weights"], tab["phi"], n_fac)
-    mat = _expand_components(scatter_cell_blocks(V, V, local), V.components)
-    return _wrap(mat)
+    return _expand_components(scatter_cell_blocks(V, V, local), V.components)
 
 
 def as_qp_field(V, f, order=None):
@@ -472,7 +438,7 @@ def assemble_load(V, f):
     duality pairing).  ``f`` may be a callable, a quadrature-point array,
     or a coefficient vector of V."""
     if isinstance(f, np.ndarray) and f.shape == (V.n_dofs,):
-        return V.mass.matvec(f)
+        return V.mass @ f
     return V.load_from_qp(as_qp_field(V, f))
 
 
@@ -499,31 +465,17 @@ def quad_norm(V, qp_field, order=None):
 
 
 def linf_norm(V, u):
-    """Max-norm of a finite element function.
-
-    Degree 1: exact -- the max over nodes of |value| (scalar) or the
-    Euclidean magnitude (vector); piecewise-linear fields attain their
-    maximum at nodes.  Degree 2: approximated by a fixed barycentric
-    sampling lattice per cell (resolution 4), documented behaviour.
-    """
+    """Max-norm of a degree-1 finite element function: the max over nodes
+    of |value| (scalar) or of the Euclidean magnitude (vector), which is
+    exact because piecewise-linear fields attain their maximum at nodes."""
+    if V.degree != 1:
+        raise ConfigurationError(
+            f"linf_norm supports degree-1 spaces only, got degree {V.degree}")
     u = np.asarray(u, dtype=float)
     if u.shape != (V.n_dofs,):
         raise ConfigurationError(
             f"coefficient vector has shape {u.shape}, expected ({V.n_dofs},)")
-    if V.degree == 1:
-        vals = u.reshape(V.n_scalar, V.components)
-        if V.components == 1:
-            return float(np.max(np.abs(vals), initial=0.0))
-        return float(np.max(np.linalg.norm(vals, axis=1), initial=0.0))
-    # sampling lattice: all barycentric multi-indices alpha/4, |alpha| = 4
-    d = V.mesh.dim
-    from itertools import product
-    lattice = np.asarray([
-        (*a, 4 - sum(a)) for a in product(range(5), repeat=d) if sum(a) <= 4
-    ], dtype=float) / 4.0
-    # reorder so the dependent coordinate comes first (barycentric layout)
-    lattice = np.roll(lattice, 1, axis=1)
-    phi, _ = _BASIS[V.degree](lattice)
-    vals = np.einsum("qi,cik->cqk", phi, V._cellwise(u))
-    return float(np.max(np.linalg.norm(vals, axis=2), initial=0.0))
-
+    vals = u.reshape(V.n_scalar, V.components)
+    if V.components == 1:
+        return float(np.max(np.abs(vals), initial=0.0))
+    return float(np.max(np.linalg.norm(vals, axis=1), initial=0.0))

@@ -7,6 +7,7 @@ can re-derive each row's imbalance from its neighbours without slack for
 formatting loss.
 """
 
+import math
 import os
 
 import numpy as np
@@ -41,13 +42,17 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _ledger_row(r):
+    """The fields of one record, in LEDGER_HEADER order."""
+    return (r.t, r.ke_fe, r.ke_sub, r.visc_diss, r.sub_diss,
+            r.power_in, r.jump_terms, r.imbalance)
+
+
 def write_energy_ledger(records, path):
     """One row per time step, strictly increasing t, repr-exact floats."""
     lines = [LEDGER_HEADER]
     for r in records:
-        lines.append(",".join(_fmt(v) for v in (
-            r.t, r.ke_fe, r.ke_sub, r.visc_diss, r.sub_diss,
-            r.power_in, r.jump_terms, r.imbalance)))
+        lines.append(",".join(_fmt(v) for v in _ledger_row(r)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -85,14 +90,20 @@ def read_energy_ledger(path):
 
 def check_energy_ledger(records, imbalance_tol=IMBALANCE_TOL,
                         consistency_tol=CONSISTENCY_TOL):
-    """Audit a ledger: every row's imbalance must sit inside the invariant
-    band, and from the second row on it must be re-derivable from the
-    neighbouring rows' energies (the first row's reference state is not in
-    the file, so it is bounds-checked only)."""
+    """Audit a ledger: every field must be finite, every row's imbalance
+    must sit inside the invariant band, and from the second row on it must
+    be re-derivable from the neighbouring rows' energies (the first row's
+    reference state is not in the file, so it is bounds-checked only)."""
     problems = []
     prev_t = 0.0
     prev = None
+    names = LEDGER_HEADER.split(",")
     for i, r in enumerate(records):
+        bad = [name for name, v in zip(names, _ledger_row(r))
+               if not math.isfinite(v)]
+        if bad:
+            problems.append(f"row {i + 1}: non-finite {', '.join(bad)}")
+            continue
         dt = r.t - prev_t
         if dt <= 0:
             problems.append(f"row {i + 1}: nonpositive step size {dt!r}")
@@ -119,25 +130,14 @@ def check_energy_ledger(records, imbalance_tol=IMBALANCE_TOL,
 # VTK legacy ASCII fields
 # ---------------------------------------------------------------------------
 
-def _vertex_values(space, coeffs):
-    """Per-vertex field values (constrained nodes read as zero)."""
-    comp = space.components
-    out = np.zeros((space.mesh.n_vertices, comp))
-    for v in range(space.mesh.n_vertices):
-        s = space.node_dof[v]
-        if s >= 0:
-            for k in range(comp):
-                out[v, k] = coeffs[s * comp + k]
-    return out
-
-
 def write_fields_vtk(state, path, title="flow fields"):
     """Velocity (point vectors), pressure (point scalars), and the
     quadrature-averaged subscale magnitude (cell scalars)."""
     disc = state.disc
     mesh = disc.mesh
-    vel = _vertex_values(disc.V, state.u)
-    pres = _vertex_values(disc.Q, state.p)[:, 0]
+    # vertices are the first nodes of every space
+    vel = disc.V.nodal_values(state.u)[:mesh.n_vertices]
+    pres = disc.Q.nodal_values(state.p)[:mesh.n_vertices, 0]
     tab = disc.V.tabulation()
     w = tab["weights"]
     mag = np.sqrt(np.einsum("cqk,cqk->cq", state.tilde.values,

@@ -8,9 +8,9 @@ construction:
 * 3D: the Kuhn subdivision of an n-by-n-by-n grid of boxes into six
   tetrahedra each (cells fall into a fixed set of congruence classes).
 
-Uniform (red) refinement splits every cell into 2^dim similar children, so
-cell shapes -- and hence all quality ratios -- are preserved under
-refinement, and the mesh size h halves exactly.
+A refinement family is the same box at n, 2n, 4n, ...: cell shapes -- and
+hence all quality ratios -- are the same on every level, and the mesh size
+h halves exactly.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +23,6 @@ __all__ = [
     "Mesh",
     "QualityReport",
     "build_structured",
-    "refine_uniform",
     "mesh_quality",
     "extract_edges",
 ]
@@ -282,85 +281,6 @@ def build_structured(dim, n, domain=None):
 
     facets, tags = _boundary_from_cells(vertices, cells, box)
     return _finish(dim, vertices, cells, facets, tags)
-
-
-# ---------------------------------------------------------------------------
-# uniform refinement
-# ---------------------------------------------------------------------------
-
-def refine_uniform(m):
-    """Red refinement: split every cell into 2^dim similar children.
-
-    Edge midpoints become new vertices; boundary facets are split in place
-    and keep their tags.  Child ordering is deterministic, so refining the
-    same mesh twice yields identical results.
-    """
-    verts = [m.vertices]
-    midpoint = {}
-    next_index = m.n_vertices
-
-    def mid(a, b):
-        nonlocal next_index
-        key = (a, b) if a < b else (b, a)
-        g = midpoint.get(key)
-        if g is None:
-            g = next_index
-            midpoint[key] = g
-            verts.append((m.vertices[a] + m.vertices[b])[None, :] / 2.0)
-            next_index += 1
-        return g
-
-    children = []
-    if m.dim == 2:
-        for v0, v1, v2 in m.cells:
-            m01, m02, m12 = mid(v0, v1), mid(v0, v2), mid(v1, v2)
-            children += [
-                (v0, m01, m02),
-                (m01, v1, m12),
-                (m02, m12, v2),
-                (m01, m12, m02),
-            ]
-    else:
-        for v0, v1, v2, v3 in m.cells:
-            m01, m02, m03 = mid(v0, v1), mid(v0, v2), mid(v0, v3)
-            m12, m13, m23 = mid(v1, v2), mid(v1, v3), mid(v2, v3)
-            # 4 corner children + 4 interior children around the m02--m13
-            # diagonal; this choice keeps every child similar to a cell of
-            # the original Kuhn family, so h halves exactly.
-            children += [
-                (v0, m01, m02, m03),
-                (m01, v1, m12, m13),
-                (m02, m12, v2, m23),
-                (m03, m13, m23, v3),
-                (m01, m02, m03, m13),
-                (m01, m02, m12, m13),
-                (m02, m03, m13, m23),
-                (m02, m12, m13, m23),
-            ]
-    cells = np.asarray(children, dtype=np.int64)
-    vertices = np.concatenate(verts, axis=0)
-
-    # restore positive orientation where a child came out flipped
-    vols = signed_volumes(vertices, cells)
-    flip = vols < 0
-    last = cells.shape[1] - 1
-    cells[np.ix_(flip, [last - 1, last])] = cells[np.ix_(flip, [last, last - 1])]
-
-    bfacets = []
-    btags = []
-    for f, tag in zip(m.boundary_facets, m.boundary_tags):
-        if m.dim == 2:
-            a, b = f
-            mab = mid(a, b)
-            bfacets += [(a, mab), (mab, b)]
-            btags += [tag, tag]
-        else:
-            a, b, c = f
-            mab, mac, mbc = mid(a, b), mid(a, c), mid(b, c)
-            bfacets += [(a, mab, mac), (mab, b, mbc), (mac, mbc, c), (mab, mbc, mac)]
-            btags += [tag] * 4
-    bfacets = np.sort(np.asarray(bfacets, dtype=np.int64), axis=1)
-    return _finish(m.dim, vertices, cells, bfacets, np.asarray(btags, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

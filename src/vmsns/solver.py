@@ -68,8 +68,10 @@ from .subgrid import (
     SubscaleField,
     advance_subscale,
     compute_tau,
+    continuity_pairing,
     cross_terms,
     orthogonality_defect,
+    project_orthogonal,
     residual_field,
 )
 
@@ -147,7 +149,7 @@ class Discretization:
     mesh: object
     V: object
     Q: object
-    G: object                      # SparseOperator, (phi_i, ∇psi_j)
+    G: object                      # CSR, (phi_i, ∇psi_j)
     h: float
     m_p: np.ndarray = field(repr=False)      # pressure-basis integrals
     pattern: AugmentedPattern = field(repr=False)
@@ -173,8 +175,7 @@ def _build_pattern(V, Q, G):
     n_u, n_p = V.n_dofs, Q.n_scalar
     p0, z0, lam = n_u, n_u + n_p, 2 * n_u + n_p
     n = lam + 1
-    M, K, KQ = V.mass.entries, V.stiffness.entries, Q.stiffness.entries
-    G = G.entries
+    M, K, KQ = V.mass, V.stiffness, Q.stiffness
     rM, cM = _csr_coords(M)
     rK, cK = _csr_coords(K)
     rG, cG = _csr_coords(G)
@@ -230,11 +231,11 @@ def _build_pattern(V, Q, G):
         values=(M.data, K.data, G.data, KQ.data, Q.mean_vector))
 
 
-def build_discretization(mesh, degree=1):
-    """Equal-order velocity/pressure spaces, the constant operator set and
-    the pattern of the augmented Picard matrix."""
-    V = build_space(mesh, degree=degree, components=mesh.dim, constraint="zero_trace")
-    Q = build_space(mesh, degree=degree, components=1, constraint="zero_mean")
+def build_discretization(mesh):
+    """P1/P1 velocity/pressure spaces, the constant operator set and the
+    pattern of the augmented Picard matrix."""
+    V = build_space(mesh, components=mesh.dim, constraint="zero_trace")
+    Q = build_space(mesh, components=1, constraint="zero_mean")
     G = assemble_gradient_coupling(V, Q)
     return Discretization(mesh=mesh, V=V, Q=Q, G=G, h=mesh.h_max,
                           m_p=Q.mean_vector, pattern=_build_pattern(V, Q, G))
@@ -270,17 +271,6 @@ class StarState:
 # ---------------------------------------------------------------------------
 # low-level helpers
 # ---------------------------------------------------------------------------
-
-def grad_pairing(Q, qp_field):
-    """Vector with entries (field, ∇psi_j), assembled by quadrature."""
-    tab = Q.tabulation(2 * Q.degree + 1)
-    loc = np.einsum("cq,cqjd,cqd->cj", tab["weights"], tab["grad"], qp_field)
-    out = np.zeros(Q.n_scalar)
-    sd = Q.cell_dofs
-    keep = sd >= 0
-    np.add.at(out, sd[keep], loc[keep])
-    return out
-
 
 def _cell_blocks(disc, n_fac):
     """Cell-local C(a), NᵀWN and NᵀW𝒢 from the advection factor of a frozen
@@ -357,13 +347,10 @@ def initialize(u0, disc, params=None):
     V, Q = disc.V, disc.Q
     n_u, n_p = disc.n_u, disc.n_p
     u0_qp = as_qp_field(V, u0)
-
-    from .subgrid import project_orthogonal
-
     u0_perp = project_orthogonal(u0_qp, V)
     rhs = np.concatenate([
         V.load_from_qp(u0_qp),
-        -grad_pairing(Q, u0_perp),
+        -continuity_pairing(Q, u0_perp),
         np.zeros(n_u + 1),
     ])
     A = _system_matrix(disc, 1.0, 0.0, 1.0, advection_factor(V, np.zeros(n_u)))
@@ -387,7 +374,7 @@ def initialize(u0, disc, params=None):
 def continuity_residual(state):
     """max_j |(u_h, ∇psi_j) + (ũ_h, ∇psi_j)| over the pressure basis."""
     disc = state.disc
-    res = disc.G.entries.T @ state.u + grad_pairing(disc.Q, state.tilde.values)
+    res = disc.G.T @ state.u + continuity_pairing(disc.Q, state.tilde.values)
     return float(np.abs(res).max(initial=0.0))
 
 
@@ -424,7 +411,7 @@ def step(state, f, cfg, params, convection=True):
     beta = 1.0 / (1.0 / dt + 1.0 / tau)
 
     F = V.load_from_qp(as_qp_field(V, f)) if f is not None else np.zeros(n_u)
-    base_rhs_u = F + V.mass.matvec(state.u) / dt
+    base_rhs_u = F + V.mass @ state.u / dt
 
     zero_vel = np.zeros(n_u)
     a = state.u.copy() if convection else zero_vel
@@ -503,7 +490,7 @@ def run(scenario):
     from .subgrid import StabParams
 
     mesh = build_structured(scenario.dim, scenario.n, scenario.box)
-    disc = build_discretization(mesh, degree=scenario.degree)
+    disc = build_discretization(mesh)
     params = StabParams(nu=scenario.nu, C_s=scenario.C_s, C_c=scenario.C_c,
                         tau_floor=scenario.tau_floor)
     cfg = SolveConfig(dt=scenario.dt, T=scenario.T,

@@ -572,19 +572,9 @@ def _level_rows(dim, n, level, seed, n_probes):
     return rows
 
 
-def run_equivalence_suite(levels=(4, 8, 16), dim=2, seed=0, n_probes=5,
-                          workers=1):
+def run_equivalence_suite(levels=(4, 8, 16), dim=2, seed=0, n_probes=5):
     """Evaluate every lemma quantity on a refinement family and collect
     the rows of the equivalence report (one row per lemma, s, level)."""
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda args: _level_rows(dim, args[1], args[0], seed, n_probes),
-                enumerate(levels)))
-    else:
-        chunks = [_level_rows(dim, n, level, seed, n_probes)
-                  for level, n in enumerate(levels)]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for level, n in enumerate(levels)
+            for row in _level_rows(dim, n, level, seed, n_probes)]
     return EquivalenceReport(rows=tuple(rows))

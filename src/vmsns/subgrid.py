@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fe import as_qp_field, l2_project, quad_norm
+from .fe import _scatter_add, as_qp_field, l2_project, quad_norm
 
 __all__ = [
     "StabParams",
@@ -32,6 +32,7 @@ __all__ = [
     "project_orthogonal",
     "advance_subscale",
     "cross_terms",
+    "continuity_pairing",
     "orthogonality_defect",
 ]
 
@@ -159,30 +160,32 @@ def orthogonality_defect(tilde):
     return num / den
 
 
-def advance_subscale(tilde_old, res, tau, dt, scheme="backward_euler"):
-    """One subscale update with the resolved residual frozen.
+def advance_subscale(tilde_old, res, tau, dt):
+    """One backward-Euler subscale update with the resolved residual frozen,
 
-    backward_euler:  ũ⁺ = (ũ/dt − π⊥res) / (1/dt + 1/τ)
-    quasi_static:    ũ⁺ = −τ · π⊥res   (the dt → ∞ limit)
+        ũ⁺ = (ũ/dt − π⊥res) / (1/dt + 1/τ),
 
-    Both are followed by re-projection onto the complement, which removes
-    the resolved component that floating-point drift (and a non-orthogonal
+    followed by re-projection onto the complement, which removes the
+    resolved component that floating-point drift (and a non-orthogonal
     residual argument) would otherwise let accumulate.
     """
     if not (tau > 0):
         raise ConfigurationError(f"tau must be positive, got {tau}")
+    if not (dt > 0):
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     V = tilde_old.space
     res_perp = project_orthogonal(res, V)
-    if scheme == "backward_euler":
-        if not (dt > 0):
-            raise ConfigurationError(f"dt must be positive, got {dt}")
-        new = (tilde_old.values / dt - res_perp) / (1.0 / dt + 1.0 / tau)
-    elif scheme == "quasi_static":
-        new = -tau * res_perp
-    else:
-        raise ConfigurationError(f"unknown subscale scheme {scheme!r}")
+    new = (tilde_old.values / dt - res_perp) / (1.0 / dt + 1.0 / tau)
     new = project_orthogonal(new, V)
     return SubscaleField(values=new, space=V).check_finite()
+
+
+def continuity_pairing(Q, qp_field, order=None):
+    """Vector with entries (field, ∇psi_j) over the pressure basis,
+    assembled by quadrature; ``qp_field`` has shape (nc, nq, dim)."""
+    tab = Q.tabulation(order)
+    loc = np.einsum("cq,cqjd,cqd->cj", tab["weights"], tab["grad"], qp_field)
+    return _scatter_add(Q, loc[:, :, None])
 
 
 def cross_terms(V, Q, n_fac, tilde, order=None):
@@ -202,16 +205,4 @@ def cross_terms(V, Q, n_fac, tilde, order=None):
     tab = V.tabulation(order)
     vals = tilde.values
     loc = np.einsum("cq,cqi,cqk->cik", tab["weights"], n_fac, vals)
-    momentum = np.zeros((V.n_scalar, V.components))
-    sdofs = V.cell_dofs
-    valid = sdofs >= 0
-    for k in range(V.components):
-        np.add.at(momentum[:, k], sdofs[valid], loc[:, :, k][valid])
-
-    tabq = Q.tabulation(order)
-    locq = np.einsum("cq,cqjd,cqd->cj", tabq["weights"], tabq["grad"], vals)
-    continuity = np.zeros(Q.n_scalar)
-    sq = Q.cell_dofs
-    vq = sq >= 0
-    np.add.at(continuity, sq[vq], locq[vq])
-    return momentum.ravel(), continuity
+    return _scatter_add(V, loc), continuity_pairing(Q, vals, order)

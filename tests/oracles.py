@@ -10,7 +10,9 @@ it keeps the package's loads and subscale update and differs from the
 solver in its linear algebra (projection eliminated, dense LU).  The lab
 oracles likewise take the package's composite-space operators and differ
 in their linear algebra: dense saddle solves and generalized pencils where
-the lab goes through its cached divergence-free eigenbasis.
+the lab goes through its cached divergence-free eigenbasis.  The data-bound
+oracle solves with the dense stiffness where the package factors the
+sparse one.
 """
 
 import math
@@ -687,3 +689,13 @@ def dense_schur_step(state, f, cfg, params, convection=True):
                      tilde=advance_subscale(state.tilde, res, tau, dt),
                      t=state.t + dt, disc=disc, tau_used=tau,
                      picard_iters=iterations)
+
+
+# ---------------------------------------------------------------------------
+# data bound
+# ---------------------------------------------------------------------------
+
+def dense_hminus1_surrogate(V, load):
+    """sqrt(loadᵀ K⁻¹ load) by a dense Cholesky solve with the stiffness."""
+    z = sla.solve(V.stiffness.toarray(), load, assume_a="pos")
+    return float(np.sqrt(max(load @ z, 0.0)))

@@ -82,7 +82,7 @@ def test_energy_identity_on_the_decaying_vortex(vortex_runs):
         assert abs(r.imbalance) <= 1e-10 * r.relative_scale(VORTEX_DT)
     disc = result.disc
     u0 = result.states[0].u
-    total0 = (0.5 * float(u0 @ disc.V.mass.matvec(u0))
+    total0 = (0.5 * float(u0 @ (disc.V.mass @ u0))
               + 0.5 * result.states[0].tilde.norm_l2() ** 2)
     totals = [total0] + [r.ke_fe + r.ke_sub for r in result.records]
     for before, after in zip(totals, totals[1:]):
@@ -104,8 +104,8 @@ def test_convection_form_is_energy_neutral():
         v = rng.standard_normal(V.n_dofs)
         C = assemble_convection(V, a)
         scale = (linf_norm(V, a)
-                 * math.sqrt(v @ K.matvec(v)) * math.sqrt(v @ M.matvec(v)))
-        assert abs(v @ C.matvec(v)) <= 1e-12 * scale
+                 * math.sqrt(v @ (K @ v)) * math.sqrt(v @ (M @ v)))
+        assert abs(v @ (C @ v)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +241,8 @@ def test_initialization_reproduces_divergence_free_fields():
     rng = np.random.default_rng(11)
     u0 = basis @ rng.standard_normal(basis.shape[1])
     state = initialize(disc.V.eval_at_qp(u0), disc)
-    norm = math.sqrt(u0 @ disc.V.mass.matvec(u0))
-    assert math.sqrt((state.u - u0) @ disc.V.mass.matvec(state.u - u0)) \
+    norm = math.sqrt(u0 @ (disc.V.mass @ u0))
+    assert math.sqrt((state.u - u0) @ (disc.V.mass @ (state.u - u0))) \
         <= 1e-10 * norm
     assert state.tilde.norm_l2() <= 1e-10 * norm
 

@@ -140,6 +140,17 @@ def test_spectra_writes_equivalence_report(tmp_path, capsys):
     assert "report:" in capsys.readouterr().out
 
 
+def test_check_rejects_non_finite_ledger(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "run.cfg")
+    out = tmp_path / "flow"
+    out.mkdir()
+    (out / "ledger.csv").write_text(
+        "t,ke_fe,ke_sub,visc_diss,sub_diss,power_in,jump_terms,imbalance\n"
+        "0.02,nan,nan,nan,nan,nan,nan,nan\n")
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 4
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_init_writes_state(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.cfg")
     out = tmp_path / "init"
@@ -147,30 +158,6 @@ def test_init_writes_state(tmp_path, capsys):
     data = read_fields_vtk(out / "init_state.vtk")
     assert np.any(data["velocity"] != 0.0)
     assert "kinetic energy" in capsys.readouterr().out
-
-
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    cfg = _write_cfg(tmp_path / "spec.cfg", **{"mesh.n": "2"})
-    out = str(tmp_path / "spectra")
-    for bad in ("zero", "0"):
-        monkeypatch.setenv("VMSNS_THREADS", bad)
-        assert main(["spectra", "--config", cfg, "--out", out,
-                     "--levels", "1"]) == 2
-    assert capsys.readouterr().err.count("VMSNS_THREADS") == 2
-
-
-def test_threads_env_controls_study_workers(tmp_path, monkeypatch):
-    cfg = _write_cfg(tmp_path / "study.cfg",
-                     **{"mesh.n": "2", "time.T": "0.04"})
-    serial, threaded = tmp_path / "s1", tmp_path / "s2"
-    assert main(["study", "--config", cfg, "--out", str(serial),
-                 "--levels", "2"]) == 0
-    monkeypatch.setenv("VMSNS_THREADS", "2")
-    assert main(["study", "--config", cfg, "--out", str(threaded),
-                 "--levels", "2"]) == 0
-    a = (serial / "totals.csv").read_text()
-    b = (threaded / "totals.csv").read_text()
-    assert a == b
 
 
 def test_help_exits_via_argparse():

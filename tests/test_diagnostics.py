@@ -18,7 +18,7 @@ from vmsns.diagnostics import (
     local_energy_residual,
 )
 from vmsns.errors import ConfigurationError
-from vmsns.fe import quad_norm
+from vmsns.fe import as_qp_field, quad_norm
 from vmsns.mesh import build_structured
 from vmsns.solver import RunResult, SolveConfig, StarState, build_discretization, initialize, run, step
 from vmsns.subgrid import StabParams, zero_subscale
@@ -357,7 +357,7 @@ def test_hminus1_surrogate_closed_form():
     disc = _disc(3)
     rng = np.random.default_rng(5)
     z = rng.standard_normal(disc.n_u)
-    load = disc.V.stiffness.matvec(z)
+    load = disc.V.stiffness @ z
     assert abs(hminus1_surrogate(disc.V, load)
                - np.sqrt(z @ load)) < 1e-9 * max(1.0, np.sqrt(z @ load))
 
@@ -370,6 +370,23 @@ def test_energy_totals_equal_data_bound_without_forcing():
     bound = a_priori_bound(result)
     # with f = 0 the exact step identities make these equal
     assert abs(totals - bound) < 1e-12 * bound
+
+
+def test_data_bound_matches_dense_oracle():
+    scenario = ScenarioConfig(n=4, nu=0.5, initial="manufactured_poly",
+                              forcing="manufactured_poly", dt=0.02, T=0.1)
+    result = run(scenario)
+    V = result.disc.V
+    forcing_at = scenarios.fields_for(scenario).forcing_at
+    first = result.states[0]
+    want = (0.5 * float(first.u @ (V.mass @ first.u))
+            + 0.5 * first.tilde.norm_l2() ** 2)
+    for r in result.records:
+        load = V.load_from_qp(as_qp_field(V, forcing_at(r.t)))
+        dual = orc.dense_hminus1_surrogate(V, load)
+        assert abs(hminus1_surrogate(V, load) - dual) <= 1e-12 * dual
+        want += scenario.dt * dual ** 2 / scenario.nu
+    assert abs(a_priori_bound(result) - want) <= 1e-12 * want
 
 
 def test_energy_totals_below_data_bound_with_forcing():

@@ -97,7 +97,7 @@ def test_mass_solve_roundtrip():
     rng = np.random.default_rng(7)
     b = rng.standard_normal(V.n_dofs)
     x = V.mass_solve(b)
-    assert orc.rel(assemble_mass(V).matvec(x), b) < 1e-11
+    assert orc.rel(assemble_mass(V) @ x, b) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_gradient_annihilates_constants():
     V = build_space(m, components=2, constraint="zero_trace")
     Q = build_space(m)
     G = assemble_gradient_coupling(V, Q)
-    assert np.max(np.abs(G.matvec(np.ones(Q.n_dofs)))) < 1e-14
+    assert np.max(np.abs(G @ np.ones(Q.n_dofs))) < 1e-14
 
 
 def test_integration_by_parts():
@@ -166,7 +166,7 @@ def test_integration_by_parts():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(V.n_dofs)
     q = rng.standard_normal(Q.n_dofs)
-    lhs = v @ G.matvec(q)
+    lhs = v @ (G @ q)
 
     tab = V.tabulation()
     gv = V.eval_grad_at_qp(v)           # (nc, nq, comp, dim)
@@ -225,7 +225,7 @@ def test_load_of_coefficients_is_mass_action():
     V = build_space(_mesh(3), components=2, constraint="zero_trace")
     rng = np.random.default_rng(5)
     u = rng.standard_normal(V.n_dofs)
-    assert orc.rel(assemble_load(V, u), assemble_mass(V).matvec(u)) < 1e-13
+    assert orc.rel(assemble_load(V, u), assemble_mass(V) @ u) < 1e-13
 
 
 def test_l2_project_reproduces_fe_functions():
@@ -276,6 +276,12 @@ def test_linf_norm_scalar_hat():
     assert abs(linf_norm(Q, e) - 1.0) < 1e-14
 
 
+def test_linf_norm_rejects_degree_2():
+    W = build_space(_mesh(2), degree=2)
+    with pytest.raises(ConfigurationError):
+        linf_norm(W, np.zeros(W.n_dofs))
+
+
 # ---------------------------------------------------------------------------
 # quadratic elements
 # ---------------------------------------------------------------------------
@@ -288,8 +294,8 @@ def test_p2_interpolates_xy_exactly():
     u = W.nodes[:, 0] * W.nodes[:, 1]
     M = assemble_mass(W)
     K = assemble_stiffness(W)
-    assert abs(u @ M.matvec(u) - 1.0 / 9.0) < 1e-13
-    assert abs(u @ K.matvec(u) - 2.0 / 3.0) < 1e-13
+    assert abs(u @ (M @ u) - 1.0 / 9.0) < 1e-13
+    assert abs(u @ (K @ u) - 2.0 / 3.0) < 1e-13
 
 
 def test_p2_gradient_pairing_with_p1_pressure():
@@ -301,7 +307,7 @@ def test_p2_gradient_pairing_with_p1_pressure():
     w[0::2] = W.nodes[:, 0] * W.nodes[:, 1]
     q = Q.nodes[:, 0]
     G = assemble_gradient_coupling(W, Q)
-    assert abs(w @ G.matvec(q) - 0.25) < 1e-13
+    assert abs(w @ (G @ q) - 0.25) < 1e-13
 
 
 # ---------------------------------------------------------------------------

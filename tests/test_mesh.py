@@ -1,4 +1,4 @@
-"""Structured simplicial meshes: counts, measures, refinement, quality."""
+"""Structured simplicial meshes: counts, measures, quality."""
 
 import math
 
@@ -12,7 +12,6 @@ from vmsns.mesh import (
     cell_diameters,
     extract_edges,
     mesh_quality,
-    refine_uniform,
     signed_volumes,
 )
 
@@ -53,26 +52,6 @@ def test_boundary_tags_partition_box_sides():
         side, lohi = divmod(int(tag), 2)
         want = (0.0, 2.0, -1.0, 1.0)[tag]
         assert abs(mids[f, side] - want) < 1e-14
-
-
-def test_refine_uniform_2d():
-    m = build_structured(2, 1)
-    r = refine_uniform(m)
-    assert r.n_cells == 8
-    assert abs(r.h_max - m.h_max / 2.0) < 1e-14
-    assert abs(signed_volumes(r.vertices, r.cells).sum() - 1.0) < 1e-14
-    r.validate()
-
-
-def test_refine_uniform_3d():
-    m = build_structured(3, 1)
-    r = refine_uniform(m)
-    assert r.n_cells == 48
-    assert abs(signed_volumes(r.vertices, r.cells).sum() - 1.0) < 1e-13
-    # Bey-style octasection must not degrade shape regularity much
-    q = mesh_quality(r)
-    assert q.min_inradius_ratio > 0.05
-    r.validate()
 
 
 def test_structured_mesh_is_uniform():

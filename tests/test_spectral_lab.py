@@ -443,9 +443,3 @@ def test_equivalence_suite_structure():
     hs = sorted({r.h for r in report.rows}, reverse=True)
     assert len(hs) == 2 and hs[1] == pytest.approx(hs[0] / 2.0)
     assert EquivalenceReport.HEADER[0] == "lemma"
-
-
-def test_equivalence_suite_thread_determinism():
-    a = run_equivalence_suite(levels=(2, 4), n_probes=2, workers=1)
-    b = run_equivalence_suite(levels=(2, 4), n_probes=2, workers=2)
-    assert a.rows == b.rows

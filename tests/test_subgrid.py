@@ -199,16 +199,6 @@ def test_advance_from_rest_closed_form():
     assert orc.rel(new.values, want) < 1e-11
 
 
-def test_advance_quasi_static_limit():
-    V, Q = _spaces(3)
-    rng = np.random.default_rng(9)
-    res = residual_field(V, Q, rng.standard_normal(V.n_dofs),
-                         rng.standard_normal(Q.n_dofs))
-    new = advance_subscale(zero_subscale(V), res, 0.3, 123.0,
-                           scheme="quasi_static")
-    assert orc.rel(new.values, -0.3 * project_orthogonal(res, V)) < 1e-11
-
-
 def test_advance_result_stays_orthogonal():
     V, Q = _spaces(4)
     rng = np.random.default_rng(10)
@@ -226,8 +216,6 @@ def test_advance_argument_validation():
         advance_subscale(z, z.values, 0.0, 0.01)
     with pytest.raises(ConfigurationError):
         advance_subscale(z, z.values, 0.1, -1.0)
-    with pytest.raises(ConfigurationError):
-        advance_subscale(z, z.values, 0.1, 0.01, scheme="explicit")
 
 
 # ---------------------------------------------------------------------------
