@@ -84,6 +84,10 @@ def _cmd_run(args):
     print(f"ran {len(result.records)} steps to t={result.states[-1].t!r} "
           f"on a {cfg.dim}-D mesh (n={cfg.n}); "
           f"worst relative energy imbalance {worst:.3e}")
+    print(f"linear solves over {len(result.records)} steps: "
+          f"{result.picard_iters} Picard iterations, "
+          f"{result.factorizations} factorizations, "
+          f"{result.krylov_iters} Krylov iterations")
     print(f"ledger: {ledger_path}")
     return 0
 

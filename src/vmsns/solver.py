@@ -37,10 +37,16 @@ Its sparsity pattern depends only on the mesh, so
 :func:`build_discretization` builds it once, together with the data
 position of every term and a reverse Cuthill-McKee ordering (the mean
 multiplier last, since its row is dense).  Each Picard iteration fills
-the data of that pattern with one ``bincount`` and factors it with
-SuperLU, followed by one pass of iterative refinement and a residual
-gate.  The initialization projection is the same matrix at dt = 1, ν = 0,
-β = 1, a = 0, where ζ = M⁻¹Gξ.
+the data of that pattern with one ``bincount``.  From one iterate to the
+next only the advection terms change, so one SuperLU factor serves a
+whole step: the first iteration factors its matrix (after a symmetric
+diagonal scaling) and solves with one pass of iterative refinement; the
+later iterations solve by one restart cycle of GMRES, preconditioned with
+that factor and started from the previous iterate's solution.  Every
+solution must pass the same residual gate; a Krylov solution that fails
+it, or is not finite, is replaced by a fresh factor of its iterate, which
+then serves the rest of the step.  The initialization projection is the
+same matrix at dt = 1, ν = 0, β = 1, a = 0, where ζ = M⁻¹Gξ.
 """
 
 import math
@@ -114,12 +120,24 @@ class SolveConfig:
             raise ConfigurationError(problems)
 
 
-#: SuperLU settings for the augmented matrix.  The pattern is already in
-#: a fill-reducing order, so no column permutation is applied, and the
-#: threshold keeps a diagonal pivot unless it is ten times smaller than the
-#: largest entry of its column.
+#: SuperLU settings for the augmented matrix, factored once per time step
+#: (at its first Picard iteration) and once for the initialization.  The
+#: pattern is already in a fill-reducing order, so no column permutation
+#: is applied, and the threshold keeps a diagonal pivot unless it is ten
+#: times smaller than the largest entry of its column, compared after the
+#: symmetric diagonal scaling of :func:`_factor`.
 SUPERLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                        options={"SymmetricMode": True})
+
+#: GMRES steps in the single restart cycle that solves a later Picard
+#: iterate with the step's factor as preconditioner; a solve that has not
+#: passed the residual gate by then refactors its iterate.
+KRYLOV_RESTART = 20
+
+#: relative residual at which GMRES stops: near roundoff and far below the
+#: gate, so that a Krylov solution agrees with a fresh factor's to the
+#: accuracy the dense oracles check.
+KRYLOV_RTOL = 1e-14
 
 
 @dataclass
@@ -246,8 +264,9 @@ class StarState:
     """Resolved velocity/pressure coefficients plus the subscale field.
 
     The trailing metadata fields describe the step that produced the
-    state (relaxation time used, Picard iterations, final linearized
-    residuals); they are informational, not part of the dynamics.
+    state (relaxation time used, Picard iterations, SuperLU factorizations
+    and GMRES steps of its linear solves, final linearized residuals); they
+    are informational, not part of the dynamics.
     """
 
     u: np.ndarray = field(repr=False)
@@ -257,6 +276,8 @@ class StarState:
     disc: Discretization = field(default=None, repr=False)
     tau_used: float = 0.0
     picard_iters: int = 0
+    factorizations: int = 0
+    krylov_iters: int = 0
     continuity_residual: float = 0.0
 
     def copy(self):
@@ -264,6 +285,7 @@ class StarState:
             u=self.u.copy(), p=self.p.copy(), tilde=self.tilde.copy(),
             t=self.t, disc=self.disc, tau_used=self.tau_used,
             picard_iters=self.picard_iters,
+            factorizations=self.factorizations, krylov_iters=self.krylov_iters,
             continuity_residual=self.continuity_residual,
         )
 
@@ -303,25 +325,75 @@ def _system_matrix(disc, dt, nu, beta, n_fac):
     return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(pat.n, pat.n))
 
 
-def _refined_solve(A, perm, rhs, linear_tol, what):
-    """SuperLU with one iterative-refinement pass and a residual gate.
+def _factor(A, what):
+    """SuperLU factor of ``A`` after a symmetric diagonal scaling; returns
+    the solve with ``A``.
 
-    ``A`` is in solve order; ``rhs`` and the result are in unknown order.
+    The scaling D = diag(|A_ii|^(-1/2)), 1 where A_ii = 0, gives the
+    scaled matrix a unit diagonal and coupling entries of order one at
+    every mesh size.  Unscaled, the mass diagonal (about h^d / dt) can fall
+    below a tenth of the gradient coupling in its column (about h^(d-1)),
+    as it does in the initialization matrix (dt = 1): SuperLU then pivots
+    off the diagonal, and the fill grows (2.3 times at 2-D n = 64).
     """
+    d = np.abs(A.diagonal())
+    s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    scaled = sp.csc_matrix((A.data * s[A.indices] * s[cols], A.indices,
+                            A.indptr), shape=A.shape)
     try:
-        lu = spla.splu(A, **SUPERLU_OPTIONS)
+        lu = spla.splu(scaled, **SUPERLU_OPTIONS)
     except RuntimeError as exc:
         raise InternalError(f"{what}: factorization failed: {exc}")
-    b = rhs[perm]
-    y = lu.solve(b)
-    y = y + lu.solve(b - A @ y)
+    return lambda b: s * lu.solve(s * b)
+
+
+def _residual_ok(A, b, y, linear_tol):
+    """The residual gate: max|b - Ay| within ``linear_tol`` of the size of
+    the terms that make it up.  Returns (passed, max|b - Ay|)."""
+    r = np.abs(b - A @ y).max()
+    scale = np.abs(A.data).max() * max(np.abs(y).max(), 1e-300) + np.abs(b).max()
+    return bool(r <= linear_tol * max(scale, 1e-300)), r
+
+
+def _refined_solve(A, b, linear_tol, what):
+    """Factor, solve with one iterative-refinement pass, and gate, all in
+    solve order.  Returns the solution and the solve with the factor."""
+    solve = _factor(A, what)
+    y = solve(b)
+    y = y + solve(b - A @ y)
     if not np.all(np.isfinite(y)):
         raise SolverDivergence(f"{what}: non-finite solution")
-    r = b - A @ y
-    scale = np.abs(A.data).max() * max(np.abs(y).max(), 1e-300) + np.abs(b).max()
-    if np.abs(r).max() > linear_tol * max(scale, 1e-300):
-        raise InternalError(
-            f"{what}: residual {np.abs(r).max():.3e} above tolerance")
+    passed, r = _residual_ok(A, b, y, linear_tol)
+    if not passed:
+        raise InternalError(f"{what}: residual {r:.3e} above tolerance")
+    return y, solve
+
+
+def _krylov_solve(A, b, solve, y0, linear_tol):
+    """One GMRES restart cycle on A y = b from ``y0``, preconditioned with
+    ``solve`` (the factor of an earlier iterate), all in solve order.
+
+    Returns the solution, or None when it is not finite or fails the
+    residual gate, and the number of GMRES steps taken.
+    """
+    steps = 0
+
+    def count(_):
+        nonlocal steps
+        steps += 1
+
+    y, _ = spla.gmres(A, b, x0=y0, rtol=KRYLOV_RTOL, atol=0.0,
+                      restart=KRYLOV_RESTART, maxiter=1,
+                      M=spla.LinearOperator(A.shape, solve, dtype=A.dtype),
+                      callback=count, callback_type="pr_norm")
+    if not (np.all(np.isfinite(y)) and _residual_ok(A, b, y, linear_tol)[0]):
+        return None, steps
+    return y, steps
+
+
+def _unknown_order(y, perm):
+    """A solve-order vector in unknown order."""
     x = np.empty_like(y)
     x[perm] = y
     return x
@@ -354,7 +426,9 @@ def initialize(u0, disc, params=None):
         np.zeros(n_u + 1),
     ])
     A = _system_matrix(disc, 1.0, 0.0, 1.0, advection_factor(V, np.zeros(n_u)))
-    x = _refined_solve(A, disc.pattern.perm, rhs, 1e-10, "initialization solve")
+    perm = disc.pattern.perm
+    y, _ = _refined_solve(A, rhs[perm], 1e-10, "initialization solve")
+    x = _unknown_order(y, perm)
 
     u_h = x[:n_u]
     xi = x[n_u:n_u + n_p]
@@ -416,8 +490,11 @@ def step(state, f, cfg, params, convection=True):
     zero_vel = np.zeros(n_u)
     a = state.u.copy() if convection else zero_vel
     u_new = p_new = None
-    iterations = 0
+    iterations = factorizations = krylov_iters = 0
     increment = np.inf
+    perm = disc.pattern.perm
+    what = f"step solve at t={state.t:g}"
+    solve = y = None
 
     while iterations < cfg.picard_max:
         iterations += 1
@@ -431,8 +508,14 @@ def step(state, f, cfg, params, convection=True):
             np.zeros(n_u + 1),
         ])
 
-        x = _refined_solve(A, disc.pattern.perm, rhs, cfg.linear_tol,
-                           f"step solve at t={state.t:g}")
+        b = rhs[perm]
+        if solve is not None:
+            y, steps = _krylov_solve(A, b, solve, y, cfg.linear_tol)
+            krylov_iters += steps
+        if y is None:
+            y, solve = _refined_solve(A, b, cfg.linear_tol, what)
+            factorizations += 1
+        x = _unknown_order(y, perm)
         u_new = x[:n_u]
         p_new = x[n_u:n_u + n_p]
         if not convection:
@@ -456,6 +539,7 @@ def step(state, f, cfg, params, convection=True):
     new = StarState(
         u=u_new, p=p_new, tilde=tilde_new, t=state.t + dt, disc=disc,
         tau_used=tau, picard_iters=iterations,
+        factorizations=factorizations, krylov_iters=krylov_iters,
     )
     _check_state_invariants(new, cfg.linear_tol)
     return new
@@ -468,13 +552,18 @@ def step(state, f, cfg, params, convection=True):
 @dataclass
 class RunResult:
     """Snapshots (always including the initial state), one energy record
-    per step, and the discretization the run used."""
+    per step, the discretization the run used, and the Picard iterations,
+    factorizations and GMRES steps summed over every step (snapshot or
+    not; the initialization's factor is not counted)."""
 
     states: list
     records: list
     disc: Discretization
     params: object
     config: object
+    picard_iters: int = 0
+    factorizations: int = 0
+    krylov_iters: int = 0
 
 
 def run(scenario):
@@ -502,6 +591,7 @@ def run(scenario):
     state = initialize(fields.initial, disc, params)
     states = [state.copy()]
     records = []
+    totals = dict(picard_iters=0, factorizations=0, krylov_iters=0)
     n_steps = 0 if cfg.T == 0 else int(math.ceil(cfg.T / cfg.dt * (1.0 - 1e-12)))
     for k in range(1, n_steps + 1):
         t_next = k * cfg.dt
@@ -510,7 +600,9 @@ def run(scenario):
         state = step(prev, f, cfg, params, convection=scenario.convection)
         records.append(energy_ledger_entry(prev, state, f, cfg.dt,
                                            state.tau_used, params.nu))
+        for key in totals:
+            totals[key] += getattr(state, key)
         if k % scenario.snapshot_every == 0 or k == n_steps:
             states.append(state.copy())
     return RunResult(states=states, records=records, disc=disc,
-                     params=params, config=scenario)
+                     params=params, config=scenario, **totals)

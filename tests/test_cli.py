@@ -26,7 +26,10 @@ def test_run_writes_checkable_ledger(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.cfg")
     out = tmp_path / "flow"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert "ledger" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "ledger" in printed
+    assert "linear solves over 3 steps: " in printed
+    assert " 3 factorizations, " in printed
     records = read_energy_ledger(out / "ledger.csv")
     assert len(records) == 3
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0

@@ -1,0 +1,123 @@
+"""Property tests of the step energy identity and the ledger audit over
+random physics, stabilization and time-step parameters on small meshes."""
+
+import os
+import tempfile
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from vmsns.cli import main
+from vmsns.io import (IMBALANCE_TOL, LEDGER_HEADER, check_energy_ledger,
+                      read_energy_ledger)
+
+STEPS = 3
+COLUMNS = LEDGER_HEADER.split(",")
+#: columns the audit re-derives each row's imbalance from (every column
+#: but t); the first row's reference state is not in the file, so of its
+#: columns only those its successor reads, and its imbalance, are audited
+AUDITED = COLUMNS[1:]
+AUDITED_FIRST_ROW = ("ke_fe", "ke_sub", "imbalance")
+
+tampered_entries = st.one_of(
+    st.tuples(st.just(0), st.sampled_from(AUDITED_FIRST_ROW)),
+    st.tuples(st.integers(1, STEPS - 1), st.sampled_from(AUDITED)),
+)
+
+
+def _write_cfg(directory, entries):
+    cfg = os.path.join(directory, "run.cfg")
+    with open(cfg, "w") as fh:
+        fh.write("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    return ["--config", cfg, "--out", os.path.join(directory, "out")]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    nu=st.floats(1e-3, 1.0),
+    dt=st.floats(1e-3, 0.05),
+    C_s=st.floats(0.5, 16.0),
+    C_c=st.floats(0.0, 8.0),
+    tau_floor=st.floats(0.0, 1e-2),
+    convection=st.booleans(),
+    box=st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 2.0),
+                  st.floats(-1.0, 1.0), st.floats(0.5, 2.0)),
+    forcing=st.sampled_from(("none", "manufactured_poly")),
+    tamper=tampered_entries,
+)
+def test_energy_identity_and_audit_under_random_parameters(
+        n, nu, dt, C_s, C_c, tau_floor, convection, box, forcing, tamper):
+    x0, lx, y0, ly = box
+    entries = {
+        "mesh.dim": "2", "mesh.n": str(n),
+        "mesh.box": f"{x0!r},{x0 + lx!r}, {y0!r},{y0 + ly!r}",
+        "physics.nu": repr(nu),
+        "physics.initial": "decaying_vortex",
+        "physics.forcing": forcing,
+        "physics.convection": "on" if convection else "off",
+        "stab.C_s": repr(C_s), "stab.C_c": repr(C_c),
+        "stab.tau_floor": repr(tau_floor),
+        "time.dt": repr(dt), "time.T": repr(STEPS * dt),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _write_cfg(tmp, entries)
+        code = main(["run"] + argv)
+        # Picard iteration may fail to contract for large data (the forcing
+        # grows on boxes away from the unit square); that is reported with
+        # its documented exit code, and the run has no ledger to audit
+        assert code in (0, 3)
+        assume(code == 0)
+
+        ledger = os.path.join(tmp, "out", "ledger.csv")
+        records = read_energy_ledger(ledger)
+        assert len(records) == STEPS
+        # the audit's scale leaves out the subscale energy, so a run whose
+        # resolved energy vanishes fails it at roundoff; that case is
+        # test_audit_accepts_a_ledger_whose_energy_is_all_subscale's
+        assume(all(r.ke_fe > 1e-12 * r.ke_sub for r in records))
+        for r in records:
+            assert abs(r.imbalance) <= IMBALANCE_TOL * r.relative_scale(dt)
+        check_energy_ledger(records)
+        assert main(["check"] + argv) == 0
+
+        # one entry moved by far more than the audit's tolerances: the
+        # identity-derived checks of that row or the next must catch it
+        row, column = tamper
+        with open(ledger) as fh:
+            lines = fh.read().splitlines()
+        cells = lines[1 + row].split(",")
+        k = COLUMNS.index(column)
+        shift = 1e-6 * records[row].relative_scale(dt) / dt
+        cells[k] = repr(float(cells[k]) + shift)
+        lines[1 + row] = ",".join(cells)
+        with open(ledger, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert main(["check"] + argv) == 4
+
+
+@pytest.mark.xfail(strict=True, reason="the audit's relative scale omits the "
+                   "subscale energy, so a roundoff imbalance fails it when the "
+                   "resolved energy vanishes")
+def test_audit_accepts_a_ledger_whose_energy_is_all_subscale():
+    """On a 2 x 2 mesh of the box (0, 2)², the one interior vertex sits on
+    a zero of the decaying vortex, so the resolved velocity vanishes and
+    all the energy is in the subscale.  The step identity then closes to
+    about 3e-16 of that energy, but the audit measures the imbalance
+    against max(ke_fe, dt·visc_diss, |dt·power_in|), which is the 1e-30
+    floor here."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _write_cfg(tmp, {
+            "mesh.dim": "2", "mesh.n": "2", "mesh.box": "0,2, 0,2",
+            "physics.nu": "1.0", "physics.initial": "decaying_vortex",
+            "physics.convection": "off", "stab.C_s": "1.0", "stab.C_c": "0.0",
+            "time.dt": "0.03125", "time.T": "0.09375",
+        })
+        assert main(["run"] + argv) == 0
+        records = read_energy_ledger(os.path.join(tmp, "out", "ledger.csv"))
+        for r in records:
+            assert r.ke_fe < 1e-30 < 0.5 < r.ke_sub
+            total = r.ke_fe + r.ke_sub
+            assert abs(r.imbalance) <= IMBALANCE_TOL * total
+        assert main(["check"] + argv) == 0

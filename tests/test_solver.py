@@ -132,6 +132,26 @@ def test_initialization_matrix_is_the_augmented_assembly(monkeypatch):
     assert orc.rel(_unpermuted(disc, seen[0]), want) <= 1e-14
 
 
+def test_initialization_factor_keeps_diagonal_pivots(monkeypatch):
+    """At dt = 1 the mass diagonal (about h²) is under a tenth of the
+    gradient coupling (about h); the diagonal scaling keeps SuperLU from
+    pivoting off the diagonal for it.  The two row swaps left are those
+    of the pressure-mean multiplier, whose diagonal is zero."""
+    disc = _disc(16)
+    factors = []
+    splu = solver.spla.splu
+
+    def capture(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver.spla, "splu", capture)
+    initialize(scenarios._vortex_velocity, disc)
+    assert len(factors) == 1
+    perm_r = factors[0].perm_r
+    assert np.count_nonzero(perm_r != np.arange(perm_r.size)) <= 2
+
+
 def _vortex_3d(x):
     return np.stack([np.sin(np.pi * x[:, 1]) * x[:, 2] * (1.0 - x[:, 2]),
                      np.cos(2.0 * x[:, 0] + x[:, 2]),
@@ -170,6 +190,62 @@ def test_step_matches_dense_schur_oracle(dim, n, degree, initial, forced,
         assert orc.rel(state.u, want.u) <= 1e-10
         assert orc.rel(state.p, want.p) <= 1e-10
         assert orc.rel(state.tilde.values, want.tilde.values) <= 1e-10
+
+
+def _vortex_n8():
+    disc = build_discretization(build_structured(2, 8))
+    state = initialize(scenarios._vortex_velocity, disc)
+    return state, StabParams(nu=0.01), SolveConfig(dt=0.02, T=1.0)
+
+
+def test_step_factors_once_and_solves_later_iterates_by_krylov(monkeypatch):
+    state, params, cfg = _vortex_n8()
+    splu = solver.spla.splu
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "splu", counting_splu)
+    new = step(state, None, cfg, params)
+    assert new.picard_iters > 1
+    assert new.factorizations == len(calls) == 1
+    assert new.krylov_iters > 0
+    copied = new.copy()
+    assert (copied.factorizations, copied.krylov_iters) == (1, new.krylov_iters)
+
+
+@pytest.mark.parametrize("garbage", [np.nan, 1.0])
+def test_failed_krylov_solve_refactors_its_iterate(monkeypatch, garbage):
+    """GMRES returning a non-finite vector, or a finite one that fails the
+    residual gate, sends its iterate to a fresh factor; the step still
+    agrees with the dense oracle."""
+    state, params, cfg = _vortex_n8()
+
+    def garbage_gmres(A, b, **kwargs):
+        return np.full_like(b, garbage), 0
+
+    monkeypatch.setattr(solver.spla, "gmres", garbage_gmres)
+    want = state
+    for _ in range(2):
+        state = step(state, None, cfg, params)
+        want = orc.dense_schur_step(want, None, cfg, params)
+        assert state.picard_iters == want.picard_iters > 1
+        assert state.factorizations == state.picard_iters
+        assert state.krylov_iters == 0
+        assert orc.rel(state.u, want.u) <= 1e-10
+        assert orc.rel(state.p, want.p) <= 1e-10
+        assert orc.rel(state.tilde.values, want.tilde.values) <= 1e-10
+
+
+def test_run_totals_solver_counts_over_every_step():
+    result = run(_tiny_scenario(T=0.08, snapshot_every=4))
+    assert len(result.records) == 4 and len(result.states) == 2
+    assert result.factorizations == 4
+    assert result.picard_iters > result.factorizations
+    assert result.krylov_iters > 0
+    assert result.states[-1].factorizations == 1
 
 
 def test_step_rest_state_stays_at_rest():
