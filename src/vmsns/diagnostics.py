@@ -67,7 +67,10 @@ class EnergyRecord:
     imbalance: float      # signed residual of the step identity
 
     def relative_scale(self, dt):
-        return max(self.ke_fe, dt * self.visc_diss,
+        """Scale of the step identity's terms: the total energy, the
+        step's total dissipation and its power input."""
+        return max(self.ke_fe + self.ke_sub,
+                   dt * (self.visc_diss + self.sub_diss),
                    abs(dt * self.power_in), MACHINE_FLOOR)
 
 

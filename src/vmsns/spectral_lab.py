@@ -18,16 +18,17 @@ scale of index s weighs the complement block by h^(-2s) and the resolved
 block through the spectral calculus of the Dirichlet Laplacian pencil
 (K1, M1).
 
-Everything on the discretely divergence-free subspace goes through one
-eigenbasis cached on each StarSpace (``_vstar_basis``): the constrained
-modes P = N U, with N an M_star-orthonormal basis of the subspace and
-(Λ, U) the eigenpairs of the constrained form NᵀAN.  The Leray projection
-is P Pᵀ M_star v, the Ritz projection P Λ⁻¹ Pᵀ A v, and the W/V
-equivalence one symmetric standard-form eigenvalue solve per s over
-blocks cached with the basis.  The pressure multipliers come from one
-least-squares solve against a cached QR of the gradient pairing.  The
-basis costs one SVD, one Cholesky factorization and one dense eigensolve
-per space; each later projection is a few matrix-vector products.
+Everything on the discretely divergence-free subspace V = {v : Cᵀv = 0},
+C = [G1; T_pp], goes through one cached factorization of np-square size
+(``_schur``): F = M1⁻¹G1, TT = T_ppᵀT_pp and a Cholesky factor of the
+pressure Schur complement S = CᵀM★⁻¹C = G1ᵀF + TT, with M★ =
+blockdiag(M1, I) the composite mass, pinned by m_p m_pᵀ along the
+constants that C annihilates.  The Leray projection is v - M★⁻¹C r with
+(S + m_p m_pᵀ) r = Cᵀv.  The W/V equivalence reduces to an n1-sized
+problem: the fields of V with a zero resolved part have quotient exactly
+1, and the rest of V is the range of Π_V [I; 0], whose blocks follow from
+the same factor.  The inf-sup form reads its complement term from TT.
+Nothing of the dimension of V is factored or eigendecomposed.
 
 ``build_star_space`` (a dense eigendecomposition of the enriched Gram and
 a complete QR) is deliberately left as it is: the complement basis B it
@@ -59,7 +60,6 @@ __all__ = [
     "leray_project",
     "leray_star_stability",
     "grad_probe",
-    "ritz_project",
     "inverse_inequality_constant",
     "ReportRow",
     "EquivalenceReport",
@@ -335,78 +335,105 @@ def composite_norm(space, v, s):
 
 
 # ---------------------------------------------------------------------------
-# divergence-free subspace and norm equivalence
+# divergence constraint through the pressure Schur complement
 # ---------------------------------------------------------------------------
 
-def _vstar_basis(space):
-    """Eigenbasis of the constrained form on the discretely divergence-free
-    subspace {v : (v_fe, ∇q) + (v_perp, ∇q) = 0 for all pressures q}.
+def _schur(space):
+    """Pressure Schur data of the divergence constraint C = [G1; T_pp]:
+    (F, TT, factor) with F = M1⁻¹G1, TT = T_ppᵀT_pp and the Cholesky
+    factor of S + m_p m_pᵀ, where S = CᵀM★⁻¹C = G1ᵀF + TT.
 
-    Returns (lamV, P): the ascending eigenvalues Λ of NᵀAN and the modes
-    P = N U, where N is an M_star-orthonormal basis of the subspace, A the
-    composite form and NᵀAN = U Λ Uᵀ.  P is M_star-orthonormal and
-    A-orthogonal (PᵀM_star P = I, PᵀAP = Λ), and P Pᵀ = N Nᵀ.  Cached on
-    the space.
+    C annihilates the constant pressures, so S is singular along them;
+    the pin m_p m_pᵀ lifts that direction, and since every right-hand
+    side Cᵀv is orthogonal to the constants, the pinned solve returns the
+    zero-mean solution of S r = Cᵀv.  Cached on the space.
     """
-    if "vstar" in space._cache:
-        return space._cache["vstar"]
-    Ct = np.hstack([space.G1.T, space.T_pp.T])           # (np, n1 + m)
-    _, sig, Vh = sla.svd(Ct, full_matrices=True)
-    tol = 1e-10 * sig[0]
-    rank = int(np.sum(sig > tol))
-    N = Vh[rank:].T
-    if N.shape[1] == 0:
-        raise InternalError("divergence constraint left no free directions")
-    C = _sym(N.T @ space.apply_mass(N))
-    Lc = sla.cholesky(C, lower=True)
-    N = sla.solve_triangular(Lc, N.T, lower=True).T
-    lamV, U = sla.eigh(_sym(N.T @ space.apply_form(N)))
-    if lamV.min() <= 0:
+    if "schur" not in space._cache:
+        F = sla.solve(_sym(space.M1), space.G1, assume_a="pos")
+        TT = _sym(space.T_pp.T @ space.T_pp)
+        S = _sym(space.G1.T @ F) + TT + np.outer(space.m_p, space.m_p)
+        try:
+            factor = sla.cho_factor(S, lower=True)
+        except sla.LinAlgError as exc:
+            raise InternalError(
+                f"pinned pressure Schur complement is not positive definite: "
+                f"{exc}") from None
+        space._cache["schur"] = (F, TT, factor)
+    return space._cache["schur"]
+
+
+# ---------------------------------------------------------------------------
+# norm equivalence on the divergence-free subspace
+# ---------------------------------------------------------------------------
+
+def _wv_modes(space):
+    """Constrained modes of the divergence-free subspace V that carry a
+    resolved part, in the blocks the W/V quotient needs.
+
+    The fields of V with a zero resolved part form an eigenspace of the
+    constrained form (eigenvalue h⁻²) on which the W/V quotient is exactly
+    1; their M★-orthogonal complement in V is the range of
+    Y = Π_V [I; 0], whose blocks are I - F X and -T_pp X with
+    X = (S + m_p m_pᵀ)⁻¹ G1ᵀ (``_schur``).  Y is M★-orthonormalised
+    through its n1 × n1 Gram (rank r), and the constrained form on its
+    range is decomposed as U Λ Uᵀ.  Returns (Λ, E, PP, unit): the
+    resolved modal coordinates E = Zᵀ M1 P₁ and complement Gram
+    PP = P_⊥ᵀP_⊥ of the modes P = Y R U, and the multiplicity
+    unit = d - r of the quotient 1, d = n_star - (np - 1) being the
+    dimension of V.  Cached.
+    """
+    if "wv" in space._cache:
+        return space._cache["wv"]
+    F, TT, factor = _schur(space)
+    X = sla.cho_solve(factor, space.G1.T)                 # (np, n1)
+    Y1 = np.eye(space.n1) - F @ X
+    YpYp = _sym(X.T @ TT @ X)                             # Y_⊥ᵀY_⊥
+    g, Vg = sla.eigh(_sym(Y1.T @ space.M1 @ Y1) + YpYp)
+    keep = g > SPECTRUM_TOL * g[-1]
+    R = Vg[:, keep] / np.sqrt(g[keep])                    # (YR)ᵀM★(YR) = I
+    N1 = Y1 @ R
+    NpNp = _sym(R.T @ YpYp @ R)
+    lam, U = sla.eigh(_sym(N1.T @ space.K1 @ N1) + NpNp / space.h ** 2)
+    if lam.min() <= 0:
         raise InvariantViolation(
-            f"constrained form is not positive: min eigenvalue {lamV.min():.3e}")
-    space._cache["vstar"] = (lamV, N @ U)
-    return space._cache["vstar"]
-
-
-def _wv_blocks(space):
-    """(E, PP): the resolved modal coordinates E = Zᵀ M1 P₁ of the
-    constrained modes and the complement Gram PP = P_⊥ᵀ P_⊥.  Cached."""
-    if "wv" not in space._cache:
-        _, P = _vstar_basis(space)
-        n1 = space.n1
-        E = space.velocity.modes.T @ (space.M1 @ P[:n1])
-        PP = _sym(P[n1:].T @ P[n1:])
-        space._cache["wv"] = (E, PP)
+            f"constrained form is not positive: min eigenvalue {lam.min():.3e}")
+    E = space.velocity.modes.T @ (space.M1 @ (N1 @ U))
+    PP = _sym(U.T @ NpNp @ U)
+    unit = space.n_star - (space.Q.n_dofs - 1) - lam.size
+    space._cache["wv"] = (lam, E, PP, unit)
     return space._cache["wv"]
 
 
 def wv_equivalence(space, s):
     """Extremal ratios between the composite fractional norm restricted to
-    the divergence-free subspace and the subspace's intrinsic fractional
+    the divergence-free subspace V and the subspace's intrinsic fractional
     norm (spectral calculus of the constrained form).
 
-    In the cached constrained modes P = N U with eigenvalues Λ (see
-    ``_vstar_basis``) the intrinsic norm of x = P c is ‖Λ^{s/2} c‖ and the
-    composite norm is cᵀ(P₁ᵀ W_s P₁ + h^(-2s) P_⊥ᵀP_⊥)c, with W_s the
-    resolved Gram of index s.  The extremal quotients are therefore the
-    extreme eigenvalues of the symmetric standard-form matrix
+    V splits into two parts that are orthogonal in both norms and
+    invariant under the constrained form (``_wv_modes``).  On the fields
+    with a zero resolved part the quotient is exactly 1.  On the rest, in
+    the constrained modes P with eigenvalues Λ, the intrinsic norm of
+    x = P c is ‖Λ^{s/2} c‖ and the composite norm is
+    cᵀ(P₁ᵀ W_s P₁ + h^(-2s) P_⊥ᵀP_⊥)c, with W_s the resolved Gram of index
+    s, so the extremal quotients there are the extreme eigenvalues of the
+    n1-sized symmetric matrix
 
-        Λ^(-s/2) (Eᵀ Λ₁ˢ E + h^(-2s) P_⊥ᵀP_⊥) Λ^(-s/2),   E = Zᵀ M1 P₁,
+        Λ^(-s/2) (Eᵀ Λ₁ˢ E + h^(-2s) P_⊥ᵀP_⊥) Λ^(-s/2),   E = Zᵀ M1 P₁.
 
-    one dense symmetric eigenvalue solve per s over cached blocks.
-
-    Returns (ratio_min, ratio_max) of the squared-norm quotient; the
-    equivalence lemma asserts both stay within level-independent bounds
-    for s in the admissible range.
+    Returns (ratio_min, ratio_max) of the squared-norm quotient over both
+    parts; the equivalence lemma asserts both stay within
+    level-independent bounds for s in the admissible range.
     """
-    lamV, _ = _vstar_basis(space)
-    E, PP = _wv_blocks(space)
+    lam, E, PP, unit = _wv_modes(space)
     lam1 = space.velocity.eigenvalues
     amb = E.T @ (lam1[:, None] ** s * E) + space.h ** (-2.0 * s) * PP
-    scale = lamV ** (-0.5 * s)
+    scale = lam ** (-0.5 * s)
     vals = sla.eigh(_sym(scale[:, None] * amb * scale[None, :]),
                     eigvals_only=True)
-    return float(vals[0]), float(vals[-1])
+    lo, hi = float(vals[0]), float(vals[-1])
+    if unit:
+        lo, hi = min(lo, 1.0), max(hi, 1.0)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +457,8 @@ def infsup_constant(space, s, include_complement=True):
     W = space.velocity.modes.T @ (space.G1 @ Zp)          # (n1, np - 1)
     A = W.T @ (W * lam1[:, None] ** (s - 1.0))
     if include_complement:
-        TZ = space.T_pp @ Zp
-        A += space.h ** (2.0 * (1.0 - s)) * TZ.T @ TZ
+        _, TT, _ = _schur(space)
+        A += space.h ** (2.0 * (1.0 - s)) * (Zp.T @ TT @ Zp)
     vals = sla.eigh(_sym(A), np.diag(lamp ** s), eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))
 
@@ -440,35 +467,21 @@ def infsup_constant(space, s, include_complement=True):
 # constrained projection (Leray-type) and its stability
 # ---------------------------------------------------------------------------
 
-def _multiplier(space, residual):
-    """Pressure multiplier r of a constrained projection: the solution of
-    [G1; T_pp] r = residual pinned by m_pᵀ r = 0, from one least-squares
-    solve through a QR factorization of the stacked pairing cached on the
-    space.  ``residual`` is the top-block action on (v - projection)."""
-    if "mult" not in space._cache:
-        stacked = np.vstack([space.G1, space.T_pp, space.m_p[None, :]])
-        space._cache["mult"] = sla.qr(stacked, mode="economic")
-    Qm, Rm = space._cache["mult"]
-    # the pin's right-hand side is zero, so the last row of Qm drops out
-    r = sla.solve_triangular(Rm, Qm[:-1].T @ residual)
-    if not np.all(np.isfinite(r)):
-        raise InternalError("constrained projection produced a non-finite multiplier")
-    return r
-
-
 def leray_project(space, v):
-    """M_star-orthogonal projection of a composite vector onto the
+    """M★-orthogonal projection of a composite vector onto the
     divergence-free subspace; returns (projection, multiplier).
 
-    The projection is u = N Nᵀ M_star v = P Pᵀ M_star v in the cached
-    M_star-orthonormal basis (``_vstar_basis``); the multiplier solves
-    [G1; T_pp] r = M_star (v - u) with zero mean (``_multiplier``).
+    The projection is u = v - M★⁻¹C r with C = [G1; T_pp], and the
+    zero-mean multiplier r solves (S + m_p m_pᵀ) r = Cᵀv through the
+    cached factor of the pinned pressure Schur complement (``_schur``):
+    one np-sized triangular solve pair and a few products per call.
     """
-    v = np.asarray(v, dtype=float)
-    _, P = _vstar_basis(space)
-    Mv = space.apply_mass(v)
-    u = P @ (P.T @ Mv)
-    return u, _multiplier(space, Mv - space.apply_mass(u))
+    F, _, factor = _schur(space)
+    v_fe, v_perp = space.split(v)
+    r = sla.cho_solve(factor, space.G1.T @ v_fe + space.T_pp.T @ v_perp)
+    if not np.all(np.isfinite(r)):
+        raise InternalError("constrained projection produced a non-finite multiplier")
+    return np.concatenate([v_fe - F @ r, v_perp - space.T_pp @ r]), r
 
 
 def leray_star_stability(space, v, s):
@@ -485,26 +498,9 @@ def grad_probe(space, q):
     """Composite representation of a discrete pressure gradient: the
     resolved Riesz lift M1⁻¹ G1 q stacked with the complement pairing
     coordinates.  The worst-case probe family for projection stability."""
+    F, _, _ = _schur(space)
     q = np.asarray(q, dtype=float)
-    v = np.empty(space.n_star)
-    v[:space.n1] = sla.solve(_sym(space.M1), space.G1 @ q, assume_a="pos")
-    v[space.n1:] = space.T_pp @ q
-    return v
-
-
-def ritz_project(space, v):
-    """Form-orthogonal (Stokes-like) constrained projection; smoke-level
-    companion of the mass projection, fixed on divergence-free inputs.
-
-    The projection is u = P Λ⁻¹ Pᵀ A v in the cached constrained eigenbasis
-    (PᵀAP = Λ); the multiplier solves [G1; T_pp] r = A (v - u) with zero
-    mean.  Returns (projection, multiplier).
-    """
-    v = np.asarray(v, dtype=float)
-    lamV, P = _vstar_basis(space)
-    Av = space.apply_form(v)
-    u = P @ ((P.T @ Av) / lamV)
-    return u, _multiplier(space, Av - space.apply_form(u))
+    return np.concatenate([F @ q, space.T_pp @ q])
 
 
 # ---------------------------------------------------------------------------

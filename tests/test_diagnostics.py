@@ -50,6 +50,10 @@ def test_record_relative_scale():
                         sub_diss=0.0, power_in=0.0, jump_terms=0.0,
                         imbalance=0.0)
     assert zero.relative_scale(1.0) == 1e-30
+    subscale = EnergyRecord(t=0.1, ke_fe=0.0, ke_sub=0.5, visc_diss=0.0,
+                            sub_diss=0.0, power_in=0.0, jump_terms=0.0,
+                            imbalance=0.0)
+    assert subscale.relative_scale(1.0) == 0.5
 
 
 def test_ledger_entry_of_rest_states_is_all_zero():

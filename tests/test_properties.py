@@ -4,7 +4,6 @@ random physics, stabilization and time-step parameters on small meshes."""
 import os
 import tempfile
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -73,10 +72,6 @@ def test_energy_identity_and_audit_under_random_parameters(
         ledger = os.path.join(tmp, "out", "ledger.csv")
         records = read_energy_ledger(ledger)
         assert len(records) == STEPS
-        # the audit's scale leaves out the subscale energy, so a run whose
-        # resolved energy vanishes fails it at roundoff; that case is
-        # test_audit_accepts_a_ledger_whose_energy_is_all_subscale's
-        assume(all(r.ke_fe > 1e-12 * r.ke_sub for r in records))
         for r in records:
             assert abs(r.imbalance) <= IMBALANCE_TOL * r.relative_scale(dt)
         check_energy_ledger(records)
@@ -97,16 +92,12 @@ def test_energy_identity_and_audit_under_random_parameters(
         assert main(["check"] + argv) == 4
 
 
-@pytest.mark.xfail(strict=True, reason="the audit's relative scale omits the "
-                   "subscale energy, so a roundoff imbalance fails it when the "
-                   "resolved energy vanishes")
 def test_audit_accepts_a_ledger_whose_energy_is_all_subscale():
     """On a 2 x 2 mesh of the box (0, 2)², the one interior vertex sits on
     a zero of the decaying vortex, so the resolved velocity vanishes and
-    all the energy is in the subscale.  The step identity then closes to
-    about 3e-16 of that energy, but the audit measures the imbalance
-    against max(ke_fe, dt·visc_diss, |dt·power_in|), which is the 1e-30
-    floor here."""
+    all the energy is in the subscale.  The step identity closes to about
+    3e-16 of that energy, and the audit's scale counts the subscale
+    energy, so the ledger passes."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = _write_cfg(tmp, {
             "mesh.dim": "2", "mesh.n": "2", "mesh.box": "0,2, 0,2",

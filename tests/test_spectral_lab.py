@@ -7,6 +7,8 @@ regressions of the construction; the two-route agreements against
 oracles.py are the substantive checks.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from vmsns.spectral_lab import (
     inverse_inequality_constant,
     leray_project,
     leray_star_stability,
-    ritz_project,
     run_equivalence_suite,
     spectral_decompose,
     star_norm,
@@ -40,15 +41,26 @@ import oracles as orc
 
 
 @pytest.fixture(scope="module")
-def star4():
-    return build_star_space(build_structured(2, 4))
+def star():
+    """star(dim, n): the star space on the unit n-grid, built once per module."""
+    spaces = {}
+
+    def get(dim, n):
+        if (dim, n) not in spaces:
+            spaces[dim, n] = build_star_space(build_structured(dim, n))
+        return spaces[dim, n]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def star4(star):
+    return star(2, 4)
 
 
 @pytest.fixture(scope="module", params=(4, 8), ids=("n4", "n8"))
-def star_levels(request, star4):
-    if request.param == 4:
-        return star4
-    return build_star_space(build_structured(2, request.param))
+def star_levels(request, star):
+    return star(2, request.param)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +209,17 @@ def test_gradient_pythagoras(star4):
         assert abs(resolved + perp @ perp - total) < 1e-9 * max(total, 1.0)
 
 
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_complement_pairing_is_the_pressure_schur_identity(star, n):
+    """T_ppᵀT_pp = K_p - G1ᵀM1⁻¹G1: the complement part of every discrete
+    pressure gradient follows from the resolved pairing alone, so the
+    composite inf-sup form needs no complement basis."""
+    space = star(2, n)
+    K_p = space.Q.stiffness.toarray()
+    TT = space.T_pp.T @ space.T_pp
+    assert orc.rel(TT, K_p - space.G1.T @ np.linalg.solve(space.M1, space.G1)) < 1e-12
+
+
 def test_split_validates_length(star4):
     with pytest.raises(ConfigurationError):
         star4.split(np.zeros(star4.n_star + 1))
@@ -312,6 +335,15 @@ def test_leray_contracts_the_composite_mass_norm(star4):
         assert leray_star_stability(star4, v, 0.0) <= 1.0 + 1e-10
 
 
+def test_unpinned_singular_schur_complement_is_an_internal_error(star4):
+    # with no pairing and no pin, S + m_p m_pᵀ is exactly zero
+    blank = dataclasses.replace(star4, G1=np.zeros_like(star4.G1),
+                                T_pp=np.zeros_like(star4.T_pp),
+                                m_p=np.zeros_like(star4.m_p), _cache={})
+    with pytest.raises(InternalError):
+        leray_project(blank, np.ones(blank.n_star))
+
+
 def test_leray_stability_rejects_zero_probe(star4):
     with pytest.raises(ConfigurationError):
         leray_star_stability(star4, np.zeros(star4.n_star), 0.0)
@@ -320,13 +352,13 @@ def test_leray_stability_rejects_zero_probe(star4):
 def test_ritz_projection_fixes_divergence_free_fields(star4):
     rng = np.random.default_rng(7)
     u, _ = leray_project(star4, rng.standard_normal(star4.n_star))
-    w, _ = ritz_project(star4, u)
+    w, _ = orc.dense_saddle_project(star4, star4.apply_form, u)
     assert orc.rel(w, u) < 1e-8
 
 
 def test_leray_projection_against_dense_saddle_oracle(star_levels):
-    """Two-route check: the cached-basis projection and its least-squares
-    multiplier against one dense saddle solve per probe."""
+    """Two-route check: the projection and multiplier through the pinned
+    pressure Schur complement against one dense saddle solve per probe."""
     space = star_levels
     rng = np.random.default_rng(9)
     probes = [rng.standard_normal(space.n_star) for _ in range(3)]
@@ -339,28 +371,22 @@ def test_leray_projection_against_dense_saddle_oracle(star_levels):
         assert orc.rel(r, r_o) < 1e-10
 
 
-def test_ritz_projection_against_dense_saddle_oracle(star_levels):
-    space = star_levels
-    rng = np.random.default_rng(10)
-    for _ in range(3):
-        v = rng.standard_normal(space.n_star)
-        u, r = ritz_project(space, v)
-        u_o, r_o = orc.dense_saddle_project(space, space.apply_form, v)
-        assert orc.rel(u, u_o) < 1e-10
-        assert orc.rel(r, r_o) < 1e-10
-
-
 # ---------------------------------------------------------------------------
 # norm equivalence on the divergence-free subspace
 # ---------------------------------------------------------------------------
 
-def test_wv_equivalence_against_generalized_pencil_oracle(star_levels):
-    """Two-route check: the standard-form eigenvalues over the cached
-    eigenbasis against the generalized pencil over an explicit null-space
-    basis, for every s of the report grid."""
+@pytest.mark.parametrize("dim, n", ((2, 2), (2, 3), (2, 4), (2, 8), (3, 2)),
+                         ids=("n2", "n3", "n4", "n8", "3d-n2"))
+def test_wv_equivalence_against_generalized_pencil_oracle(star, dim, n):
+    """Two-route check: the n1-sized reduction merged with the unit
+    quotient of the fields without a resolved part, against the
+    generalized pencil over an explicit null-space basis of the whole
+    divergence-free subspace, for every s of the report grid.  On the
+    coarsest meshes the unit quotient is an extreme at most s."""
+    space = star(dim, n)
     for s in S_GRID_WV:
-        lo, hi = wv_equivalence(star_levels, s)
-        lo_o, hi_o = orc.dense_wv_equivalence(star_levels, s)
+        lo, hi = wv_equivalence(space, s)
+        lo_o, hi_o = orc.dense_wv_equivalence(space, s)
         assert abs(lo - lo_o) < 1e-10 * abs(lo_o)
         assert abs(hi - hi_o) < 1e-10 * abs(hi_o)
 
