@@ -74,11 +74,12 @@ class EnergyRecord:
                    abs(dt * self.power_in), MACHINE_FLOOR)
 
 
-def energy_ledger_entry(prev, new, f, dt, tau, nu):
+def energy_ledger_entry(prev, new, f, dt, tau, nu, load=None):
     """Evaluate the step energy identity between two consecutive states.
 
     ``f`` is the forcing used for the step (None, callable, or
-    quadrature-point array), ``tau`` the relaxation time the step used.
+    quadrature-point array), ``tau`` the relaxation time the step used;
+    ``load``, when given, is the load vector (f, phi_i) the step used.
     """
     disc = new.disc
     V = disc.V
@@ -94,10 +95,9 @@ def energy_ledger_entry(prev, new, f, dt, tau, nu):
             + 0.5 * quad_norm(V, new.tilde.values - prev.tilde.values) ** 2)
     visc = nu * float(new.u @ (K @ new.u))
     sub = quad_norm(V, new.tilde.values) ** 2 / tau
-    if f is None:
-        power = 0.0
-    else:
-        power = float(V.load_from_qp(as_qp_field(V, f)) @ new.u)
+    if load is None and f is not None:
+        load = V.load_from_qp(as_qp_field(V, f))
+    power = 0.0 if load is None else float(load @ new.u)
 
     imbalance = ((ke_new - ke_old) + (ks_new - ks_old) + jump
                  + dt * visc + dt * sub - dt * power)

@@ -234,13 +234,12 @@ class FeSpace:
 
     def eval_at_qp(self, coeffs, order=None):
         """Field values at quadrature points: (nc, nq, components)."""
-        tab = self.tabulation(order)
-        return np.einsum("qi,cik->cqk", tab["phi"], self._cellwise(coeffs))
+        return self.tabulation(order)["phi"] @ self._cellwise(coeffs)
 
     def eval_grad_at_qp(self, coeffs, order=None):
         """Gradients at quadrature points: (nc, nq, components, dim)."""
-        tab = self.tabulation(order)
-        return np.einsum("cqid,cik->cqkd", tab["grad"], self._cellwise(coeffs))
+        cell_t = np.swapaxes(self._cellwise(coeffs), 1, 2)   # (nc, comp, n_loc)
+        return cell_t[:, None] @ self.tabulation(order)["grad"]
 
     def load_from_qp(self, qp_field, order=None):
         """Adjoint of eval_at_qp with quadrature weights: the load vector.
@@ -250,7 +249,7 @@ class FeSpace:
         """
         tab = self.tabulation(order)
         qp_field = np.asarray(qp_field, dtype=float)
-        loc = np.einsum("cq,qi,cqk->cik", tab["weights"], tab["phi"], qp_field)
+        loc = tab["phi"].T @ (tab["weights"][:, :, None] * qp_field)
         return _scatter_add(self, loc)
 
     def evaluate_callable(self, f, order=None):
@@ -394,11 +393,13 @@ def advection_factor(V, a, order=None):
     is n_i e_k.  Shape (n_cells, n_qp, n_loc).
     """
     tab = V.tabulation(order)
-    a_qp = V.eval_at_qp(a, order)                    # (nc, nq, dim)
-    grad_a = V.eval_grad_at_qp(a, order)             # (nc, nq, dim, dim)
-    div_a = np.einsum("cqdd->cq", grad_a)
-    return (np.einsum("cqd,cqid->cqi", a_qp, tab["grad"])
-            + 0.5 * div_a[:, :, None] * tab["phi"][None, :, :])
+    grad = tab["grad"]                               # (nc, nq, n_loc, dim)
+    nc, nq, n_loc, dim = grad.shape
+    cell_a = V._cellwise(a)                          # (nc, n_loc, dim)
+    a_qp = tab["phi"] @ cell_a                       # (nc, nq, dim)
+    # ∇·a = Σ_i a_i · ∇phi_i: one (nq, n_loc·dim) product per cell
+    div_a = grad.reshape(nc, nq, n_loc * dim) @ cell_a.reshape(nc, n_loc * dim, 1)
+    return (grad @ a_qp[:, :, :, None])[:, :, :, 0] + 0.5 * div_a * tab["phi"]
 
 
 def assemble_convection(V, a):

@@ -14,7 +14,6 @@ import numpy as np
 
 from .diagnostics import EnergyRecord
 from .errors import ConfigurationError, InvariantViolation
-from .spectral_lab import EquivalenceReport, ReportRow
 
 __all__ = [
     "LEDGER_HEADER",
@@ -244,12 +243,17 @@ def write_table_csv(header, rows, path):
 
 
 def write_equivalence_csv(report, path):
+    # the lab is imported here, so that stepping runs do not load it
+    from .spectral_lab import EquivalenceReport
+
     rows = [(r.lemma, r.s, r.level, r.h, r.value, r.ratio_min, r.ratio_max)
             for r in report.rows]
     write_table_csv(EquivalenceReport.HEADER, rows, path)
 
 
 def read_equivalence_csv(path):
+    from .spectral_lab import EquivalenceReport, ReportRow
+
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = tuple(lines[0].split(","))

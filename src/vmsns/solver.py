@@ -38,15 +38,20 @@ Its sparsity pattern depends only on the mesh, so
 position of every term and a reverse Cuthill-McKee ordering (the mean
 multiplier last, since its row is dense).  Each Picard iteration fills
 the data of that pattern with one ``bincount``.  From one iterate to the
-next only the advection terms change, so one SuperLU factor serves a
-whole step: the first iteration factors its matrix (after a symmetric
-diagonal scaling) and solves with one pass of iterative refinement; the
-later iterations solve by one restart cycle of GMRES, preconditioned with
-that factor and started from the previous iterate's solution.  Every
-solution must pass the same residual gate; a Krylov solution that fails
-it, or is not finite, is replaced by a fresh factor of its iterate, which
-then serves the rest of the step.  The initialization projection is the
-same matrix at dt = 1, ν = 0, β = 1, a = 0, where ζ = M⁻¹Gξ.
+next only the advection terms change, and from one step to the next only
+those and τ, so one SuperLU factor serves many steps.  A factor is taken
+(after a symmetric diagonal scaling) only when there is none to use --
+at the first step after initialization -- or when a solve with the one
+in use fails; the factored solve takes one pass of iterative refinement.
+Every other solve is one restart cycle of GMRES, preconditioned with the
+factor in use and started from the previous solution, of the step's
+previous iterate or of the previous step.  Every solution must pass the
+same residual gate; a Krylov solution that fails it, or is not finite,
+is replaced by a fresh factor of its iterate, which then serves the rest
+of the step and the steps after it.  The factor rides on the returned
+:class:`StarState`, and ``StarState.copy`` drops it.  The initialization
+projection is the same matrix at dt = 1, ν = 0, β = 1, a = 0, where
+ζ = M⁻¹Gξ; its factor is not carried.
 """
 
 import math
@@ -75,10 +80,10 @@ from .subgrid import (
     advance_subscale,
     compute_tau,
     continuity_pairing,
-    cross_terms,
     orthogonality_defect,
     project_orthogonal,
     residual_field,
+    transport_pairing,
 )
 
 __all__ = [
@@ -120,8 +125,9 @@ class SolveConfig:
             raise ConfigurationError(problems)
 
 
-#: SuperLU settings for the augmented matrix, factored once per time step
-#: (at its first Picard iteration) and once for the initialization.  The
+#: SuperLU settings for the augmented matrix, factored for the
+#: initialization, for the first step and whenever a preconditioned solve
+#: fails (module docstring).  The
 #: pattern is already in a fill-reducing order, so no column permutation
 #: is applied, and the threshold keeps a diagonal pivot unless it is ten
 #: times smaller than the largest entry of its column, compared after the
@@ -129,9 +135,9 @@ class SolveConfig:
 SUPERLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                        options={"SymmetricMode": True})
 
-#: GMRES steps in the single restart cycle that solves a later Picard
-#: iterate with the step's factor as preconditioner; a solve that has not
-#: passed the residual gate by then refactors its iterate.
+#: GMRES steps in the single restart cycle that solves a Picard iterate
+#: with the factor in use as preconditioner; a solve that has not passed
+#: the residual gate by then refactors its iterate.
 KRYLOV_RESTART = 20
 
 #: relative residual at which GMRES stops: near roundoff and far below the
@@ -266,7 +272,9 @@ class StarState:
     The trailing metadata fields describe the step that produced the
     state (relaxation time used, Picard iterations, SuperLU factorizations
     and GMRES steps of its linear solves, final linearized residuals); they
-    are informational, not part of the dynamics.
+    are informational, not part of the dynamics.  ``factor`` is what the
+    next step's linear solves start from; it changes their path, not their
+    gated result.
     """
 
     u: np.ndarray = field(repr=False)
@@ -279,8 +287,14 @@ class StarState:
     factorizations: int = 0
     krylov_iters: int = 0
     continuity_residual: float = 0.0
+    #: (solve, y): the solve with the step's last SuperLU factor and the
+    #: step's last solution in solve order, which precondition and start
+    #: the next step's first solve; None after initialization
+    factor: tuple = field(default=None, repr=False, compare=False)
 
     def copy(self):
+        """A copy without the carried factor, so that snapshots hold no
+        factor."""
         return StarState(
             u=self.u.copy(), p=self.p.copy(), tilde=self.tilde.copy(),
             t=self.t, disc=self.disc, tau_used=self.tau_used,
@@ -294,16 +308,16 @@ class StarState:
 # low-level helpers
 # ---------------------------------------------------------------------------
 
-def _cell_blocks(disc, n_fac):
+def _cell_blocks(V, Q, n_fac):
     """Cell-local C(a), NᵀWN and NᵀW𝒢 from the advection factor of a frozen
     advection velocity a: (nc, nl, nl), (nc, nl, nl) and (nc, nl, nl_q, dim)."""
-    V, Q = disc.V, disc.Q
     tab = V.tabulation()
-    w = tab["weights"]
-    conv = np.einsum("cq,qi,cqj->cij", w, tab["phi"], n_fac)
-    nn = np.einsum("cq,cqi,cqj->cij", w, n_fac, n_fac)
-    ng = np.einsum("cq,cqi,cqjd->cijd", w, n_fac,
-                   Q.tabulation(V.quad_order)["grad"])
+    wn_t = np.swapaxes(tab["weights"][:, :, None] * n_fac, 1, 2)   # (nc, nl, nq)
+    grad_q = Q.tabulation(V.quad_order)["grad"]                  # (nc, nq, nl_q, dim)
+    nc, nq, nl_q, dim = grad_q.shape
+    conv = np.swapaxes(wn_t @ tab["phi"], 1, 2)
+    nn = wn_t @ n_fac
+    ng = (wn_t @ grad_q.reshape(nc, nq, nl_q * dim)).reshape(nc, -1, nl_q, dim)
     return conv, nn, ng
 
 
@@ -312,7 +326,7 @@ def _system_matrix(disc, dt, nu, beta, n_fac):
     for the advection factor ``n_fac`` of the frozen advection velocity."""
     pat = disc.pattern
     m, k, g, kq, mp = pat.values
-    conv, nn, ng = _cell_blocks(disc, n_fac)
+    conv, nn, ng = _cell_blocks(disc.V, disc.Q, n_fac)
     # the velocity/velocity blocks are the same for every component
     vv = np.stack([conv + beta * nn, conv, -beta * conv])
     vv = np.broadcast_to(vv[..., None], vv.shape + (disc.V.components,))
@@ -372,7 +386,12 @@ def _refined_solve(A, b, linear_tol, what):
 
 def _krylov_solve(A, b, solve, y0, linear_tol):
     """One GMRES restart cycle on A y = b from ``y0``, preconditioned with
-    ``solve`` (the factor of an earlier iterate), all in solve order.
+    ``solve`` (the factor of an earlier iterate or step), all in solve order.
+
+    GMRES solves for the correction, A z = r0 = b - A y0 from z = 0, to a
+    residual of ``KRYLOV_RTOL`` |b|.  It applies the preconditioner to r0
+    twice, for its stopping test and for its first Krylov vector; the
+    second application is served from the first.
 
     Returns the solution, or None when it is not finite or fails the
     residual gate, and the number of GMRES steps taken.
@@ -383,10 +402,17 @@ def _krylov_solve(A, b, solve, y0, linear_tol):
         nonlocal steps
         steps += 1
 
-    y, _ = spla.gmres(A, b, x0=y0, rtol=KRYLOV_RTOL, atol=0.0,
+    r0 = b - A @ y0
+    m_r0 = solve(r0)
+
+    def precondition(r):
+        return m_r0.copy() if np.array_equal(r, r0) else solve(r)
+
+    z, _ = spla.gmres(A, r0, rtol=0.0, atol=KRYLOV_RTOL * np.linalg.norm(b),
                       restart=KRYLOV_RESTART, maxiter=1,
-                      M=spla.LinearOperator(A.shape, solve, dtype=A.dtype),
+                      M=spla.LinearOperator(A.shape, precondition, dtype=A.dtype),
                       callback=count, callback_type="pr_norm")
+    y = y0 + z
     if not (np.all(np.isfinite(y)) and _residual_ok(A, b, y, linear_tol)[0]):
         return None, steps
     return y, steps
@@ -469,12 +495,17 @@ def _check_state_invariants(state, linear_tol):
 # one backward-Euler step
 # ---------------------------------------------------------------------------
 
-def step(state, f, cfg, params, convection=True):
+def step(state, f, cfg, params, convection=True, load=None):
     """Advance one time step; returns a new StarState at t + dt.
 
     ``f`` is the forcing at the target time: None, a callable x -> vector,
-    or a quadrature-point array.  With ``convection=False`` the transport
-    terms are dropped (Stokes regime) and the linear system is solved once.
+    or a quadrature-point array; ``load``, when given, is its load vector
+    (f, phi_i), which is then not rebuilt.  With ``convection=False`` the
+    transport terms are dropped (Stokes regime) and the linear system is
+    solved once.
+
+    The first solve is preconditioned with the factor ``state`` carries,
+    if any; the returned state carries the factor of this step.
     """
     disc = state.disc
     V, Q = disc.V, disc.Q
@@ -484,27 +515,29 @@ def step(state, f, cfg, params, convection=True):
     tau = compute_tau(params, disc.h, linf_norm(V, state.u))
     beta = 1.0 / (1.0 / dt + 1.0 / tau)
 
-    F = V.load_from_qp(as_qp_field(V, f)) if f is not None else np.zeros(n_u)
-    base_rhs_u = F + V.mass @ state.u / dt
+    if load is None:
+        load = np.zeros(n_u) if f is None else V.load_from_qp(as_qp_field(V, f))
+    base_rhs_u = load + V.mass @ state.u / dt
+    # ũⁿ is fixed for the step: its continuity pairing is too
+    rhs_p = -(beta / dt) * continuity_pairing(Q, state.tilde.values)
 
-    zero_vel = np.zeros(n_u)
-    a = state.u.copy() if convection else zero_vel
+    a = state.u.copy() if convection else np.zeros(n_u)
     u_new = p_new = None
     iterations = factorizations = krylov_iters = 0
     increment = np.inf
     perm = disc.pattern.perm
     what = f"step solve at t={state.t:g}"
-    solve = y = None
+    solve, y = state.factor or (None, None)
 
     while iterations < cfg.picard_max:
         iterations += 1
         n_fac = advection_factor(V, a)
         A = _system_matrix(disc, dt, params.nu, beta, n_fac)
 
-        mom_cross, cont_cross = cross_terms(V, Q, n_fac, state.tilde)
+        mom_cross = transport_pairing(V, n_fac, state.tilde.values)
         rhs = np.concatenate([
             base_rhs_u + (beta / dt) * mom_cross,
-            -(beta / dt) * cont_cross,
+            rhs_p,
             np.zeros(n_u + 1),
         ])
 
@@ -540,6 +573,7 @@ def step(state, f, cfg, params, convection=True):
         u=u_new, p=p_new, tilde=tilde_new, t=state.t + dt, disc=disc,
         tau_used=tau, picard_iters=iterations,
         factorizations=factorizations, krylov_iters=krylov_iters,
+        factor=(solve, y),
     )
     _check_state_invariants(new, cfg.linear_tol)
     return new
@@ -596,10 +630,12 @@ def run(scenario):
     for k in range(1, n_steps + 1):
         t_next = k * cfg.dt
         f = fields.forcing_at(t_next)
+        load = None if f is None else disc.V.load_from_qp(as_qp_field(disc.V, f))
         prev = state
-        state = step(prev, f, cfg, params, convection=scenario.convection)
+        state = step(prev, f, cfg, params, convection=scenario.convection,
+                     load=load)
         records.append(energy_ledger_entry(prev, state, f, cfg.dt,
-                                           state.tau_used, params.nu))
+                                           state.tau_used, params.nu, load=load))
         for key in totals:
             totals[key] += getattr(state, key)
         if k % scenario.snapshot_every == 0 or k == n_steps:

@@ -33,6 +33,7 @@ __all__ = [
     "advance_subscale",
     "cross_terms",
     "continuity_pairing",
+    "transport_pairing",
     "orthogonality_defect",
 ]
 
@@ -128,13 +129,16 @@ def residual_field(V, Q, u, p, order=None, advection=None):
     """
     if order is None:
         order = V.quad_order
-    a = u if advection is None else advection
-    a_qp = V.eval_at_qp(a, order)                    # (nc, nq, d)
-    grad_a = V.eval_grad_at_qp(a, order)
-    div_a = np.einsum("cqdd->cq", grad_a)
-    u_qp = V.eval_at_qp(u, order)
+    u_qp = V.eval_at_qp(u, order)                    # (nc, nq, d)
     grad_u = V.eval_grad_at_qp(u, order)             # (nc, nq, d, d)
-    conv = np.einsum("cqd,cqkd->cqk", a_qp, grad_u) + 0.5 * div_a[:, :, None] * u_qp
+    if advection is None:
+        a_qp, grad_a = u_qp, grad_u
+    else:
+        a_qp = V.eval_at_qp(advection, order)
+        grad_a = V.eval_grad_at_qp(advection, order)
+    div_a = np.trace(grad_a, axis1=2, axis2=3)
+    conv = ((grad_u @ a_qp[:, :, :, None])[:, :, :, 0]
+            + 0.5 * div_a[:, :, None] * u_qp)
     grad_p = Q.eval_grad_at_qp(p, order)             # (nc, nq, 1, d)
     return conv + grad_p[:, :, 0, :]
 
@@ -184,25 +188,37 @@ def continuity_pairing(Q, qp_field, order=None):
     """Vector with entries (field, ∇psi_j) over the pressure basis,
     assembled by quadrature; ``qp_field`` has shape (nc, nq, dim)."""
     tab = Q.tabulation(order)
-    loc = np.einsum("cq,cqjd,cqd->cj", tab["weights"], tab["grad"], qp_field)
-    return _scatter_add(Q, loc[:, :, None])
+    grad = tab["grad"]                               # (nc, nq, nloc, dim)
+    nc, nq, nloc, dim = grad.shape
+    # per cell, the (nloc, nq·dim) gradient table times the weighted field
+    grad_t = np.swapaxes(grad, 1, 2).reshape(nc, nloc, nq * dim)
+    wf = (tab["weights"][:, :, None] * qp_field).reshape(nc, nq * dim, 1)
+    return _scatter_add(Q, grad_t @ wf)
+
+
+def transport_pairing(V, n_fac, qp_field, order=None):
+    """Vector with entries b(a, phi_i, field) = (n_i, field) over the
+    velocity basis, assembled by quadrature; ``n_fac`` is the advection
+    factor ``fe.advection_factor(V, a, order)`` of the advecting velocity
+    a, shape (nc, nq, nloc), and ``qp_field`` has shape (nc, nq, dim)."""
+    w = V.tabulation(order)["weights"]
+    return _scatter_add(V, np.swapaxes(n_fac, 1, 2) @ (w[:, :, None] * qp_field))
 
 
 def cross_terms(V, Q, n_fac, tilde, order=None):
     """Couplings of the subscale with the resolved equations.
 
     ``n_fac`` is the advection factor ``fe.advection_factor(V, u_h, order)``
-    of the advecting velocity, shape (nc, nq, nloc); the solver computes it
-    once per Picard iterate and shares it with the matrix assembly.
+    of the advecting velocity, shape (nc, nq, nloc).
 
     Returns (momentum, continuity):
       momentum[i]   = b(u_h, phi_i, ũ)   -- the transport of phi_i against ũ
       continuity[j] = (ũ, ∇psi_j)
-    assembled by quadrature.
+    assembled by quadrature.  Within a time step ũ is fixed, so the solver
+    pairs continuity once and only the momentum part per Picard iterate.
     """
     if order is None:
         order = V.quad_order
-    tab = V.tabulation(order)
     vals = tilde.values
-    loc = np.einsum("cq,cqi,cqk->cik", tab["weights"], n_fac, vals)
-    return _scatter_add(V, loc), continuity_pairing(Q, vals, order)
+    return (transport_pairing(V, n_fac, vals, order),
+            continuity_pairing(Q, vals, order))

@@ -5,7 +5,9 @@ deliberately different route: plain Python loops per cell, explicit
 barycentric solves instead of the vectorized einsum tabulation, a
 Legendre-based collapsed-coordinate quadrature instead of the Jacobi
 conical rule, and closed-form simplex monomial integrals.  Slow on
-purpose; only run on tiny meshes.  The dense Schur step is the exception:
+purpose; only run on tiny meshes.  The einsum kernels are the same
+contractions as the package's batched-matmul kernels, written index by
+index.  The dense Schur step is an exception too:
 it keeps the package's loads and subscale update and differs from the
 solver in its linear algebra (projection eliminated, dense LU).  The lab
 oracles likewise take the package's composite-space operators and differ
@@ -370,6 +372,81 @@ def dense_cross_terms(V, Q, u, tilde_vals, rule_n=None):
                 continue
             continuity[gj] += np.sum(w * (tv @ gphys[j]))
     return momentum, continuity
+
+
+# ---------------------------------------------------------------------------
+# einsum kernels (criterion: the per-cell contractions written as einsum)
+# ---------------------------------------------------------------------------
+#
+# The package evaluates fields and pairs them with the basis by batched
+# matmul over cells; these are the same contractions of the same tables
+# written index by index.
+
+def einsum_eval_at_qp(V, coeffs, order=None):
+    tab = V.tabulation(order)
+    return np.einsum("qi,cik->cqk", tab["phi"], V._cellwise(coeffs))
+
+
+def einsum_eval_grad_at_qp(V, coeffs, order=None):
+    tab = V.tabulation(order)
+    return np.einsum("cqid,cik->cqkd", tab["grad"], V._cellwise(coeffs))
+
+
+def einsum_load_from_qp(V, qp_field, order=None):
+    from vmsns.fe import _scatter_add
+
+    tab = V.tabulation(order)
+    loc = np.einsum("cq,qi,cqk->cik", tab["weights"], tab["phi"], qp_field)
+    return _scatter_add(V, loc)
+
+
+def einsum_advection_factor(V, a, order=None):
+    tab = V.tabulation(order)
+    a_qp = einsum_eval_at_qp(V, a, order)
+    div_a = np.einsum("cqdd->cq", einsum_eval_grad_at_qp(V, a, order))
+    return (np.einsum("cqd,cqid->cqi", a_qp, tab["grad"])
+            + 0.5 * div_a[:, :, None] * tab["phi"][None, :, :])
+
+
+def einsum_cell_blocks(V, Q, n_fac):
+    w = V.tabulation()["weights"]
+    conv = np.einsum("cq,qi,cqj->cij", w, V.tabulation()["phi"], n_fac)
+    nn = np.einsum("cq,cqi,cqj->cij", w, n_fac, n_fac)
+    ng = np.einsum("cq,cqi,cqjd->cijd", w, n_fac,
+                   Q.tabulation(V.quad_order)["grad"])
+    return conv, nn, ng
+
+
+def einsum_continuity_pairing(Q, qp_field, order=None):
+    from vmsns.fe import _scatter_add
+
+    tab = Q.tabulation(order)
+    loc = np.einsum("cq,cqjd,cqd->cj", tab["weights"], tab["grad"], qp_field)
+    return _scatter_add(Q, loc[:, :, None])
+
+
+def einsum_cross_terms(V, Q, n_fac, tilde_vals, order=None):
+    from vmsns.fe import _scatter_add
+
+    if order is None:
+        order = V.quad_order
+    w = V.tabulation(order)["weights"]
+    loc = np.einsum("cq,cqi,cqk->cik", w, n_fac, tilde_vals)
+    return (_scatter_add(V, loc),
+            einsum_continuity_pairing(Q, tilde_vals, order))
+
+
+def einsum_residual_field(V, Q, u, p, order=None, advection=None):
+    if order is None:
+        order = V.quad_order
+    a = u if advection is None else advection
+    a_qp = einsum_eval_at_qp(V, a, order)
+    div_a = np.einsum("cqdd->cq", einsum_eval_grad_at_qp(V, a, order))
+    u_qp = einsum_eval_at_qp(V, u, order)
+    grad_u = einsum_eval_grad_at_qp(V, u, order)
+    conv = (np.einsum("cqd,cqkd->cqk", a_qp, grad_u)
+            + 0.5 * div_a[:, :, None] * u_qp)
+    return conv + einsum_eval_grad_at_qp(Q, p, order)[:, :, 0, :]
 
 
 # ---------------------------------------------------------------------------

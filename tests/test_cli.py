@@ -29,7 +29,7 @@ def test_run_writes_checkable_ledger(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "ledger" in printed
     assert "linear solves over 3 steps: " in printed
-    assert " 3 factorizations, " in printed
+    assert " 1 factorizations, " in printed
     records = read_energy_ledger(out / "ledger.csv")
     assert len(records) == 3
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0

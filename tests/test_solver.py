@@ -239,13 +239,32 @@ def test_failed_krylov_solve_refactors_its_iterate(monkeypatch, garbage):
         assert orc.rel(state.tilde.values, want.tilde.values) <= 1e-10
 
 
+def test_carried_factor_serves_the_next_step_and_is_replaced_when_stale():
+    """The factor a step carries preconditions the next step's first
+    solve; at a 50 times larger dt it fails the restart budget or the
+    gate, so that step refactors, and both agree with the dense oracle."""
+    state, params, cfg = _vortex_n8()
+    state = step(state, None, cfg, params)
+    assert state.factor is not None and state.copy().factor is None
+    big = SolveConfig(dt=50 * cfg.dt, T=1.0)
+    for c, factors in ((cfg, 0), (big, 1)):
+        new = step(state, None, c, params)
+        want = orc.dense_schur_step(state, None, c, params)
+        assert new.factorizations == factors
+        assert new.krylov_iters > 0
+        assert new.picard_iters == want.picard_iters
+        assert orc.rel(new.u, want.u) <= 1e-10
+        assert orc.rel(new.p, want.p) <= 1e-10
+        assert orc.rel(new.tilde.values, want.tilde.values) <= 1e-10
+
+
 def test_run_totals_solver_counts_over_every_step():
     result = run(_tiny_scenario(T=0.08, snapshot_every=4))
     assert len(result.records) == 4 and len(result.states) == 2
-    assert result.factorizations == 4
+    assert result.factorizations == 1
     assert result.picard_iters > result.factorizations
     assert result.krylov_iters > 0
-    assert result.states[-1].factorizations == 1
+    assert result.states[-1].factorizations == 0
 
 
 def test_step_rest_state_stays_at_rest():
