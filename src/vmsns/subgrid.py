@@ -129,14 +129,11 @@ def residual_field(V, Q, u, p, order=None, advection=None):
     """
     if order is None:
         order = V.quad_order
-    u_qp = V.eval_at_qp(u, order)                    # (nc, nq, d)
+    a = u if advection is None else advection
+    a_qp = V.eval_at_qp(a, order)                    # (nc, nq, d)
+    div_a = np.trace(V.eval_grad_at_qp(a, order), axis1=2, axis2=3)
+    u_qp = V.eval_at_qp(u, order)
     grad_u = V.eval_grad_at_qp(u, order)             # (nc, nq, d, d)
-    if advection is None:
-        a_qp, grad_a = u_qp, grad_u
-    else:
-        a_qp = V.eval_at_qp(advection, order)
-        grad_a = V.eval_grad_at_qp(advection, order)
-    div_a = np.trace(grad_a, axis1=2, axis2=3)
     conv = ((grad_u @ a_qp[:, :, :, None])[:, :, :, 0]
             + 0.5 * div_a[:, :, None] * u_qp)
     grad_p = Q.eval_grad_at_qp(p, order)             # (nc, nq, 1, d)
