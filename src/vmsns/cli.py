@@ -63,7 +63,6 @@ def _load_config(args):
 
 
 def _write_run_outputs(result, out_dir):
-    io_mod.ensure_dir(out_dir)
     ledger_path = os.path.join(out_dir, io_mod.LEDGER_NAME)
     io_mod.write_energy_ledger(result.records, ledger_path)
     if "vtk" in result.config.formats:
@@ -77,6 +76,7 @@ def _cmd_run(args):
     from . import solver
 
     cfg = _load_config(args)
+    io_mod.ensure_dir(cfg.out_dir)
     result = solver.run(cfg)
     ledger_path = _write_run_outputs(result, cfg.out_dir)
     worst = max((abs(r.imbalance) / r.relative_scale(cfg.dt)
@@ -96,6 +96,7 @@ def _run_level(cfg, n, out_dir):
     from . import scenarios, solver
     from .diagnostics import a_priori_bound, energy_totals, error_norms
 
+    io_mod.ensure_dir(out_dir)
     level_cfg = replace(cfg, n=n, out_dir=out_dir)
     result = solver.run(level_cfg)
     _write_run_outputs(result, out_dir)
@@ -159,9 +160,9 @@ def _cmd_spectra(args):
     cfg = _load_config(args)
     if args.levels < 1:
         raise UsageError("--levels must be >= 1")
+    out_root = io_mod.ensure_dir(cfg.out_dir)
     ns = tuple(cfg.n * 2 ** k for k in range(args.levels))
     report = run_equivalence_suite(levels=ns, dim=cfg.dim)
-    out_root = io_mod.ensure_dir(cfg.out_dir)
     path = os.path.join(out_root, "equivalence.csv")
     io_mod.write_equivalence_csv(report, path)
     lemmas = []
@@ -192,11 +193,11 @@ def _cmd_init(args):
     from .solver import build_discretization, initialize
 
     cfg = _load_config(args)
+    out_root = io_mod.ensure_dir(cfg.out_dir)
     mesh = build_structured(cfg.dim, cfg.n, cfg.box)
     disc = build_discretization(mesh)
     fields = scenarios.fields_for(cfg)
     state = initialize(fields.initial, disc)
-    out_root = io_mod.ensure_dir(cfg.out_dir)
     path = os.path.join(out_root, "init_state.vtk")
     io_mod.write_fields_vtk(state, path)
     ke = 0.5 * float(state.u @ (disc.V.mass @ state.u))

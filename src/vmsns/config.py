@@ -187,7 +187,9 @@ def parse_config_file(path):
 
 
 def default_config_text():
-    """Commented template for ``init``, showing every key at its default."""
+    """Commented configuration file showing every key at its default; it
+    parses back to ``ScenarioConfig()`` and is the starting point for a
+    config file (README *Quickstart* prints it)."""
     cfg = ScenarioConfig()
     lines = [
         "# run configuration: flat dotted keys, '#' starts a comment",

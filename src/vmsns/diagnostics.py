@@ -1,5 +1,5 @@
-"""Energy bookkeeping, constraint residuals, interpolated norms, and the
-local energy estimator.
+"""Energy bookkeeping, error norms, data bounds, and the local energy
+estimator.
 
 The per-step energy record certifies the discrete balance
 
@@ -27,17 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from . import scenarios
 from .errors import ConfigurationError
-from .fe import as_qp_field, quad_norm
-from .solver import continuity_residual
+from .fe import as_qp_field, assemble_load, quad_norm
 
 __all__ = [
     "EnergyRecord",
     "BumpTest",
     "energy_ledger_entry",
-    "divergence_residual",
-    "interpolated_norm_report",
-    "InterpolatedNormReport",
     "local_energy_residual",
     "error_norms",
     "energy_totals",
@@ -74,12 +71,11 @@ class EnergyRecord:
                    abs(dt * self.power_in), MACHINE_FLOOR)
 
 
-def energy_ledger_entry(prev, new, f, dt, tau, nu, load=None):
+def energy_ledger_entry(prev, new, load, dt, tau, nu):
     """Evaluate the step energy identity between two consecutive states.
 
-    ``f`` is the forcing used for the step (None, callable, or
-    quadrature-point array), ``tau`` the relaxation time the step used;
-    ``load``, when given, is the load vector (f, phi_i) the step used.
+    ``load`` is the load vector (f, phi_i) the step used, or None when
+    there is no forcing; ``tau`` is the relaxation time the step used.
     """
     disc = new.disc
     V = disc.V
@@ -95,8 +91,6 @@ def energy_ledger_entry(prev, new, f, dt, tau, nu, load=None):
             + 0.5 * quad_norm(V, new.tilde.values - prev.tilde.values) ** 2)
     visc = nu * float(new.u @ (K @ new.u))
     sub = quad_norm(V, new.tilde.values) ** 2 / tau
-    if load is None and f is not None:
-        load = V.load_from_qp(as_qp_field(V, f))
     power = 0.0 if load is None else float(load @ new.u)
 
     imbalance = ((ke_new - ke_old) + (ks_new - ks_old) + jump
@@ -104,72 +98,6 @@ def energy_ledger_entry(prev, new, f, dt, tau, nu, load=None):
     return EnergyRecord(t=new.t, ke_fe=ke_new, ke_sub=ks_new,
                         visc_diss=visc, sub_diss=sub, power_in=power,
                         jump_terms=jump, imbalance=imbalance)
-
-
-def divergence_residual(state):
-    """max_j |(u_h, ∇psi_j) + (ũ_h, ∇psi_j)| over the pressure basis: the
-    continuity residual the solver's state invariant checks."""
-    return continuity_residual(state)
-
-
-# ---------------------------------------------------------------------------
-# interpolated space-time norms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InterpolatedNormReport:
-    """Space-time norms ‖u_h‖_{L^r(0,T; H^{2/r} surrogate)} for the three
-    exponent pairs (r, k) = (inf, 2), (2, 6), (4, 3); the k labels are the
-    three-dimensional Sobolev indices matching 3/k + 2/r = 3/2, and the
-    spatial factor uses the interpolation recipe
-    ‖w‖^{1-2/r} ‖w‖_{H¹}^{2/r}."""
-
-    linf_l2: float
-    l2_h1: float
-    l4_mid: float
-
-    def rows(self):
-        return [("inf", "2", self.linf_l2),
-                ("2", "6", self.l2_h1),
-                ("4", "3", self.l4_mid)]
-
-
-def _states_of(history):
-    if hasattr(history, "states"):
-        return history.states
-    return list(history)
-
-
-def interpolated_norm_report(history):
-    """Compute the three interpolated norms from run snapshots.
-
-    Time integrals use the trapezoid rule over the snapshot times; the
-    sup norm is the max over snapshots.
-    """
-    states = _states_of(history)
-    if not states:
-        return InterpolatedNormReport(0.0, 0.0, 0.0)
-    disc = states[0].disc
-    M, K = disc.V.mass, disc.V.stiffness
-    t = np.array([s.t for s in states])
-    l2 = np.empty(len(states))
-    h1 = np.empty(len(states))
-    for i, s in enumerate(states):
-        mm = float(s.u @ (M @ s.u))
-        kk = float(s.u @ (K @ s.u))
-        l2[i] = np.sqrt(max(mm, 0.0))
-        h1[i] = np.sqrt(max(mm + kk, 0.0))
-
-    def trapz(y):
-        if len(t) < 2:
-            return 0.0
-        return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(t)))
-
-    linf_l2 = float(l2.max())
-    l2_h1 = np.sqrt(trapz(h1 ** 2))
-    # (r, k) = (4, 3): spatial surrogate ‖w‖^{1/2} ‖w‖_{H¹}^{1/2}
-    l4_mid = trapz((l2 * h1) ** 2) ** 0.25
-    return InterpolatedNormReport(linf_l2=linf_l2, l2_h1=l2_h1, l4_mid=l4_mid)
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +183,15 @@ class BumpTest:
             raise ConfigurationError(problems)
 
 
-def _forcing_of(history):
-    cfg = getattr(history, "config", None)
-    if cfg is None:
-        return lambda t: None
-    from . import scenarios as scenario_lib
-
-    return scenario_lib.fields_for(cfg).forcing_at
+def _forcing_of(result):
+    """The forcing field of a run, or None (also when it has no config)."""
+    cfg = result.config
+    return None if cfg is None else scenarios.fields_for(cfg).forcing
 
 
 def local_energy_residual(history, bump):
-    """Distributional local-energy pairing R(φ) over a run history.
+    """Distributional local-energy pairing R(φ) over the snapshots of a
+    run (a RunResult).
 
     R(φ) = ∫∫ [ -½|u|² ∂_t φ - (½|u|² + p) u·∇φ - nu ½|u|² Δφ
                 + nu |∇u|² φ - f·u φ ],
@@ -277,7 +203,7 @@ def local_energy_residual(history, bump):
     (weight, BumpTest) pairs, which makes linearity in φ directly
     testable.
     """
-    states = _states_of(history)
+    states = history.states
     if len(states) < 2:
         raise ConfigurationError("local energy pairing needs at least two snapshots")
     bumps = bump if isinstance(bump, (list, tuple)) else [(1.0, bump)]
@@ -317,10 +243,9 @@ def local_energy_residual(history, bump):
         grad += c_w * g_b
         lap += c_w * l_b
 
-    forcing_at = _forcing_of(history)
-    nu = history.params.nu if hasattr(history, "params") else None
-    if nu is None:
-        raise ConfigurationError("history lacks physical parameters (nu)")
+    f = _forcing_of(history)
+    f_qp = None if f is None else as_qp_field(V, f, order)
+    nu = history.params.nu
 
     # integrand pieces per snapshot: split by their time factor
     coef_dwdt = np.empty(len(states))   # multiplies dφ/dt
@@ -331,9 +256,7 @@ def local_energy_residual(history, bump):
         p_qp = Q.eval_at_qp(s.p, order)[:, :, 0]
         half_u2 = 0.5 * np.einsum("cqk,cqk->cq", u_qp, u_qp)
         gradsq = np.einsum("cqkd,cqkd->cq", grad_u, grad_u)
-        f = forcing_at(s.t)
-        fu = (np.einsum("cqk,cqk->cq", as_qp_field(V, f, order), u_qp)
-              if f is not None else 0.0)
+        fu = 0.0 if f_qp is None else np.einsum("cqk,cqk->cq", f_qp, u_qp)
         coef_dwdt[i] = -np.einsum("cq,cq,cq->", w, half_u2, val)
         coef_w[i] = np.einsum("cq,cq->", w, (
             -np.einsum("cqk,cqk->cq", (half_u2 + p_qp)[:, :, None] * u_qp, grad)
@@ -397,16 +320,10 @@ def energy_totals(result):
     return last.ke_fe + last.ke_sub + diss + jumps
 
 
-def _hminus1_norm(V):
-    """load -> sqrt(loadᵀ K⁻¹ load), with the sparse stiffness K factored
-    once for every load it is applied to."""
-    lu = spla.splu(V.stiffness.tocsc())
-    return lambda load: float(np.sqrt(max(load @ lu.solve(load), 0.0)))
-
-
 def hminus1_surrogate(V, load):
     """Dual-norm surrogate sqrt(loadᵀ K⁻¹ load) on the zero-trace space."""
-    return _hminus1_norm(V)(load)
+    z = spla.splu(V.stiffness.tocsc()).solve(load)
+    return float(np.sqrt(max(load @ z, 0.0)))
 
 
 def a_priori_bound(result):
@@ -423,15 +340,9 @@ def a_priori_bound(result):
     first = result.states[0]
     total = (0.5 * float(first.u @ (V.mass @ first.u))
              + 0.5 * quad_norm(V, first.tilde.values) ** 2)
-    forcing_at = _forcing_of(result)
-    dt = result.config.dt
-    hminus1 = None
-    for r in result.records:
-        f = forcing_at(r.t)
-        if f is None:
-            continue
-        if hminus1 is None:
-            hminus1 = _hminus1_norm(V)
-        load = V.load_from_qp(as_qp_field(V, f))
-        total += dt * hminus1(load) ** 2 / result.params.nu
-    return total
+    f = _forcing_of(result)
+    if f is None:
+        return total
+    dual = hminus1_surrogate(V, assemble_load(V, f))
+    T = len(result.records) * result.config.dt
+    return total + T * dual ** 2 / result.params.nu

@@ -280,10 +280,7 @@ class FeSpace:
                 self._mass_lu = spla.factorized(self.mass.tocsc())
             except RuntimeError as exc:  # pragma: no cover - SPD by construction
                 raise InternalError(f"mass factorization failed: {exc}")
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim == 1:
-            return self._mass_lu(rhs)
-        return np.column_stack([self._mass_lu(rhs[:, j]) for j in range(rhs.shape[1])])
+        return self._mass_lu(np.asarray(rhs, dtype=float))
 
     @property
     def mean_vector(self):
@@ -438,8 +435,6 @@ def assemble_load(V, f):
     """Load vector with entries ∫ f · phi_i (quadrature realization of the
     duality pairing).  ``f`` may be a callable, a quadrature-point array,
     or a coefficient vector of V."""
-    if isinstance(f, np.ndarray) and f.shape == (V.n_dofs,):
-        return V.mass @ f
     return V.load_from_qp(as_qp_field(V, f))
 
 

@@ -271,5 +271,10 @@ def read_equivalence_csv(path):
 
 
 def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
+    """Create the output directory ``path`` and its parents if missing."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {path}: {exc}") from exc
     return path

@@ -2,8 +2,8 @@
 exact solutions.
 
 All callables are vectorized over point arrays of shape (n, dim) and
-return (n, components) values; time-dependent forcings are exposed as
-``forcing_at(t)`` returning either None (no forcing) or such a callable.
+return (n, components) values.  Every forcing is steady, so a scenario's
+``forcing`` is either None (no forcing) or such a callable.
 
 The manufactured steady state drives a divergence-free polynomial stream
 function through the momentum equation, which supplies analytic velocity,
@@ -36,7 +36,7 @@ class ScenarioFields:
     exact fields when the scenario has a closed form (else None)."""
 
     initial: object
-    forcing_at: object
+    forcing: object
     exact_velocity: object = None
     exact_velocity_gradient: object = None
     exact_pressure: object = None
@@ -141,7 +141,7 @@ def fields_for(scenario):
     if problems:
         raise ConfigurationError(problems)
 
-    exact_u = exact_gu = exact_p = None
+    exact_u = exact_gu = exact_p = forcing = None
     if initial_name == "zero":
         initial = _zero_initial(dim)
     elif initial_name == "decaying_vortex":
@@ -149,21 +149,14 @@ def fields_for(scenario):
     else:
         initial = _poly_velocity
 
-    if forcing_name == "none":
-        def forcing_at(t):
-            return None
-    else:
-        f = _poly_forcing(scenario.nu)
-
-        def forcing_at(t):
-            return f
-
+    if forcing_name != "none":
+        forcing = _poly_forcing(scenario.nu)
         # forcing pins the manufactured steady state: exact fields apply
         exact_u = _poly_velocity
         exact_gu = _poly_velocity_gradient
         exact_p = _poly_pressure
 
-    return ScenarioFields(initial=initial, forcing_at=forcing_at,
+    return ScenarioFields(initial=initial, forcing=forcing,
                           exact_velocity=exact_u,
                           exact_velocity_gradient=exact_gu,
                           exact_pressure=exact_p)

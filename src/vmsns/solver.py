@@ -61,6 +61,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import scenarios
+from .diagnostics import energy_ledger_entry
 from .errors import (
     ConfigurationError,
     InternalError,
@@ -72,10 +74,13 @@ from .fe import (
     advection_factor,
     as_qp_field,
     assemble_gradient_coupling,
+    assemble_load,
     build_space,
     linf_norm,
 )
+from .mesh import build_structured
 from .subgrid import (
+    StabParams,
     SubscaleField,
     advance_subscale,
     compute_tau,
@@ -429,7 +434,7 @@ def _unknown_order(y, perm):
 # initialization (the coupled projection of the initial datum)
 # ---------------------------------------------------------------------------
 
-def initialize(u0, disc, params=None):
+def initialize(u0, disc):
     """Project the initial velocity onto the constrained composite space.
 
     Solves the symmetric saddle system
@@ -495,14 +500,12 @@ def _check_state_invariants(state, linear_tol):
 # one backward-Euler step
 # ---------------------------------------------------------------------------
 
-def step(state, f, cfg, params, convection=True, load=None):
+def step(state, load, cfg, params, convection=True):
     """Advance one time step; returns a new StarState at t + dt.
 
-    ``f`` is the forcing at the target time: None, a callable x -> vector,
-    or a quadrature-point array; ``load``, when given, is its load vector
-    (f, phi_i), which is then not rebuilt.  With ``convection=False`` the
-    transport terms are dropped (Stokes regime) and the linear system is
-    solved once.
+    ``load`` is the load vector (f, phi_i) of the forcing, or None when
+    there is none.  With ``convection=False`` the transport terms are
+    dropped (Stokes regime) and the linear system is solved once.
 
     The first solve is preconditioned with the factor ``state`` carries,
     if any; the returned state carries the factor of this step.
@@ -516,7 +519,7 @@ def step(state, f, cfg, params, convection=True, load=None):
     beta = 1.0 / (1.0 / dt + 1.0 / tau)
 
     if load is None:
-        load = np.zeros(n_u) if f is None else V.load_from_qp(as_qp_field(V, f))
+        load = np.zeros(n_u)
     base_rhs_u = load + V.mass @ state.u / dt
     # ũⁿ is fixed for the step: its continuity pairing is too
     rhs_p = -(beta / dt) * continuity_pairing(Q, state.tilde.values)
@@ -607,11 +610,6 @@ def run(scenario):
     initial and forcing fields (see the config layer).  Returns a
     RunResult; solver failures propagate with their step index.
     """
-    from . import scenarios as scenario_lib
-    from .diagnostics import energy_ledger_entry
-    from .mesh import build_structured
-    from .subgrid import StabParams
-
     mesh = build_structured(scenario.dim, scenario.n, scenario.box)
     disc = build_discretization(mesh)
     params = StabParams(nu=scenario.nu, C_s=scenario.C_s, C_c=scenario.C_c,
@@ -620,22 +618,19 @@ def run(scenario):
                       picard_tol=scenario.picard_tol,
                       picard_max=scenario.picard_max,
                       linear_tol=scenario.linear_tol)
-    fields = scenario_lib.fields_for(scenario)
+    fields = scenarios.fields_for(scenario)
+    load = None if fields.forcing is None else assemble_load(disc.V, fields.forcing)
 
-    state = initialize(fields.initial, disc, params)
+    state = initialize(fields.initial, disc)
     states = [state.copy()]
     records = []
     totals = dict(picard_iters=0, factorizations=0, krylov_iters=0)
     n_steps = 0 if cfg.T == 0 else int(math.ceil(cfg.T / cfg.dt * (1.0 - 1e-12)))
     for k in range(1, n_steps + 1):
-        t_next = k * cfg.dt
-        f = fields.forcing_at(t_next)
-        load = None if f is None else disc.V.load_from_qp(as_qp_field(disc.V, f))
         prev = state
-        state = step(prev, f, cfg, params, convection=scenario.convection,
-                     load=load)
-        records.append(energy_ledger_entry(prev, state, f, cfg.dt,
-                                           state.tau_used, params.nu, load=load))
+        state = step(prev, load, cfg, params, convection=scenario.convection)
+        records.append(energy_ledger_entry(prev, state, load, cfg.dt,
+                                           state.tau_used, params.nu))
         for key in totals:
             totals[key] += getattr(state, key)
         if k % scenario.snapshot_every == 0 or k == n_steps:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantViolation
 from .fe import _scatter_add, as_qp_field, l2_project, quad_norm
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "residual_field",
     "project_orthogonal",
     "advance_subscale",
-    "cross_terms",
     "continuity_pairing",
     "transport_pairing",
     "orthogonality_defect",
@@ -88,7 +87,6 @@ class SubscaleField:
 
     def check_finite(self):
         if not np.all(np.isfinite(self.values)):
-            from .errors import InvariantViolation
             raise InvariantViolation("subscale field contains non-finite values")
         return self
 
@@ -200,22 +198,3 @@ def transport_pairing(V, n_fac, qp_field, order=None):
     a, shape (nc, nq, nloc), and ``qp_field`` has shape (nc, nq, dim)."""
     w = V.tabulation(order)["weights"]
     return _scatter_add(V, np.swapaxes(n_fac, 1, 2) @ (w[:, :, None] * qp_field))
-
-
-def cross_terms(V, Q, n_fac, tilde, order=None):
-    """Couplings of the subscale with the resolved equations.
-
-    ``n_fac`` is the advection factor ``fe.advection_factor(V, u_h, order)``
-    of the advecting velocity, shape (nc, nq, nloc).
-
-    Returns (momentum, continuity):
-      momentum[i]   = b(u_h, phi_i, ũ)   -- the transport of phi_i against ũ
-      continuity[j] = (ũ, ∇psi_j)
-    assembled by quadrature.  Within a time step ũ is fixed, so the solver
-    pairs continuity once and only the momentum part per Picard iterate.
-    """
-    if order is None:
-        order = V.quad_order
-    vals = tilde.values
-    return (transport_pairing(V, n_fac, vals, order),
-            continuity_pairing(Q, vals, order))

@@ -337,7 +337,7 @@ def residual_at_points(V, Q, u, p, cell, pts_phys, advection=None):
     return conv + gp
 
 
-def dense_cross_terms(V, Q, u, tilde_vals, rule_n=None):
+def dense_subscale_pairings(V, Q, u, tilde_vals, rule_n=None):
     """Momentum and continuity pairings of a quadrature-point subscale.
 
     The subscale lives at V's own assembly quadrature points, so this
@@ -425,15 +425,11 @@ def einsum_continuity_pairing(Q, qp_field, order=None):
     return _scatter_add(Q, loc[:, :, None])
 
 
-def einsum_cross_terms(V, Q, n_fac, tilde_vals, order=None):
+def einsum_transport_pairing(V, n_fac, tilde_vals, order=None):
     from vmsns.fe import _scatter_add
 
-    if order is None:
-        order = V.quad_order
     w = V.tabulation(order)["weights"]
-    loc = np.einsum("cq,cqi,cqk->cik", w, n_fac, tilde_vals)
-    return (_scatter_add(V, loc),
-            einsum_continuity_pairing(Q, tilde_vals, order))
+    return _scatter_add(V, np.einsum("cq,cqi,cqk->cik", w, n_fac, tilde_vals))
 
 
 def einsum_residual_field(V, Q, u, p, order=None, advection=None):
@@ -702,19 +698,21 @@ def _dense_refined_solve(A, rhs):
     return x + sla.lu_solve(lu, rhs - A @ x)
 
 
-def dense_schur_step(state, f, cfg, params, convection=True):
+def dense_schur_step(state, load, cfg, params, convection=True):
     """One backward-Euler step with the projection eliminated densely.
 
     The Picard matrix carries the Schur blocks NᵀWN - CᵀM⁻¹C,
     NᵀW𝒢 - CᵀM⁻¹G and K_Q - GᵀM⁻¹G, formed from dense copies of the
     package's mass, stiffness and coupling operators and a Cholesky
-    factor of M, and is solved by dense LU.  Loads, cross terms, τ and
-    the subscale update are the package's own.  Returns the new StarState.
+    factor of M, and is solved by dense LU.  ``load`` is the forcing's
+    load vector or None.  The subscale pairings, τ and the subscale update
+    are the package's own.  Returns the new StarState.
     """
-    from vmsns.fe import advection_factor, as_qp_field, linf_norm
+    from vmsns.fe import advection_factor, linf_norm
     from vmsns.solver import StarState
-    from vmsns.subgrid import (advance_subscale, compute_tau, cross_terms,
-                               residual_field)
+    from vmsns.subgrid import (advance_subscale, compute_tau,
+                               continuity_pairing, residual_field,
+                               transport_pairing)
 
     disc = state.disc
     V, Q = disc.V, disc.Q
@@ -730,8 +728,9 @@ def dense_schur_step(state, f, cfg, params, convection=True):
 
     tau = compute_tau(params, disc.h, linf_norm(V, state.u))
     beta = 1.0 / (1.0 / dt + 1.0 / tau)
-    F = V.load_from_qp(as_qp_field(V, f)) if f is not None else np.zeros(n_u)
+    F = np.zeros(n_u) if load is None else load
     base_rhs_u = F + M_d @ state.u / dt
+    cont_cross = continuity_pairing(Q, state.tilde.values)
 
     a = state.u.copy() if convection else np.zeros(n_u)
     n = n_u + n_p + 1
@@ -746,8 +745,8 @@ def dense_schur_step(state, f, cfg, params, convection=True):
         A[n_u:n_u + n_p, n_u:n_u + n_p] = -beta * S_GG
         A[n_u:n_u + n_p, -1] = disc.m_p
         A[-1, n_u:n_u + n_p] = disc.m_p
-        mom_cross, cont_cross = cross_terms(V, Q, advection_factor(V, a),
-                                            state.tilde)
+        mom_cross = transport_pairing(V, advection_factor(V, a),
+                                      state.tilde.values)
         rhs = np.concatenate([base_rhs_u + (beta / dt) * mom_cross,
                               -(beta / dt) * cont_cross, [0.0]])
         x = _dense_refined_solve(A, rhs)

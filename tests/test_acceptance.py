@@ -16,14 +16,13 @@ import pytest
 import scipy.linalg
 
 from vmsns.config import ScenarioConfig
-from vmsns.diagnostics import (BumpTest, a_priori_bound, divergence_residual,
-                               energy_totals, error_norms,
-                               local_energy_residual)
+from vmsns.diagnostics import (BumpTest, a_priori_bound, energy_totals,
+                               error_norms, local_energy_residual)
 from vmsns.fe import assemble_convection, assemble_mass, assemble_stiffness, \
     build_space, linf_norm
 from vmsns.mesh import build_structured
 from vmsns.scenarios import fields_for
-from vmsns.solver import initialize, run
+from vmsns.solver import continuity_residual, initialize, run
 from vmsns.spectral_lab import (build_star_space, composite_norm, grad_probe,
                                 infsup_constant, inverse_inequality_constant,
                                 leray_star_stability)
@@ -127,7 +126,7 @@ def test_continuity_constraint_at_every_step(vortex_runs):
         result, _ = vortex_runs[n]
         bound = 10.0 * result.config.linear_tol
         for state in result.states:
-            assert divergence_residual(state) <= bound
+            assert continuity_residual(state) <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: exit codes, outputs on disk, audits."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,27 @@ def test_missing_config_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.cfg")
     assert main(["run", "--config", missing]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, module, work", [
+    ("run", "solver", "step"),
+    ("init", "solver", "initialize"),
+    ("spectra", "spectral_lab", "run_equivalence_suite"),
+])
+def test_unwritable_output_dir_fails_before_the_run(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    module, work):
+    calls = []
+    monkeypatch.setattr(importlib.import_module(f"vmsns.{module}"), work,
+                        lambda *args, **kw: calls.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    cfg = _write_cfg(tmp_path / "run.cfg")
+    assert main([command, "--config", cfg, "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "output directory" in err
+    assert "Traceback" not in err
+    assert calls == []
 
 
 def test_nonconvergence_exit_code(tmp_path, capsys):

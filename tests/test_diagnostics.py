@@ -1,4 +1,5 @@
-"""Energy ledger, space-time norms, and the local-energy estimator."""
+"""Energy ledger, continuity residual, data bounds, and the local-energy
+estimator."""
 
 import numpy as np
 import pytest
@@ -9,18 +10,17 @@ from vmsns.diagnostics import (
     BumpTest,
     EnergyRecord,
     a_priori_bound,
-    divergence_residual,
     energy_ledger_entry,
     energy_totals,
     error_norms,
     hminus1_surrogate,
-    interpolated_norm_report,
     local_energy_residual,
 )
 from vmsns.errors import ConfigurationError
-from vmsns.fe import as_qp_field, quad_norm
+from vmsns.fe import assemble_load, quad_norm
 from vmsns.mesh import build_structured
-from vmsns.solver import RunResult, SolveConfig, StarState, build_discretization, initialize, run, step
+from vmsns.solver import (RunResult, SolveConfig, StarState, build_discretization,
+                          continuity_residual, initialize, run, step)
 from vmsns.subgrid import StabParams, zero_subscale
 from vmsns import scenarios
 
@@ -78,7 +78,8 @@ def test_ledger_entry_against_independent_arithmetic():
     f_const = lambda x: np.stack([np.ones(len(x)), -np.ones(len(x))], axis=-1)
     dt, tau, nu = 0.1, 0.3, 0.7
 
-    rec = energy_ledger_entry(prev, new, f_const, dt, tau, nu)
+    rec = energy_ledger_entry(prev, new, assemble_load(disc.V, f_const), dt,
+                              tau, nu)
 
     M = orc.dense_vector_mass(disc.V)
     K = orc.dense_vector_stiffness(disc.V)
@@ -112,80 +113,25 @@ def test_solver_step_closes_the_ledger():
 
 
 # ---------------------------------------------------------------------------
-# divergence residual
+# continuity residual
 # ---------------------------------------------------------------------------
 
 def test_divergence_residual_zero_state():
-    assert divergence_residual(_zero_state(_disc(2))) == 0.0
+    assert continuity_residual(_zero_state(_disc(2))) == 0.0
 
 
 def test_divergence_residual_after_projection():
     disc = _disc(4)
     state = initialize(scenarios._vortex_velocity, disc)
-    assert divergence_residual(state) < 1e-12
+    assert continuity_residual(state) < 1e-12
 
 
 def test_divergence_residual_detects_perturbation():
     disc = _disc(4)
     state = initialize(scenarios._vortex_velocity, disc)
-    base = divergence_residual(state)
+    base = continuity_residual(state)
     state.u[0] += 1e-3
-    assert divergence_residual(state) > max(10.0 * base, 1e-6)
-
-
-# ---------------------------------------------------------------------------
-# interpolated space-time norms
-# ---------------------------------------------------------------------------
-
-def test_interpolated_norms_empty_and_single():
-    disc = _disc(2)
-    empty = interpolated_norm_report([])
-    assert (empty.linf_l2, empty.l2_h1, empty.l4_mid) == (0.0, 0.0, 0.0)
-    rng = np.random.default_rng(1)
-    s = _zero_state(disc)
-    s.u = rng.standard_normal(disc.n_u)
-    single = interpolated_norm_report([s])
-    M = orc.dense_vector_mass(disc.V)
-    assert abs(single.linf_l2 - np.sqrt(s.u @ M @ s.u)) < 1e-13
-    assert single.l2_h1 == 0.0 and single.l4_mid == 0.0
-
-
-def test_interpolated_norms_constant_history_factorizes():
-    """For a time-constant state the three norms reduce to closed forms in
-    m = ||u||², k = |u|_H1² and the window length T."""
-    disc = _disc(3)
-    rng = np.random.default_rng(2)
-    u = rng.standard_normal(disc.n_u)
-    T = 0.8
-    states = []
-    for t in np.linspace(0.0, T, 9):
-        s = _zero_state(disc, t)
-        s.u = u.copy()
-        states.append(s)
-    rep = interpolated_norm_report(states)
-    M = orc.dense_vector_mass(disc.V)
-    K = orc.dense_vector_stiffness(disc.V)
-    m, k = u @ M @ u, u @ K @ u
-    assert abs(rep.linf_l2 - np.sqrt(m)) < 1e-12
-    assert abs(rep.l2_h1 - np.sqrt(T * (m + k))) < 1e-11
-    assert abs(rep.l4_mid - (T * m * (m + k)) ** 0.25) < 1e-11
-    assert rep.rows()[1][2] == rep.l2_h1
-
-
-def test_interpolated_norms_trapezoid_route():
-    disc = _disc(3)
-    rng = np.random.default_rng(3)
-    t = np.array([0.0, 0.3, 0.4, 1.0])
-    states = []
-    for ti in t:
-        s = _zero_state(disc, ti)
-        s.u = rng.standard_normal(disc.n_u)
-        states.append(s)
-    rep = interpolated_norm_report(states)
-    M = orc.dense_vector_mass(disc.V)
-    K = orc.dense_vector_stiffness(disc.V)
-    h1sq = np.array([s.u @ (M + K) @ s.u for s in states])
-    assert abs(rep.l2_h1 - np.sqrt(np.trapezoid(h1sq, t))) < 1e-12
+    assert continuity_residual(state) > max(10.0 * base, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +327,13 @@ def test_data_bound_matches_dense_oracle():
                               forcing="manufactured_poly", dt=0.02, T=0.1)
     result = run(scenario)
     V = result.disc.V
-    forcing_at = scenarios.fields_for(scenario).forcing_at
+    load = assemble_load(V, scenarios.fields_for(scenario).forcing)
+    dual = orc.dense_hminus1_surrogate(V, load)
+    assert abs(hminus1_surrogate(V, load) - dual) <= 1e-12 * dual
     first = result.states[0]
     want = (0.5 * float(first.u @ (V.mass @ first.u))
             + 0.5 * first.tilde.norm_l2() ** 2)
-    for r in result.records:
-        load = V.load_from_qp(as_qp_field(V, forcing_at(r.t)))
-        dual = orc.dense_hminus1_surrogate(V, load)
-        assert abs(hminus1_surrogate(V, load) - dual) <= 1e-12 * dual
+    for _ in result.records:
         want += scenario.dt * dual ** 2 / scenario.nu
     assert abs(a_priori_bound(result) - want) <= 1e-12 * want
 

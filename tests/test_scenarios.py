@@ -114,7 +114,7 @@ def test_fields_for_zero_scenario():
     fields = fields_for(ScenarioConfig(n=2, nu=1.0, initial="zero"))
     x = INTERIOR[:5]
     assert np.max(np.abs(fields.initial(x))) == 0.0
-    assert fields.forcing_at(0.3) is None
+    assert fields.forcing is None
     assert fields.exact_velocity is None
 
 
@@ -124,10 +124,8 @@ def test_fields_for_manufactured_scenario_attaches_exact_fields():
     fields = fields_for(cfg)
     assert fields.exact_velocity is _poly_velocity
     assert fields.exact_pressure is _poly_pressure
-    # forcing is steady: same callable at all times, consistent with nu
-    f0, f1 = fields.forcing_at(0.0), fields.forcing_at(17.0)
-    assert np.array_equal(f0(INTERIOR), f1(INTERIOR))
-    assert orc.rel(f0(INTERIOR), _poly_forcing(0.25)(INTERIOR)) < 1e-15
+    # the steady forcing is consistent with nu
+    assert orc.rel(fields.forcing(INTERIOR), _poly_forcing(0.25)(INTERIOR)) < 1e-15
 
 
 def test_fields_for_rejects_unknown_names():

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from vmsns import solver
 from vmsns.config import ScenarioConfig
 from vmsns.errors import ConfigurationError, SolverNonconvergence
-from vmsns.fe import advection_factor
+from vmsns.fe import advection_factor, assemble_load
 from vmsns.mesh import build_structured
 from vmsns.solver import (
     SolveConfig,
@@ -173,19 +173,22 @@ def test_step_matches_dense_schur_oracle(dim, n, degree, initial, forced,
     # stepper is P1/P1
     disc = build_discretization(build_structured(dim, n))
     assert disc.V.degree == disc.Q.degree == degree
+    load = None
     if initial is None:
-        u0, f = _vortex_3d, None
+        u0 = _vortex_3d
     else:
         fields = scenarios.fields_for(ScenarioConfig(
             n=n, nu=0.01, initial=initial,
             forcing="manufactured_poly" if forced else "none"))
-        u0, f = fields.initial, fields.forcing_at(0.0)
+        u0 = fields.initial
+        if forced:
+            load = assemble_load(disc.V, fields.forcing)
     params = StabParams(nu=0.01)
     cfg = SolveConfig(dt=0.02, T=1.0)
     state = want = initialize(u0, disc)
     for _ in range(3):
-        state = step(state, f, cfg, params, convection=convection)
-        want = orc.dense_schur_step(want, f, cfg, params, convection=convection)
+        state = step(state, load, cfg, params, convection=convection)
+        want = orc.dense_schur_step(want, load, cfg, params, convection=convection)
         assert state.picard_iters == want.picard_iters
         assert orc.rel(state.u, want.u) <= 1e-10
         assert orc.rel(state.p, want.p) <= 1e-10
@@ -326,6 +329,27 @@ def test_run_step_count_and_snapshots():
     assert len(result.records) == 3
     assert len(result.states) == 4  # initial + every step (snapshot_every=1)
     assert result.states[-1].t == pytest.approx(0.06)
+
+
+def test_run_evaluates_the_forcing_once(monkeypatch):
+    """The steady forcing enters every step through one load vector."""
+    calls = []
+    poly_forcing = scenarios._poly_forcing
+
+    def counted_forcing(nu):
+        field = poly_forcing(nu)
+
+        def counted(x):
+            calls.append(len(x))
+            return field(x)
+
+        return counted
+
+    monkeypatch.setattr(scenarios, "_poly_forcing", counted_forcing)
+    result = run(_tiny_scenario(initial="manufactured_poly",
+                                forcing="manufactured_poly"))
+    assert len(result.records) == 3
+    assert len(calls) == 1
 
 
 def test_run_zero_horizon_is_projection_only():

@@ -13,10 +13,11 @@ from vmsns.subgrid import (
     SubscaleField,
     advance_subscale,
     compute_tau,
-    cross_terms,
+    continuity_pairing,
     orthogonality_defect,
     project_orthogonal,
     residual_field,
+    transport_pairing,
     zero_subscale,
 )
 
@@ -226,15 +227,17 @@ def test_cross_terms_vanish_for_zero_subscale():
     V, Q = _spaces(3)
     rng = np.random.default_rng(12)
     n_fac = advection_factor(V, rng.standard_normal(V.n_dofs))
-    mom, cont = cross_terms(V, Q, n_fac, zero_subscale(V))
+    zero = zero_subscale(V).values
+    mom, cont = transport_pairing(V, n_fac, zero), continuity_pairing(Q, zero)
     assert np.max(np.abs(mom)) == 0.0
     assert np.max(np.abs(cont)) == 0.0
 
 
 def test_cross_momentum_vanishes_for_zero_advection():
     V, Q = _spaces(3)
-    tilde = SubscaleField(values=_orthogonal_noise(V, seed=13), space=V)
-    mom, cont = cross_terms(V, Q, advection_factor(V, np.zeros(V.n_dofs)), tilde)
+    tilde = _orthogonal_noise(V, seed=13)
+    mom = transport_pairing(V, advection_factor(V, np.zeros(V.n_dofs)), tilde)
+    cont = continuity_pairing(Q, tilde)
     assert np.max(np.abs(mom)) < 1e-14
     assert np.max(np.abs(cont)) > 0.0
 
@@ -244,8 +247,8 @@ def test_cross_terms_against_dense_oracle():
     rng = np.random.default_rng(14)
     u = rng.standard_normal(V.n_dofs)
     tilde_vals = _orthogonal_noise(V, seed=15)
-    mom, cont = cross_terms(V, Q, advection_factor(V, u),
-                            SubscaleField(values=tilde_vals, space=V))
-    mom_o, cont_o = orc.dense_cross_terms(V, Q, u, tilde_vals)
+    mom = transport_pairing(V, advection_factor(V, u), tilde_vals)
+    cont = continuity_pairing(Q, tilde_vals)
+    mom_o, cont_o = orc.dense_subscale_pairings(V, Q, u, tilde_vals)
     assert orc.rel(mom, mom_o) < 1e-12
     assert orc.rel(cont, cont_o) < 1e-12
