@@ -157,21 +157,21 @@ def write_fields_vtk(state, path, title="flow fields"):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.n_vertices} double",
     ]
-    lines += [" ".join(_fmt(c) for c in p) for p in pts3]
+    lines += [" ".join(map(repr, p)) for p in pts3.tolist()]
     lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells * (npc + 1)}")
-    lines += [f"{npc} " + " ".join(str(v) for v in cell) for cell in mesh.cells]
+    lines += [f"{npc} " + " ".join(map(str, cell)) for cell in mesh.cells.tolist()]
     lines.append(f"CELL_TYPES {mesh.n_cells}")
     lines += [str(cell_type)] * mesh.n_cells
     lines.append(f"POINT_DATA {mesh.n_vertices}")
     lines.append("VECTORS velocity double")
-    lines += [" ".join(_fmt(c) for c in v) for v in vel3]
+    lines += [" ".join(map(repr, v)) for v in vel3.tolist()]
     lines.append("SCALARS pressure double 1")
     lines.append("LOOKUP_TABLE default")
-    lines += [_fmt(p) for p in pres]
+    lines += map(repr, pres.tolist())
     lines.append(f"CELL_DATA {mesh.n_cells}")
     lines.append("SCALARS subscale_magnitude double 1")
     lines.append("LOOKUP_TABLE default")
-    lines += [_fmt(v) for v in sub_mag]
+    lines += map(repr, sub_mag.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -58,19 +58,17 @@ def cell_diameters(vertices, cells):
 
 
 def _facet_count(cells):
-    """Count occurrences of every facet (codimension-1 sub-simplex).
+    """Every facet (codimension-1 sub-simplex) and the number of cells
+    containing it.
 
-    Returns a dict mapping the sorted vertex tuple of the facet to the
-    number of cells containing it.  Conformity means every count is 1
-    (boundary) or 2 (interior).
+    Returns the facets as rows of ascending vertex indices, in
+    lexicographic order, and their counts.  Conformity means every count
+    is 1 (boundary) or 2 (interior).
     """
     nloc = cells.shape[1]
-    counts = {}
-    for cell in cells:
-        for drop in range(nloc):
-            facet = tuple(sorted(np.delete(cell, drop)))
-            counts[facet] = counts.get(facet, 0) + 1
-    return counts
+    facets = np.stack([np.delete(cells, drop, axis=1) for drop in range(nloc)],
+                      axis=1).reshape(-1, nloc - 1)
+    return np.unique(np.sort(facets, axis=1), axis=0, return_counts=True)
 
 
 def extract_edges(cells):
@@ -146,8 +144,12 @@ class Mesh:
     def n_cells(self):
         return self.cells.shape[0]
 
-    def validate(self):
-        """Check orientation and conformity; raise InvariantViolation."""
+    def validate(self, facet_count=None):
+        """Check orientation and conformity; raise InvariantViolation.
+
+        ``facet_count`` is :func:`_facet_count` of the cells, when the
+        caller already has it.
+        """
         vols = signed_volumes(self.vertices, self.cells)
         scale = self.h_max ** self.dim if self.h_max > 0 else 1.0
         if np.any(vols <= 1e-14 * scale):
@@ -155,12 +157,12 @@ class Mesh:
             raise InvariantViolation(
                 f"cell {bad} has non-positive volume {vols[bad]:.3e}"
             )
-        counts = _facet_count(self.cells)
-        if any(c > 2 for c in counts.values()):
+        facets, counts = facet_count or _facet_count(self.cells)
+        if np.any(counts > 2):
             raise InvariantViolation("a facet is shared by more than two cells")
-        boundary = {tuple(sorted(f)) for f, c in counts.items() if c == 1}
-        stored = {tuple(sorted(f)) for f in self.boundary_facets}
-        if boundary != stored:
+        boundary = facets[counts == 1]
+        stored = np.unique(np.sort(self.boundary_facets, axis=1), axis=0)
+        if not np.array_equal(boundary, stored):
             raise InvariantViolation(
                 "stored boundary facets disagree with cell connectivity "
                 f"({len(stored)} stored, {len(boundary)} derived)"
@@ -168,7 +170,8 @@ class Mesh:
         return self
 
 
-def _finish(dim, vertices, cells, boundary_facets, boundary_tags):
+def _finish(dim, vertices, cells, boundary_facets, boundary_tags,
+            facet_count=None):
     diam = cell_diameters(vertices, cells)
     m = Mesh(
         dim=dim,
@@ -179,35 +182,23 @@ def _finish(dim, vertices, cells, boundary_facets, boundary_tags):
         h_max=float(diam.max()),
         h_min=float(diam.min()),
     )
-    return m.validate()
+    return m.validate(facet_count)
 
 
 # ---------------------------------------------------------------------------
 # structured builders
 # ---------------------------------------------------------------------------
 
-def _boundary_from_cells(vertices, cells, box):
-    """Derive boundary facets by facet counting and tag them by box side."""
-    counts = _facet_count(cells)
-    facets = sorted(f for f, c in counts.items() if c == 1)
-    dim = vertices.shape[1]
-    tags = []
+def _boundary_tags(vertices, facets, box):
+    """Tag each boundary facet by the first box side, in (xmin, xmax,
+    ymin, ...) order, that holds all its vertices."""
     tol = 1e-12 * max(hi - lo for lo, hi in box)
-    for f in facets:
-        xs = vertices[list(f)]
-        tag = -1
-        for axis in range(dim):
-            lo, hi = box[axis]
-            if np.all(np.abs(xs[:, axis] - lo) <= tol):
-                tag = 2 * axis
-                break
-            if np.all(np.abs(xs[:, axis] - hi) <= tol):
-                tag = 2 * axis + 1
-                break
-        if tag < 0:
-            raise InvariantViolation("boundary facet not on any box side")
-        tags.append(tag)
-    return np.asarray(facets, dtype=np.int64), np.asarray(tags, dtype=np.int64)
+    xs = vertices[facets]                            # (nf, dim, dim)
+    on = np.stack([np.all(np.abs(xs[:, :, axis] - side) <= tol, axis=1)
+                   for axis in range(len(box)) for side in box[axis]])
+    if not np.all(on.any(axis=0)):
+        raise InvariantViolation("boundary facet not on any box side")
+    return np.argmax(on, axis=0).astype(np.int64)
 
 
 def build_structured(dim, n, domain=None):
@@ -279,8 +270,10 @@ def build_structured(dim, n, domain=None):
         flip = vols < 0
         cells[np.ix_(flip, [2, 3])] = cells[np.ix_(flip, [3, 2])]
 
-    facets, tags = _boundary_from_cells(vertices, cells, box)
-    return _finish(dim, vertices, cells, facets, tags)
+    facets, counts = _facet_count(cells)
+    boundary = facets[counts == 1]
+    return _finish(dim, vertices, cells, boundary,
+                   _boundary_tags(vertices, boundary, box), (facets, counts))
 
 
 # ---------------------------------------------------------------------------

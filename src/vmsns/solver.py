@@ -39,16 +39,17 @@ position of every term and a reverse Cuthill-McKee ordering (the mean
 multiplier last, since its row is dense).  Each Picard iteration fills
 the data of that pattern with one ``bincount``.  From one iterate to the
 next only the advection terms change, and from one step to the next only
-those and τ, so one SuperLU factor serves many steps.  A factor is taken
-(after a symmetric diagonal scaling) only when there is none to use --
-at the first step after initialization -- or when a solve with the one
-in use fails; the factored solve takes one pass of iterative refinement.
-Every other solve is one restart cycle of GMRES, preconditioned with the
-factor in use and started from the previous solution, of the step's
-previous iterate or of the previous step.  Every solution must pass the
-same residual gate; a Krylov solution that fails it, or is not finite,
-is replaced by a fresh factor of its iterate, which then serves the rest
-of the step and the steps after it.  The factor rides on the returned
+those and τ, so one SuperLU factor serves many steps.  Every solve is
+preconditioned defect correction with the factor in use,
+y ← y + solve(b − Ay), until the residual falls to ``KRYLOV_RTOL`` of
+the right-hand side.  A factor is taken (after a symmetric diagonal
+scaling) only when there is none to use -- at the first step after
+initialization -- or when a solve with the one in use fails; its sweeps
+start from zero.  Every other solve starts from the previous solution,
+of the step's previous iterate or of the previous step, and fails when
+it spends ``SWEEP_BUDGET`` sweeps, is not finite or fails the residual
+gate; its iterate then goes to a fresh factor, which serves the rest of
+the step and the steps after it.  The factor rides on the returned
 :class:`StarState`, and ``StarState.copy`` drops it.  The initialization
 projection is the same matrix at dt = 1, ν = 0, β = 1, a = 0, where
 ζ = M⁻¹Gξ; its factor is not carried.
@@ -131,8 +132,8 @@ class SolveConfig:
 
 
 #: SuperLU settings for the augmented matrix, factored for the
-#: initialization, for the first step and whenever a preconditioned solve
-#: fails (module docstring).  The
+#: initialization, for the first step and whenever a solve with the factor
+#: in use fails (module docstring).  The
 #: pattern is already in a fill-reducing order, so no column permutation
 #: is applied, and the threshold keeps a diagonal pivot unless it is ten
 #: times smaller than the largest entry of its column, compared after the
@@ -140,14 +141,15 @@ class SolveConfig:
 SUPERLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                        options={"SymmetricMode": True})
 
-#: GMRES steps in the single restart cycle that solves a Picard iterate
-#: with the factor in use as preconditioner; a solve that has not passed
-#: the residual gate by then refactors its iterate.
-KRYLOV_RESTART = 20
+#: correction sweeps a solve may spend with the factor of an earlier
+#: iterate or step; a solve that has not reached ``KRYLOV_RTOL`` by then
+#: refactors its iterate.
+SWEEP_BUDGET = 20
 
-#: relative residual at which GMRES stops: near roundoff and far below the
-#: gate, so that a Krylov solution agrees with a fresh factor's to the
-#: accuracy the dense oracles check.
+#: relative 2-norm residual at which the correction sweeps stop: near
+#: roundoff and far below the gate, so that a solve with an earlier
+#: factor agrees with a fresh factor's to the accuracy the dense oracles
+#: check.
 KRYLOV_RTOL = 1e-14
 
 
@@ -276,10 +278,10 @@ class StarState:
 
     The trailing metadata fields describe the step that produced the
     state (relaxation time used, Picard iterations, SuperLU factorizations
-    and GMRES steps of its linear solves, final linearized residuals); they
-    are informational, not part of the dynamics.  ``factor`` is what the
-    next step's linear solves start from; it changes their path, not their
-    gated result.
+    and correction sweeps with an earlier factor, final linearized
+    residuals); they are informational, not part of the dynamics.
+    ``factor`` is what the next step's linear solves start from; it
+    changes their path, not their gated result.
     """
 
     u: np.ndarray = field(repr=False)
@@ -367,60 +369,54 @@ def _factor(A, what):
     return lambda b: s * lu.solve(s * b)
 
 
-def _residual_ok(A, b, y, linear_tol):
-    """The residual gate: max|b - Ay| within ``linear_tol`` of the size of
-    the terms that make it up.  Returns (passed, max|b - Ay|)."""
-    r = np.abs(b - A @ y).max()
+def _residual_ok(A, b, y, r, linear_tol):
+    """The residual gate on r = b - Ay: max|r| within ``linear_tol`` of
+    the size of the terms that make it up.  Returns (passed, max|r|)."""
+    r = np.abs(r).max()
     scale = np.abs(A.data).max() * max(np.abs(y).max(), 1e-300) + np.abs(b).max()
     return bool(r <= linear_tol * max(scale, 1e-300)), r
 
 
+def _correct(A, b, solve, y):
+    """Preconditioned defect correction on A y = b from ``y``, in solve
+    order: sweeps y ← y + solve(b - Ay) until |b - Ay|₂ is at most
+    ``KRYLOV_RTOL`` |b|₂ or not finite, for at most ``SWEEP_BUDGET``
+    sweeps.  Returns the last iterate, its residual, the number of sweeps
+    and whether the tolerance was met."""
+    target = KRYLOV_RTOL * np.linalg.norm(b)
+    r = b - A @ y
+    sweeps = 0
+    while np.linalg.norm(r) > target and sweeps < SWEEP_BUDGET:
+        y = y + solve(r)
+        r = b - A @ y
+        sweeps += 1
+    return y, r, sweeps, bool(np.linalg.norm(r) <= target)
+
+
 def _refined_solve(A, b, linear_tol, what):
-    """Factor, solve with one iterative-refinement pass, and gate, all in
-    solve order.  Returns the solution and the solve with the factor."""
+    """Factor, then :func:`_correct` from zero -- the factored solve and
+    its iterative refinement -- and gate, all in solve order.  Returns the
+    solution and the solve with the factor."""
     solve = _factor(A, what)
-    y = solve(b)
-    y = y + solve(b - A @ y)
+    y, r, _, _ = _correct(A, b, solve, np.zeros_like(b))
     if not np.all(np.isfinite(y)):
         raise SolverDivergence(f"{what}: non-finite solution")
-    passed, r = _residual_ok(A, b, y, linear_tol)
+    passed, r = _residual_ok(A, b, y, r, linear_tol)
     if not passed:
         raise InternalError(f"{what}: residual {r:.3e} above tolerance")
     return y, solve
 
 
 def _krylov_solve(A, b, solve, y0, linear_tol):
-    """One GMRES restart cycle on A y = b from ``y0``, preconditioned with
-    ``solve`` (the factor of an earlier iterate or step), all in solve order.
-
-    GMRES solves for the correction, A z = r0 = b - A y0 from z = 0, to a
-    residual of ``KRYLOV_RTOL`` |b|.  It applies the preconditioner to r0
-    twice, for its stopping test and for its first Krylov vector; the
-    second application is served from the first.
-
-    Returns the solution, or None when it is not finite or fails the
-    residual gate, and the number of GMRES steps taken.
-    """
-    steps = 0
-
-    def count(_):
-        nonlocal steps
-        steps += 1
-
-    r0 = b - A @ y0
-    m_r0 = solve(r0)
-
-    def precondition(r):
-        return m_r0.copy() if np.array_equal(r, r0) else solve(r)
-
-    z, _ = spla.gmres(A, r0, rtol=0.0, atol=KRYLOV_RTOL * np.linalg.norm(b),
-                      restart=KRYLOV_RESTART, maxiter=1,
-                      M=spla.LinearOperator(A.shape, precondition, dtype=A.dtype),
-                      callback=count, callback_type="pr_norm")
-    y = y0 + z
-    if not (np.all(np.isfinite(y)) and _residual_ok(A, b, y, linear_tol)[0]):
-        return None, steps
-    return y, steps
+    """:func:`_correct` from ``y0`` with ``solve``, the factor of an
+    earlier iterate or step -- Richardson's iteration, the simplest Krylov
+    method -- in solve order.  Returns the solution, or None when the
+    sweep budget runs out first or it fails the residual gate, and the
+    number of sweeps."""
+    y, r, sweeps, converged = _correct(A, b, solve, y0)
+    # a finite residual implies a finite solution
+    ok = converged and _residual_ok(A, b, y, r, linear_tol)[0]
+    return (y if ok else None), sweeps
 
 
 def _unknown_order(y, perm):
@@ -590,8 +586,9 @@ def step(state, load, cfg, params, convection=True):
 class RunResult:
     """Snapshots (always including the initial state), one energy record
     per step, the discretization the run used, and the Picard iterations,
-    factorizations and GMRES steps summed over every step (snapshot or
-    not; the initialization's factor is not counted)."""
+    factorizations and correction sweeps with an earlier factor summed
+    over every step (snapshot or not; the initialization's factor is not
+    counted)."""
 
     states: list
     records: list

@@ -6,6 +6,7 @@ import pytest
 from vmsns.config import ScenarioConfig
 from vmsns.diagnostics import EnergyRecord
 from vmsns.errors import ConfigurationError, InvariantViolation
+from vmsns import io
 from vmsns.io import (
     LEDGER_HEADER,
     check_energy_ledger,
@@ -17,7 +18,8 @@ from vmsns.io import (
     write_fields_vtk,
     write_table_csv,
 )
-from vmsns.solver import run
+from vmsns.mesh import build_structured
+from vmsns.solver import build_discretization, initialize, run
 
 
 def _run_records(**overrides):
@@ -145,6 +147,50 @@ def test_vtk_rest_state(tmp_path):
     assert data["cells"].shape == (8, 3)
     assert np.all(data["velocity"] == 0.0)
     assert np.all(data["subscale_magnitude"] == 0.0)
+
+
+def _fmt_built_vtk(state, title):
+    """The VTK text built value by value with ``io._fmt``."""
+    disc = state.disc
+    mesh = disc.mesh
+    nv, nc, npc = mesh.n_vertices, mesh.n_cells, mesh.cells.shape[1]
+    pts3 = np.zeros((nv, 3))
+    pts3[:, :mesh.dim] = mesh.vertices
+    vel3 = np.zeros((nv, 3))
+    vel3[:, :mesh.dim] = disc.V.nodal_values(state.u)[:nv]
+    pres = disc.Q.nodal_values(state.p)[:nv, 0]
+    w = disc.V.tabulation()["weights"]
+    mag = np.sqrt(np.einsum("cqk,cqk->cq", state.tilde.values, state.tilde.values))
+    sub_mag = np.einsum("cq,cq->c", w, mag) / w.sum(axis=1)
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
+    lines += [" ".join(io._fmt(c) for c in p) for p in pts3]
+    lines.append(f"CELLS {nc} {nc * (npc + 1)}")
+    lines += [f"{npc} " + " ".join(str(v) for v in cell) for cell in mesh.cells]
+    lines.append(f"CELL_TYPES {nc}")
+    lines += [str(5 if mesh.dim == 2 else 10)] * nc
+    lines += [f"POINT_DATA {nv}", "VECTORS velocity double"]
+    lines += [" ".join(io._fmt(c) for c in v) for v in vel3]
+    lines += ["SCALARS pressure double 1", "LOOKUP_TABLE default"]
+    lines += [io._fmt(p) for p in pres]
+    lines += [f"CELL_DATA {nc}", "SCALARS subscale_magnitude double 1",
+              "LOOKUP_TABLE default"]
+    lines += [io._fmt(v) for v in sub_mag]
+    return "\n".join(lines) + "\n"
+
+
+def _vortex_3d(x):
+    return np.stack([np.sin(np.pi * x[:, 1]) * x[:, 2], np.cos(2.0 * x[:, 0]),
+                     -x[:, 0] * x[:, 1]], axis=-1)
+
+
+def test_vtk_text_is_the_value_by_value_text(tmp_path):
+    states = [_run_records(n=3).states[-1],
+              initialize(_vortex_3d, build_discretization(build_structured(3, 2)))]
+    for k, state in enumerate(states):
+        path = tmp_path / f"fields{k}.vtk"
+        write_fields_vtk(state, path, title="t")
+        assert path.read_bytes() == _fmt_built_vtk(state, "t").encode("utf-8")
 
 
 def test_vtk_reader_rejects_foreign_files(tmp_path):

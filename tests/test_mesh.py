@@ -154,3 +154,46 @@ def test_validate_catches_flipped_cell():
     )
     with pytest.raises(InvariantViolation):
         bad.validate()
+
+
+def _loop_boundary(vertices, cells, box):
+    """Boundary facets and tags by a per-cell loop over facet tuples."""
+    counts = {}
+    for cell in cells.tolist():
+        for drop in range(len(cell)):
+            facet = tuple(sorted(cell[:drop] + cell[drop + 1:]))
+            counts[facet] = counts.get(facet, 0) + 1
+    facets = sorted(f for f, c in counts.items() if c == 1)
+    tags = []
+    for f in facets:
+        xs = vertices[list(f)]
+        tags.append(next(2 * axis + side for axis in range(len(box))
+                         for side in (0, 1)
+                         if np.all(np.abs(xs[:, axis] - box[axis][side]) <= 1e-12)))
+    return np.array(facets), np.array(tags), max(counts.values())
+
+
+@pytest.mark.parametrize("dim,n,box", [
+    (2, 1, None), (2, 5, [(0.0, 0.97), (1.0, 3.0)]), (3, 1, None),
+    (3, 3, [(-1.0, 2.0), (0.0, 1.0), (0.5, 1.5)])])
+def test_boundary_and_conformity_match_a_per_cell_count(dim, n, box):
+    m = build_structured(dim, n, box)
+    facets, tags, most = _loop_boundary(m.vertices, m.cells,
+                                        box or [(0.0, 1.0)] * dim)
+    assert most == 2
+    assert np.array_equal(m.boundary_facets, facets)
+    assert np.array_equal(m.boundary_tags, tags)
+
+    def rebuilt(**changes):
+        fields = dict(dim=dim, vertices=m.vertices, cells=m.cells,
+                      boundary_facets=m.boundary_facets,
+                      boundary_tags=m.boundary_tags, h_max=m.h_max,
+                      h_min=m.h_min)
+        return Mesh(**{**fields, **changes})
+
+    rebuilt(boundary_facets=m.boundary_facets[::-1, ::-1]).validate()
+    with pytest.raises(InvariantViolation, match="more than two cells"):
+        rebuilt(cells=np.concatenate([m.cells, m.cells[:1]])).validate()
+    with pytest.raises(InvariantViolation,
+                       match=rf"\({len(facets) - 1} stored, {len(facets)} derived\)"):
+        rebuilt(boundary_facets=m.boundary_facets[1:]).validate()

@@ -221,36 +221,57 @@ def test_step_factors_once_and_solves_later_iterates_by_krylov(monkeypatch):
 
 @pytest.mark.parametrize("garbage", [np.nan, 1.0])
 def test_failed_krylov_solve_refactors_its_iterate(monkeypatch, garbage):
-    """GMRES returning a non-finite vector, or a finite one that fails the
-    residual gate, sends its iterate to a fresh factor; the step still
-    agrees with the dense oracle."""
+    """A carried factor whose solve returns garbage fails every solve it
+    serves: a non-finite sweep stops the sweeps at once, and finite ones
+    spend the sweep budget.  Each iterate then refactors, and the step
+    still agrees with the dense oracle."""
     state, params, cfg = _vortex_n8()
+    refined_solve = solver._refined_solve
 
-    def garbage_gmres(A, b, **kwargs):
-        return np.full_like(b, garbage), 0
+    def garbage_factor(*args):
+        y, _ = refined_solve(*args)
+        return y, lambda r: np.full_like(r, garbage)
 
-    monkeypatch.setattr(solver.spla, "gmres", garbage_gmres)
+    monkeypatch.setattr(solver, "_refined_solve", garbage_factor)
+    sweeps = 1 if np.isnan(garbage) else solver.SWEEP_BUDGET
     want = state
-    for _ in range(2):
+    for carried in (False, True):
         state = step(state, None, cfg, params)
         want = orc.dense_schur_step(want, None, cfg, params)
         assert state.picard_iters == want.picard_iters > 1
         assert state.factorizations == state.picard_iters
-        assert state.krylov_iters == 0
+        # one failed solve per iterate that has a factor to start from
+        assert state.krylov_iters == sweeps * (state.picard_iters - 1 + carried)
         assert orc.rel(state.u, want.u) <= 1e-10
         assert orc.rel(state.p, want.p) <= 1e-10
         assert orc.rel(state.tilde.values, want.tilde.values) <= 1e-10
 
 
+def test_krylov_solve_gates_what_the_sweeps_accept(monkeypatch):
+    """With the sweeps' tolerance lifted to |b|₂ no sweep runs, and the
+    residual gate alone decides: it keeps the solution and rejects a
+    start 1e-4 off it."""
+    disc = _disc(4)
+    rng = np.random.default_rng(5)
+    A = solver._system_matrix(disc, 0.05, 0.01, 0.1,
+                              advection_factor(disc.V, rng.standard_normal(disc.n_u)))
+    b = rng.standard_normal(A.shape[0])
+    y, solve = solver._refined_solve(A, b, 1e-10, "test solve")
+    monkeypatch.setattr(solver, "KRYLOV_RTOL", 1.0)
+    kept, sweeps = solver._krylov_solve(A, b, solve, y, 1e-10)
+    assert sweeps == 0 and np.array_equal(kept, y)
+    assert solver._krylov_solve(A, b, solve, (1 + 1e-4) * y, 1e-10) == (None, 0)
+
+
 def test_carried_factor_serves_the_next_step_and_is_replaced_when_stale():
     """The factor a step carries preconditions the next step's first
-    solve; at a 50 times larger dt it fails the restart budget or the
-    gate, so that step refactors, and both agree with the dense oracle."""
+    solve; at a 50 times larger dt the sweeps stall, so that step
+    refactors (twice), and both agree with the dense oracle."""
     state, params, cfg = _vortex_n8()
     state = step(state, None, cfg, params)
     assert state.factor is not None and state.copy().factor is None
     big = SolveConfig(dt=50 * cfg.dt, T=1.0)
-    for c, factors in ((cfg, 0), (big, 1)):
+    for c, factors in ((cfg, 0), (big, 2)):
         new = step(state, None, c, params)
         want = orc.dense_schur_step(state, None, c, params)
         assert new.factorizations == factors
@@ -259,6 +280,34 @@ def test_carried_factor_serves_the_next_step_and_is_replaced_when_stale():
         assert orc.rel(new.u, want.u) <= 1e-10
         assert orc.rel(new.p, want.p) <= 1e-10
         assert orc.rel(new.tilde.values, want.tilde.values) <= 1e-10
+
+
+def test_factor_stale_at_twice_the_dt_is_replaced_within_the_sweep_budget(
+        monkeypatch):
+    """A factor carried from dt = 0.02 into a step at dt = 0.04 still
+    converges, but slowly.  No solve spends more than the sweep budget:
+    the slow one refactors its iterate instead, and the step agrees with
+    the dense oracle."""
+    state, params, cfg = _vortex_n8()
+    state = step(state, None, cfg, params)
+    spent = []
+    correct = solver._correct
+
+    def record(*args):
+        out = correct(*args)
+        spent.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "_correct", record)
+    c = SolveConfig(dt=2 * cfg.dt, T=1.0)
+    new = step(state, None, c, params)
+    want = orc.dense_schur_step(state, None, c, params)
+    assert max(spent) <= solver.SWEEP_BUDGET
+    assert new.factorizations == 1
+    assert new.picard_iters == want.picard_iters
+    assert orc.rel(new.u, want.u) <= 1e-10
+    assert orc.rel(new.p, want.p) <= 1e-10
+    assert orc.rel(new.tilde.values, want.tilde.values) <= 1e-10
 
 
 def test_run_totals_solver_counts_over_every_step():
