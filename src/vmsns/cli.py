@@ -87,7 +87,7 @@ def _cmd_run(args):
     print(f"linear solves over {len(result.records)} steps: "
           f"{result.picard_iters} Picard iterations, "
           f"{result.factorizations} factorizations, "
-          f"{result.krylov_iters} Krylov iterations")
+          f"{result.sweeps} correction sweeps")
     print(f"ledger: {ledger_path}")
     return 0
 

@@ -28,7 +28,6 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_gradient_coupling",
-    "assemble_convection",
     "assemble_load",
     "l2_project",
     "linf_norm",
@@ -382,14 +381,17 @@ def assemble_gradient_coupling(V, Q):
     return mat.tocsr()
 
 
-def advection_factor(V, a, order=None):
+def advection_factor(V, a):
     """Scalar advection factors n_i = a·∇phi_i + ½(∇·a) phi_i at quadrature.
 
     These are the scalar building blocks of the skew-symmetrized transport
     form: applied to a vector basis function phi_i e_k, the transport term
-    is n_i e_k.  Shape (n_cells, n_qp, n_loc).
+    is n_i e_k.  The step assembles the convection matrix C(a), entries
+    b(a, phi_j, phi_i), from these into its system; the ½(∇·a) phi_i term
+    makes vᵀC(a)v vanish for zero-trace v, which the energy balance of
+    the time stepper relies on.  Shape (n_cells, n_qp, n_loc).
     """
-    tab = V.tabulation(order)
+    tab = V.tabulation()
     grad = tab["grad"]                               # (nc, nq, n_loc, dim)
     nc, nq, n_loc, dim = grad.shape
     cell_a = V._cellwise(a)                          # (nc, n_loc, dim)
@@ -397,21 +399,6 @@ def advection_factor(V, a, order=None):
     # ∇·a = Σ_i a_i · ∇phi_i: one (nq, n_loc·dim) product per cell
     div_a = grad.reshape(nc, nq, n_loc * dim) @ cell_a.reshape(nc, n_loc * dim, 1)
     return (grad @ a_qp[:, :, :, None])[:, :, :, 0] + 0.5 * div_a * tab["phi"]
-
-
-def assemble_convection(V, a):
-    """Skew-symmetrized transport operator C(a), entries b(a, phi_j, phi_i).
-
-    The ½(∇·a) v term makes vᵀC(a)v vanish identically for zero-trace v
-    (up to quadrature roundoff), which is what the energy balance of the
-    time stepper relies on.
-    """
-    if V.components != V.mesh.dim:
-        raise ConfigurationError("convection expects a vector velocity space")
-    tab = V.tabulation()
-    n_fac = advection_factor(V, a)
-    local = np.einsum("cq,qi,cqj->cij", tab["weights"], tab["phi"], n_fac)
-    return _expand_components(scatter_cell_blocks(V, V, local), V.components)
 
 
 def as_qp_field(V, f, order=None):

@@ -40,8 +40,8 @@ multiplier last, since its row is dense).  Each Picard iteration fills
 the data of that pattern with one ``bincount``.  From one iterate to the
 next only the advection terms change, and from one step to the next only
 those and τ, so one SuperLU factor serves many steps.  Every solve is
-preconditioned defect correction with the factor in use,
-y ← y + solve(b − Ay), until the residual falls to ``KRYLOV_RTOL`` of
+preconditioned defect correction with the factor in use (:func:`_solve`),
+y ← y + solve(b − Ay), until the residual falls to ``SWEEP_RTOL`` of
 the right-hand side.  A factor is taken (after a symmetric diagonal
 scaling) only when there is none to use -- at the first step after
 initialization -- or when a solve with the one in use fails; its sweeps
@@ -56,7 +56,7 @@ projection is the same matrix at dt = 1, ν = 0, β = 1, a = 0, where
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,7 +142,7 @@ SUPERLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                        options={"SymmetricMode": True})
 
 #: correction sweeps a solve may spend with the factor of an earlier
-#: iterate or step; a solve that has not reached ``KRYLOV_RTOL`` by then
+#: iterate or step; a solve that has not reached ``SWEEP_RTOL`` by then
 #: refactors its iterate.
 SWEEP_BUDGET = 20
 
@@ -150,7 +150,7 @@ SWEEP_BUDGET = 20
 #: roundoff and far below the gate, so that a solve with an earlier
 #: factor agrees with a fresh factor's to the accuracy the dense oracles
 #: check.
-KRYLOV_RTOL = 1e-14
+SWEEP_RTOL = 1e-14
 
 
 @dataclass
@@ -181,6 +181,7 @@ class Discretization:
     V: object
     Q: object
     G: object                      # CSR, (phi_i, ∇psi_j)
+    GT: object                     # CSR, Gᵀ
     h: float
     m_p: np.ndarray = field(repr=False)      # pressure-basis integrals
     pattern: AugmentedPattern = field(repr=False)
@@ -268,8 +269,9 @@ def build_discretization(mesh):
     V = build_space(mesh, components=mesh.dim, constraint="zero_trace")
     Q = build_space(mesh, components=1, constraint="zero_mean")
     G = assemble_gradient_coupling(V, Q)
-    return Discretization(mesh=mesh, V=V, Q=Q, G=G, h=mesh.h_max,
-                          m_p=Q.mean_vector, pattern=_build_pattern(V, Q, G))
+    return Discretization(mesh=mesh, V=V, Q=Q, G=G, GT=G.T.tocsr(),
+                          h=mesh.h_max, m_p=Q.mean_vector,
+                          pattern=_build_pattern(V, Q, G))
 
 
 @dataclass
@@ -292,7 +294,7 @@ class StarState:
     tau_used: float = 0.0
     picard_iters: int = 0
     factorizations: int = 0
-    krylov_iters: int = 0
+    sweeps: int = 0
     continuity_residual: float = 0.0
     #: (solve, y): the solve with the step's last SuperLU factor and the
     #: step's last solution in solve order, which precondition and start
@@ -302,13 +304,8 @@ class StarState:
     def copy(self):
         """A copy without the carried factor, so that snapshots hold no
         factor."""
-        return StarState(
-            u=self.u.copy(), p=self.p.copy(), tilde=self.tilde.copy(),
-            t=self.t, disc=self.disc, tau_used=self.tau_used,
-            picard_iters=self.picard_iters,
-            factorizations=self.factorizations, krylov_iters=self.krylov_iters,
-            continuity_residual=self.continuity_residual,
-        )
+        return replace(self, u=self.u.copy(), p=self.p.copy(),
+                       tilde=self.tilde.copy(), factor=None)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +377,10 @@ def _residual_ok(A, b, y, r, linear_tol):
 def _correct(A, b, solve, y):
     """Preconditioned defect correction on A y = b from ``y``, in solve
     order: sweeps y ← y + solve(b - Ay) until |b - Ay|₂ is at most
-    ``KRYLOV_RTOL`` |b|₂ or not finite, for at most ``SWEEP_BUDGET``
+    ``SWEEP_RTOL`` |b|₂ or not finite, for at most ``SWEEP_BUDGET``
     sweeps.  Returns the last iterate, its residual, the number of sweeps
     and whether the tolerance was met."""
-    target = KRYLOV_RTOL * np.linalg.norm(b)
+    target = SWEEP_RTOL * np.linalg.norm(b)
     r = b - A @ y
     sweeps = 0
     while np.linalg.norm(r) > target and sweeps < SWEEP_BUDGET:
@@ -393,10 +390,26 @@ def _correct(A, b, solve, y):
     return y, r, sweeps, bool(np.linalg.norm(r) <= target)
 
 
-def _refined_solve(A, b, linear_tol, what):
-    """Factor, then :func:`_correct` from zero -- the factored solve and
-    its iterative refinement -- and gate, all in solve order.  Returns the
-    solution and the solve with the factor."""
+def _solve(A, b, carried, linear_tol, what):
+    """Solve A y = b in solve order.
+
+    ``carried`` is None or (solve, y0): the solve with the factor of an
+    earlier iterate or step and the solution to start from.  With one,
+    :func:`_correct` runs from y0 -- Richardson's iteration preconditioned
+    with that factor -- and its result is kept when the sweeps meet their
+    tolerance and it passes the residual gate.  Otherwise ``A`` is
+    factored and :func:`_correct` runs from zero -- the factored solve and
+    its iterative refinement -- and its result must pass the gate.
+    Returns the solution, what the next solve carries, the number of
+    sweeps with the carried factor and whether ``A`` was factored.
+    """
+    sweeps = 0
+    if carried is not None:
+        solve, y = carried
+        y, r, sweeps, converged = _correct(A, b, solve, y)
+        # a finite residual implies a finite solution
+        if converged and _residual_ok(A, b, y, r, linear_tol)[0]:
+            return y, (solve, y), sweeps, False
     solve = _factor(A, what)
     y, r, _, _ = _correct(A, b, solve, np.zeros_like(b))
     if not np.all(np.isfinite(y)):
@@ -404,19 +417,7 @@ def _refined_solve(A, b, linear_tol, what):
     passed, r = _residual_ok(A, b, y, r, linear_tol)
     if not passed:
         raise InternalError(f"{what}: residual {r:.3e} above tolerance")
-    return y, solve
-
-
-def _krylov_solve(A, b, solve, y0, linear_tol):
-    """:func:`_correct` from ``y0`` with ``solve``, the factor of an
-    earlier iterate or step -- Richardson's iteration, the simplest Krylov
-    method -- in solve order.  Returns the solution, or None when the
-    sweep budget runs out first or it fails the residual gate, and the
-    number of sweeps."""
-    y, r, sweeps, converged = _correct(A, b, solve, y0)
-    # a finite residual implies a finite solution
-    ok = converged and _residual_ok(A, b, y, r, linear_tol)[0]
-    return (y if ok else None), sweeps
+    return y, (solve, y), sweeps, True
 
 
 def _unknown_order(y, perm):
@@ -454,7 +455,7 @@ def initialize(u0, disc):
     ])
     A = _system_matrix(disc, 1.0, 0.0, 1.0, advection_factor(V, np.zeros(n_u)))
     perm = disc.pattern.perm
-    y, _ = _refined_solve(A, rhs[perm], 1e-10, "initialization solve")
+    y = _solve(A, rhs[perm], None, 1e-10, "initialization solve")[0]
     x = _unknown_order(y, perm)
 
     u_h = x[:n_u]
@@ -475,7 +476,7 @@ def initialize(u0, disc):
 def continuity_residual(state):
     """max_j |(u_h, ∇psi_j) + (ũ_h, ∇psi_j)| over the pressure basis."""
     disc = state.disc
-    res = disc.G.T @ state.u + continuity_pairing(disc.Q, state.tilde.values)
+    res = disc.GT @ state.u + continuity_pairing(disc.Q, state.tilde.values)
     return float(np.abs(res).max(initial=0.0))
 
 
@@ -522,11 +523,11 @@ def step(state, load, cfg, params, convection=True):
 
     a = state.u.copy() if convection else np.zeros(n_u)
     u_new = p_new = None
-    iterations = factorizations = krylov_iters = 0
+    iterations = factorizations = sweeps = 0
     increment = np.inf
     perm = disc.pattern.perm
     what = f"step solve at t={state.t:g}"
-    solve, y = state.factor or (None, None)
+    carried = state.factor
 
     while iterations < cfg.picard_max:
         iterations += 1
@@ -540,13 +541,10 @@ def step(state, load, cfg, params, convection=True):
             np.zeros(n_u + 1),
         ])
 
-        b = rhs[perm]
-        if solve is not None:
-            y, steps = _krylov_solve(A, b, solve, y, cfg.linear_tol)
-            krylov_iters += steps
-        if y is None:
-            y, solve = _refined_solve(A, b, cfg.linear_tol, what)
-            factorizations += 1
+        y, carried, spent, factored = _solve(A, rhs[perm], carried,
+                                             cfg.linear_tol, what)
+        sweeps += spent
+        factorizations += factored
         x = _unknown_order(y, perm)
         u_new = x[:n_u]
         p_new = x[n_u:n_u + n_p]
@@ -565,14 +563,13 @@ def step(state, load, cfg, params, convection=True):
     # subscale update driven by the SAME frozen-advection residual the
     # monolithic solve eliminated -- this is what keeps the step energy
     # identity exact rather than merely picard_tol-accurate
-    res = residual_field(V, Q, u_new, p_new, advection=a)
+    res = residual_field(V, Q, u_new, p_new, n_fac)
     tilde_new = advance_subscale(state.tilde, res, tau, dt)
 
     new = StarState(
         u=u_new, p=p_new, tilde=tilde_new, t=state.t + dt, disc=disc,
         tau_used=tau, picard_iters=iterations,
-        factorizations=factorizations, krylov_iters=krylov_iters,
-        factor=(solve, y),
+        factorizations=factorizations, sweeps=sweeps, factor=carried,
     )
     _check_state_invariants(new, cfg.linear_tol)
     return new
@@ -597,7 +594,7 @@ class RunResult:
     config: object
     picard_iters: int = 0
     factorizations: int = 0
-    krylov_iters: int = 0
+    sweeps: int = 0
 
 
 def run(scenario):
@@ -621,7 +618,7 @@ def run(scenario):
     state = initialize(fields.initial, disc)
     states = [state.copy()]
     records = []
-    totals = dict(picard_iters=0, factorizations=0, krylov_iters=0)
+    totals = dict(picard_iters=0, factorizations=0, sweeps=0)
     n_steps = 0 if cfg.T == 0 else int(math.ceil(cfg.T / cfg.dt * (1.0 - 1e-12)))
     for k in range(1, n_steps + 1):
         prev = state

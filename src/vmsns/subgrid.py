@@ -116,26 +116,17 @@ def compute_tau(params, h, u_linf):
     return max(tau, params.tau_floor) if params.tau_floor > 0 else tau
 
 
-def residual_field(V, Q, u, p, order=None, advection=None):
+def residual_field(V, Q, u, p, n_fac):
     """Resolved residual N(a, u_h) + ∇p_h at quadrature points.
 
-    N is the skew-symmetrized transport term (a·∇)u + ½(∇·a)u.  By
-    default the advection velocity a is u itself (the self-advected
-    residual of the scheme); the solver passes its frozen Picard iterate
-    instead so the subscale update matches the system it eliminated.
-    Returns an array of shape (n_cells, n_qp, dim).
+    N is the skew-symmetrized transport term (a·∇)u + ½(∇·a)u, read off
+    ``n_fac``, the advection factor ``fe.advection_factor(V, a)`` of the
+    advection velocity a: Σ_i n_i u_i.  The solver passes the factor of
+    its last frozen Picard iterate, so the subscale update matches the
+    system it eliminated.  Returns an array of shape (n_cells, n_qp, dim).
     """
-    if order is None:
-        order = V.quad_order
-    a = u if advection is None else advection
-    a_qp = V.eval_at_qp(a, order)                    # (nc, nq, d)
-    div_a = np.trace(V.eval_grad_at_qp(a, order), axis1=2, axis2=3)
-    u_qp = V.eval_at_qp(u, order)
-    grad_u = V.eval_grad_at_qp(u, order)             # (nc, nq, d, d)
-    conv = ((grad_u @ a_qp[:, :, :, None])[:, :, :, 0]
-            + 0.5 * div_a[:, :, None] * u_qp)
-    grad_p = Q.eval_grad_at_qp(p, order)             # (nc, nq, 1, d)
-    return conv + grad_p[:, :, 0, :]
+    grad_p = Q.eval_grad_at_qp(p, V.quad_order)      # (nc, nq, 1, d)
+    return n_fac @ V._cellwise(u) + grad_p[:, :, 0, :]
 
 
 def project_orthogonal(f, V):
@@ -179,10 +170,10 @@ def advance_subscale(tilde_old, res, tau, dt):
     return SubscaleField(values=new, space=V).check_finite()
 
 
-def continuity_pairing(Q, qp_field, order=None):
+def continuity_pairing(Q, qp_field):
     """Vector with entries (field, ∇psi_j) over the pressure basis,
     assembled by quadrature; ``qp_field`` has shape (nc, nq, dim)."""
-    tab = Q.tabulation(order)
+    tab = Q.tabulation()
     grad = tab["grad"]                               # (nc, nq, nloc, dim)
     nc, nq, nloc, dim = grad.shape
     # per cell, the (nloc, nq·dim) gradient table times the weighted field
@@ -191,10 +182,10 @@ def continuity_pairing(Q, qp_field, order=None):
     return _scatter_add(Q, grad_t @ wf)
 
 
-def transport_pairing(V, n_fac, qp_field, order=None):
+def transport_pairing(V, n_fac, qp_field):
     """Vector with entries b(a, phi_i, field) = (n_i, field) over the
     velocity basis, assembled by quadrature; ``n_fac`` is the advection
-    factor ``fe.advection_factor(V, a, order)`` of the advecting velocity
-    a, shape (nc, nq, nloc), and ``qp_field`` has shape (nc, nq, dim)."""
-    w = V.tabulation(order)["weights"]
+    factor ``fe.advection_factor(V, a)`` of the advecting velocity a,
+    shape (nc, nq, nloc), and ``qp_field`` has shape (nc, nq, dim)."""
+    w = V.tabulation()["weights"]
     return _scatter_add(V, np.swapaxes(n_fac, 1, 2) @ (w[:, :, None] * qp_field))

@@ -9,12 +9,14 @@ purpose; only run on tiny meshes.  The einsum kernels are the same
 contractions as the package's batched-matmul kernels, written index by
 index.  The dense Schur step is an exception too:
 it keeps the package's loads and subscale update and differs from the
-solver in its linear algebra (projection eliminated, dense LU).  The lab
+solver in its linear algebra (projection eliminated, dense LU) and in
+the residual that drives the update (the einsum kernel).  The lab
 oracles likewise take the package's composite-space operators and differ
 in their linear algebra: dense saddle solves and generalized pencils where
 the lab goes through its cached divergence-free eigenbasis.  The data-bound
 oracle solves with the dense stiffness where the package factors the
-sparse one.
+sparse one.  ``step_convection`` is no oracle: it reads the step's own
+C(a) off the system matrix, for the tests that hold it to the oracles.
 """
 
 import math
@@ -268,6 +270,21 @@ def dense_convection(V, a, rule_n=8):
                 for k in range(comp):
                     C[gi * comp + k, gj * comp + k] += entry
     return C
+
+
+def step_convection(disc, a):
+    """The C(a) the step assembles, read off its system matrix: the
+    velocity block at dt = 1, ν = 0, β = 0 is M + C(a).  Not an oracle
+    but the operator under test, which the convection tests hold to
+    :func:`dense_convection` and to skew symmetry."""
+    from vmsns.fe import advection_factor
+    from vmsns.solver import _system_matrix
+
+    A = _system_matrix(disc, 1.0, 0.0, 0.0, advection_factor(disc.V, a))
+    where = np.empty_like(disc.pattern.perm)
+    where[disc.pattern.perm] = np.arange(where.size)
+    vel = where[:disc.n_u]
+    return A.tocsr()[vel][:, vel] - disc.V.mass
 
 
 def dense_load(V, f, rule_n=8):
@@ -677,7 +694,7 @@ def dense_advection_operators(disc, a):
     tab = V.tabulation(order)
     tabq = Q.tabulation(order)
     w = tab["weights"]
-    n_fac = advection_factor(V, a, order)
+    n_fac = advection_factor(V, a)
     conv_loc = np.einsum("cq,qi,cqj->cij", w, tab["phi"], n_fac)
     nn_loc = np.einsum("cq,cqi,cqj->cij", w, n_fac, n_fac)
     C = _component_blockdiag(
@@ -706,13 +723,13 @@ def dense_schur_step(state, load, cfg, params, convection=True):
     package's mass, stiffness and coupling operators and a Cholesky
     factor of M, and is solved by dense LU.  ``load`` is the forcing's
     load vector or None.  The subscale pairings, τ and the subscale update
-    are the package's own.  Returns the new StarState.
+    are the package's own; the residual that drives the update is
+    :func:`einsum_residual_field`.  Returns the new StarState.
     """
     from vmsns.fe import advection_factor, linf_norm
     from vmsns.solver import StarState
     from vmsns.subgrid import (advance_subscale, compute_tau,
-                               continuity_pairing, residual_field,
-                               transport_pairing)
+                               continuity_pairing, transport_pairing)
 
     disc = state.disc
     V, Q = disc.V, disc.Q
@@ -760,7 +777,7 @@ def dense_schur_step(state, load, cfg, params, convection=True):
     else:
         raise AssertionError("dense Schur step: Picard did not converge")
 
-    res = residual_field(V, Q, u_new, p_new, advection=a)
+    res = einsum_residual_field(V, Q, u_new, p_new, advection=a)
     return StarState(u=u_new, p=p_new,
                      tilde=advance_subscale(state.tilde, res, tau, dt),
                      t=state.t + dt, disc=disc, tau_used=tau,

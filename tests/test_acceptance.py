@@ -18,11 +18,11 @@ import scipy.linalg
 from vmsns.config import ScenarioConfig
 from vmsns.diagnostics import (BumpTest, a_priori_bound, energy_totals,
                                error_norms, local_energy_residual)
-from vmsns.fe import assemble_convection, assemble_mass, assemble_stiffness, \
-    build_space, linf_norm
+from vmsns.fe import linf_norm
 from vmsns.mesh import build_structured
 from vmsns.scenarios import fields_for
-from vmsns.solver import continuity_residual, initialize, run
+from vmsns.solver import (build_discretization, continuity_residual,
+                          initialize, run)
 from vmsns.spectral_lab import (build_star_space, composite_norm, grad_probe,
                                 infsup_constant, inverse_inequality_constant,
                                 leray_star_stability)
@@ -89,19 +89,18 @@ def test_energy_identity_on_the_decaying_vortex(vortex_runs):
 
 
 # ---------------------------------------------------------------------------
-# gate 2: skew symmetry of the modified convection form
+# gate 2: skew symmetry of the modified convection form, as the step
+# assembles it
 # ---------------------------------------------------------------------------
 
 def test_convection_form_is_energy_neutral():
-    V = build_space(build_structured(2, 8), components=2,
-                    constraint="zero_trace")
-    K = assemble_mass(V), assemble_stiffness(V)
-    M, K = K[0], K[1]
+    disc = build_discretization(build_structured(2, 8))
+    V, M, K = disc.V, disc.V.mass, disc.V.stiffness
     rng = np.random.default_rng(2024)
     for _ in range(100):
         a = rng.standard_normal(V.n_dofs)
         v = rng.standard_normal(V.n_dofs)
-        C = assemble_convection(V, a)
+        C = orc.step_convection(disc, a)
         scale = (linf_norm(V, a)
                  * math.sqrt(v @ (K @ v)) * math.sqrt(v @ (M @ v)))
         assert abs(v @ (C @ v)) <= 1e-12 * scale
@@ -232,8 +231,6 @@ def test_leray_projection_stability(star_spaces):
 # ---------------------------------------------------------------------------
 
 def test_initialization_reproduces_divergence_free_fields():
-    from vmsns.solver import build_discretization
-
     disc = build_discretization(build_structured(2, 8))
     basis = scipy.linalg.null_space(disc.G.toarray().T)
     assert basis.shape[1] > 0
@@ -248,7 +245,6 @@ def test_initialization_reproduces_divergence_free_fields():
 
 def test_initialization_matches_dense_saddle_oracle():
     from vmsns.fe import as_qp_field
-    from vmsns.solver import build_discretization
 
     disc = build_discretization(build_structured(2, 4))
 

@@ -1,8 +1,10 @@
-"""Every name the package and its modules export resolves, and the
+"""Every name the package and its modules export resolves, the entry
+points the benchmark times or wraps stay public functions, and the
 modules import each other without cycles."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 
@@ -19,6 +21,22 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names undefined {missing}"
+
+
+#: functions the benchmark harness times or wraps, found by the public
+#: function names each module defines
+ENTRY_POINTS = ["solver.step", "solver.run", "spectral_lab.build_star_space",
+                "spectral_lab.run_equivalence_suite", "io.write_equivalence_csv",
+                "io.read_equivalence_csv", "cli.main"]
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_point_is_a_public_function_of_its_module(name):
+    module, _, attr = name.partition(".")
+    mod = importlib.import_module(f"vmsns.{module}")
+    fn = getattr(mod, attr, None)
+    assert inspect.isfunction(fn), f"vmsns.{name} is not a function"
+    assert fn.__module__ == mod.__name__, f"vmsns.{name} is defined in {fn.__module__}"
 
 
 def _module_level_imports(module):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from vmsns.errors import ConfigurationError
 from vmsns.fe import (
     as_qp_field,
-    assemble_convection,
     assemble_gradient_coupling,
     assemble_load,
     assemble_mass,
@@ -25,6 +24,7 @@ from vmsns.fe import (
     quad_norm,
 )
 from vmsns.mesh import build_structured
+from vmsns.solver import build_discretization
 
 import oracles as orc
 
@@ -177,21 +177,21 @@ def test_integration_by_parts():
 
 
 # ---------------------------------------------------------------------------
-# convection
+# convection: the C(a) block of the step's system matrix
 # ---------------------------------------------------------------------------
 
 def test_convection_of_zero_field_is_zero():
-    V = build_space(_mesh(2), components=2, constraint="zero_trace")
-    C = assemble_convection(V, np.zeros(V.n_dofs))
+    disc = build_discretization(_mesh(2))
+    C = orc.step_convection(disc, np.zeros(disc.n_u))
     assert np.max(np.abs(C.toarray())) == 0.0
 
 
 def test_convection_against_dense_oracle():
-    V = build_space(_mesh(4), components=2, constraint="zero_trace")
+    disc = build_discretization(_mesh(4))
     rng = np.random.default_rng(11)
-    a = rng.standard_normal(V.n_dofs)
-    C = assemble_convection(V, a).toarray()
-    assert orc.rel(C, orc.dense_convection(V, a)) < 1e-13
+    a = rng.standard_normal(disc.n_u)
+    C = orc.step_convection(disc, a).toarray()
+    assert orc.rel(C, orc.dense_convection(disc.V, a)) < 1e-13
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,11 +199,11 @@ def test_convection_against_dense_oracle():
 def test_convection_skew_symmetry(seed):
     """The temam-modified form is exactly skew: v^T C(a) v = 0 up to
     roundoff scaled by the operator size, for any advection field."""
-    V = build_space(_mesh(3), components=2, constraint="zero_trace")
+    disc = build_discretization(_mesh(3))
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(V.n_dofs)
-    v = rng.standard_normal(V.n_dofs)
-    C = assemble_convection(V, a).toarray()
+    a = rng.standard_normal(disc.n_u)
+    v = rng.standard_normal(disc.n_u)
+    C = orc.step_convection(disc, a).toarray()
     scale = np.max(np.abs(C)) * (v @ v) + 1e-30
     assert abs(v @ (C @ v)) < 1e-12 * scale
 

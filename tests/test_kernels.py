@@ -76,6 +76,6 @@ def test_cross_terms(spaces):
 @pytest.mark.parametrize("frozen", [False, True], ids=["self", "frozen"])
 def test_residual_field(spaces, frozen):
     V, Q, u, p = spaces["V"], spaces["Q"], spaces["u"], spaces["p"]
-    a = spaces["a"] if frozen else None
-    assert orc.rel(residual_field(V, Q, u, p, advection=a),
+    a = spaces["a"] if frozen else u
+    assert orc.rel(residual_field(V, Q, u, p, advection_factor(V, a)),
                    orc.einsum_residual_field(V, Q, u, p, advection=a)) <= TOL
