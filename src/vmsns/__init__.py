@@ -14,9 +14,9 @@ from .errors import (ConfigurationError, InternalError, InvariantViolation,
                      SolverDivergence, SolverNonconvergence, UsageError,
                      VmsnsError)
 from .mesh import Mesh, build_structured, mesh_quality
-from .solver import RunResult, SolveConfig, StarState, build_discretization, \
-    initialize, run, step
-from .subgrid import StabParams, SubscaleField, compute_tau
+from .solver import RunResult, StarState, build_discretization, initialize, \
+    run, step
+from .subgrid import SubscaleField, compute_tau
 
 __all__ = [
     "ScenarioConfig",
@@ -31,10 +31,8 @@ __all__ = [
     "Mesh",
     "build_structured",
     "mesh_quality",
-    "StabParams",
     "SubscaleField",
     "compute_tau",
-    "SolveConfig",
     "StarState",
     "RunResult",
     "build_discretization",

@@ -184,9 +184,8 @@ class BumpTest:
 
 
 def _forcing_of(result):
-    """The forcing field of a run, or None (also when it has no config)."""
-    cfg = result.config
-    return None if cfg is None else scenarios.fields_for(cfg).forcing
+    """The forcing field of a run, or None."""
+    return scenarios.fields_for(result.config).forcing
 
 
 def local_energy_residual(history, bump):
@@ -245,7 +244,7 @@ def local_energy_residual(history, bump):
 
     f = _forcing_of(history)
     f_qp = None if f is None else as_qp_field(V, f, order)
-    nu = history.params.nu
+    nu = history.config.nu
 
     # integrand pieces per snapshot: split by their time factor
     coef_dwdt = np.empty(len(states))   # multiplies dφ/dt
@@ -345,4 +344,4 @@ def a_priori_bound(result):
         return total
     dual = hminus1_surrogate(V, assemble_load(V, f))
     T = len(result.records) * result.config.dt
-    return total + T * dual ** 2 / result.params.nu
+    return total + T * dual ** 2 / result.config.nu

@@ -53,6 +53,9 @@ the step and the steps after it.  The factor rides on the returned
 :class:`StarState`, and ``StarState.copy`` drops it.  The initialization
 projection is the same matrix at dt = 1, ν = 0, β = 1, a = 0, where
 ζ = M⁻¹Gξ; its factor is not carried.
+
+A step and a run read every setting from one ScenarioConfig, which was
+checked when it was made: ``step(state, load, cfg)`` and ``run(cfg)``.
 """
 
 import math
@@ -65,7 +68,6 @@ import scipy.sparse.linalg as spla
 from . import scenarios
 from .diagnostics import energy_ledger_entry
 from .errors import (
-    ConfigurationError,
     InternalError,
     InvariantViolation,
     SolverDivergence,
@@ -81,7 +83,6 @@ from .fe import (
 )
 from .mesh import build_structured
 from .subgrid import (
-    StabParams,
     SubscaleField,
     advance_subscale,
     compute_tau,
@@ -93,7 +94,6 @@ from .subgrid import (
 )
 
 __all__ = [
-    "SolveConfig",
     "StarState",
     "Discretization",
     "build_discretization",
@@ -103,32 +103,6 @@ __all__ = [
     "run",
     "RunResult",
 ]
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    """Time-stepping and solver tolerances."""
-
-    dt: float
-    T: float
-    picard_tol: float = 1e-8
-    picard_max: int = 30
-    linear_tol: float = 1e-10
-
-    def __post_init__(self):
-        problems = []
-        if not (self.dt > 0):
-            problems.append(f"dt must be positive, got {self.dt}")
-        if self.T < 0:
-            problems.append(f"T must be nonnegative, got {self.T}")
-        for name in ("picard_tol", "linear_tol"):
-            v = getattr(self, name)
-            if not (0 < v < 1):
-                problems.append(f"{name} must lie in (0, 1), got {v}")
-        if self.picard_max < 1:
-            problems.append(f"picard_max must be >= 1, got {self.picard_max}")
-        if problems:
-            raise ConfigurationError(problems)
 
 
 #: SuperLU settings for the augmented matrix, factored for the
@@ -182,8 +156,6 @@ class Discretization:
     Q: object
     G: object                      # CSR, (phi_i, ∇psi_j)
     GT: object                     # CSR, Gᵀ
-    h: float
-    m_p: np.ndarray = field(repr=False)      # pressure-basis integrals
     pattern: AugmentedPattern = field(repr=False)
 
     @property
@@ -270,7 +242,6 @@ def build_discretization(mesh):
     Q = build_space(mesh, components=1, constraint="zero_mean")
     G = assemble_gradient_coupling(V, Q)
     return Discretization(mesh=mesh, V=V, Q=Q, G=G, GT=G.T.tocsr(),
-                          h=mesh.h_max, m_p=Q.mean_vector,
                           pattern=_build_pattern(V, Q, G))
 
 
@@ -497,12 +468,15 @@ def _check_state_invariants(state, linear_tol):
 # one backward-Euler step
 # ---------------------------------------------------------------------------
 
-def step(state, load, cfg, params, convection=True):
+def step(state, load, cfg):
     """Advance one time step; returns a new StarState at t + dt.
 
     ``load`` is the load vector (f, phi_i) of the forcing, or None when
-    there is none.  With ``convection=False`` the transport terms are
-    dropped (Stokes regime) and the linear system is solved once.
+    there is none.  Every setting comes from the ScenarioConfig ``cfg``:
+    dt, nu, the relaxation-time constants (:func:`subgrid.compute_tau`),
+    the Picard and linear tolerances, and ``convection``; with
+    ``convection=False`` the transport terms are dropped (Stokes regime)
+    and the linear system is solved once.
 
     The first solve is preconditioned with the factor ``state`` carries,
     if any; the returned state carries the factor of this step.
@@ -512,7 +486,7 @@ def step(state, load, cfg, params, convection=True):
     n_u, n_p = disc.n_u, disc.n_p
     dt = cfg.dt
 
-    tau = compute_tau(params, disc.h, linf_norm(V, state.u))
+    tau = compute_tau(cfg, disc.mesh.h_max, linf_norm(V, state.u))
     beta = 1.0 / (1.0 / dt + 1.0 / tau)
 
     if load is None:
@@ -521,7 +495,7 @@ def step(state, load, cfg, params, convection=True):
     # ũⁿ is fixed for the step: its continuity pairing is too
     rhs_p = -(beta / dt) * continuity_pairing(Q, state.tilde.values)
 
-    a = state.u.copy() if convection else np.zeros(n_u)
+    a = state.u.copy() if cfg.convection else np.zeros(n_u)
     u_new = p_new = None
     iterations = factorizations = sweeps = 0
     increment = np.inf
@@ -532,7 +506,7 @@ def step(state, load, cfg, params, convection=True):
     while iterations < cfg.picard_max:
         iterations += 1
         n_fac = advection_factor(V, a)
-        A = _system_matrix(disc, dt, params.nu, beta, n_fac)
+        A = _system_matrix(disc, dt, cfg.nu, beta, n_fac)
 
         mom_cross = transport_pairing(V, n_fac, state.tilde.values)
         rhs = np.concatenate([
@@ -548,7 +522,7 @@ def step(state, load, cfg, params, convection=True):
         x = _unknown_order(y, perm)
         u_new = x[:n_u]
         p_new = x[n_u:n_u + n_p]
-        if not convection:
+        if not cfg.convection:
             break  # system independent of the advection iterate: done
         increment = float(np.linalg.norm(u_new - a) /
                           max(np.linalg.norm(u_new), 1e-300))
@@ -582,37 +556,28 @@ def step(state, load, cfg, params, convection=True):
 @dataclass
 class RunResult:
     """Snapshots (always including the initial state), one energy record
-    per step, the discretization the run used, and the Picard iterations,
-    factorizations and correction sweeps with an earlier factor summed
-    over every step (snapshot or not; the initialization's factor is not
-    counted)."""
+    per step, the discretization and the ScenarioConfig of the run, and
+    the Picard iterations, factorizations and correction sweeps with an
+    earlier factor summed over every step (snapshot or not; the
+    initialization's factor is not counted)."""
 
     states: list
     records: list
     disc: Discretization
-    params: object
     config: object
     picard_iters: int = 0
     factorizations: int = 0
     sweeps: int = 0
 
 
-def run(scenario):
-    """Execute a configured scenario: initialize, then ceil(T/dt) steps.
+def run(cfg):
+    """Execute a ScenarioConfig: initialize, then ceil(T/dt) steps.
 
-    ``scenario`` carries mesh/physics/time/solver settings plus the
-    initial and forcing fields (see the config layer).  Returns a
-    RunResult; solver failures propagate with their step index.
+    Returns a RunResult; solver failures propagate with their step index.
     """
-    mesh = build_structured(scenario.dim, scenario.n, scenario.box)
+    mesh = build_structured(cfg.dim, cfg.n, cfg.box)
     disc = build_discretization(mesh)
-    params = StabParams(nu=scenario.nu, C_s=scenario.C_s, C_c=scenario.C_c,
-                        tau_floor=scenario.tau_floor)
-    cfg = SolveConfig(dt=scenario.dt, T=scenario.T,
-                      picard_tol=scenario.picard_tol,
-                      picard_max=scenario.picard_max,
-                      linear_tol=scenario.linear_tol)
-    fields = scenarios.fields_for(scenario)
+    fields = scenarios.fields_for(cfg)
     load = None if fields.forcing is None else assemble_load(disc.V, fields.forcing)
 
     state = initialize(fields.initial, disc)
@@ -622,12 +587,12 @@ def run(scenario):
     n_steps = 0 if cfg.T == 0 else int(math.ceil(cfg.T / cfg.dt * (1.0 - 1e-12)))
     for k in range(1, n_steps + 1):
         prev = state
-        state = step(prev, load, cfg, params, convection=scenario.convection)
+        state = step(prev, load, cfg)
         records.append(energy_ledger_entry(prev, state, load, cfg.dt,
-                                           state.tau_used, params.nu))
+                                           state.tau_used, cfg.nu))
         for key in totals:
             totals[key] += getattr(state, key)
-        if k % scenario.snapshot_every == 0 or k == n_steps:
+        if k % cfg.snapshot_every == 0 or k == n_steps:
             states.append(state.copy())
-    return RunResult(states=states, records=records, disc=disc,
-                     params=params, config=scenario, **totals)
+    return RunResult(states=states, records=records, disc=disc, config=cfg,
+                     **totals)

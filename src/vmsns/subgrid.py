@@ -11,10 +11,11 @@ storage choice.
 
 The relaxation time tau is a single global scalar per time step,
 
-    tau = h² / (C_s nu + C_c h ‖u_h‖_inf),
+    tau = max(h² / (C_s nu + C_c h ‖u_h‖_inf), tau_floor),
 
 evaluated with the previous step's velocity, which keeps each linearized
-solve genuinely linear.
+solve genuinely linear.  nu, C_s, C_c and tau_floor are read from the
+run's ScenarioConfig; C_s = 4 and C_c = 2 are its defaults.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ from .errors import ConfigurationError, InvariantViolation
 from .fe import _scatter_add, as_qp_field, l2_project, quad_norm
 
 __all__ = [
-    "StabParams",
     "SubscaleField",
     "compute_tau",
     "residual_field",
@@ -38,35 +38,6 @@ __all__ = [
 
 #: guard against 0/0 in the orthogonality ratio on an identically zero field
 EPS_NORM = 1e-300
-
-
-@dataclass(frozen=True)
-class StabParams:
-    """Stabilization constants.
-
-    nu is the kinematic viscosity; C_s and C_c are the dimensionless
-    algorithmic constants multiplying the viscous and convective parts of
-    the relaxation-time denominator.  Defaults C_s=4, C_c=2 are package
-    choices, configurable per run.
-    """
-
-    nu: float
-    C_s: float = 4.0
-    C_c: float = 2.0
-    tau_floor: float = 0.0
-
-    def __post_init__(self):
-        problems = []
-        if not (self.nu > 0):
-            problems.append(f"nu must be positive, got {self.nu}")
-        if not (self.C_s > 0):
-            problems.append(f"C_s must be positive, got {self.C_s}")
-        if self.C_c < 0:
-            problems.append(f"C_c must be nonnegative, got {self.C_c}")
-        if self.tau_floor < 0:
-            problems.append(f"tau_floor must be nonnegative, got {self.tau_floor}")
-        if problems:
-            raise ConfigurationError(problems)
 
 
 @dataclass
@@ -97,12 +68,13 @@ def zero_subscale(V):
     return SubscaleField(values=np.zeros(shape), space=V)
 
 
-def compute_tau(params, h, u_linf):
-    """Global subscale relaxation time.
+def compute_tau(cfg, h, u_linf):
+    """Global subscale relaxation time, held at least at ``cfg.tau_floor``.
 
     Parameters
     ----------
-    params : StabParams
+    cfg : ScenarioConfig
+        Supplies nu, C_s, C_c and tau_floor.
     h : float
         Mesh size (largest cell diameter), > 0.
     u_linf : float
@@ -112,8 +84,8 @@ def compute_tau(params, h, u_linf):
         raise ConfigurationError(f"mesh size must be positive, got {h}")
     if u_linf < 0:
         raise ConfigurationError(f"u_linf must be nonnegative, got {u_linf}")
-    tau = h * h / (params.C_s * params.nu + params.C_c * h * u_linf)
-    return max(tau, params.tau_floor) if params.tau_floor > 0 else tau
+    tau = h * h / (cfg.C_s * cfg.nu + cfg.C_c * h * u_linf)
+    return max(tau, cfg.tau_floor)
 
 
 def residual_field(V, Q, u, p, n_fac):

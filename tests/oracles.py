@@ -715,14 +715,15 @@ def _dense_refined_solve(A, rhs):
     return x + sla.lu_solve(lu, rhs - A @ x)
 
 
-def dense_schur_step(state, load, cfg, params, convection=True):
+def dense_schur_step(state, load, cfg):
     """One backward-Euler step with the projection eliminated densely.
 
     The Picard matrix carries the Schur blocks NᵀWN - CᵀM⁻¹C,
     NᵀW𝒢 - CᵀM⁻¹G and K_Q - GᵀM⁻¹G, formed from dense copies of the
     package's mass, stiffness and coupling operators and a Cholesky
     factor of M, and is solved by dense LU.  ``load`` is the forcing's
-    load vector or None.  The subscale pairings, τ and the subscale update
+    load vector or None; every setting comes from the ScenarioConfig
+    ``cfg``.  The subscale pairings, τ and the subscale update
     are the package's own; the residual that drives the update is
     :func:`einsum_residual_field`.  Returns the new StarState.
     """
@@ -743,32 +744,32 @@ def dense_schur_step(state, load, cfg, params, convection=True):
     S_GG = Q.stiffness.toarray() - G_d.T @ MinvG
     S_GG = 0.5 * (S_GG + S_GG.T)
 
-    tau = compute_tau(params, disc.h, linf_norm(V, state.u))
+    tau = compute_tau(cfg, disc.mesh.h_max, linf_norm(V, state.u))
     beta = 1.0 / (1.0 / dt + 1.0 / tau)
     F = np.zeros(n_u) if load is None else load
     base_rhs_u = F + M_d @ state.u / dt
     cont_cross = continuity_pairing(Q, state.tilde.values)
 
-    a = state.u.copy() if convection else np.zeros(n_u)
+    a = state.u.copy() if cfg.convection else np.zeros(n_u)
     n = n_u + n_p + 1
     for iterations in range(1, cfg.picard_max + 1):
         C, NN, NG = dense_advection_operators(disc, a)
         S_NN = NN - C.T @ sla.cho_solve(M_chol, C)
         S_NG = NG - C.T @ MinvG
         A = np.zeros((n, n))
-        A[:n_u, :n_u] = M_d / dt + C + params.nu * K_d + beta * S_NN
+        A[:n_u, :n_u] = M_d / dt + C + cfg.nu * K_d + beta * S_NN
         A[:n_u, n_u:n_u + n_p] = G_d + beta * S_NG
         A[n_u:n_u + n_p, :n_u] = G_d.T - beta * S_NG.T
         A[n_u:n_u + n_p, n_u:n_u + n_p] = -beta * S_GG
-        A[n_u:n_u + n_p, -1] = disc.m_p
-        A[-1, n_u:n_u + n_p] = disc.m_p
+        A[n_u:n_u + n_p, -1] = Q.mean_vector
+        A[-1, n_u:n_u + n_p] = Q.mean_vector
         mom_cross = transport_pairing(V, advection_factor(V, a),
                                       state.tilde.values)
         rhs = np.concatenate([base_rhs_u + (beta / dt) * mom_cross,
                               -(beta / dt) * cont_cross, [0.0]])
         x = _dense_refined_solve(A, rhs)
         u_new, p_new = x[:n_u], x[n_u:n_u + n_p]
-        if not convection:
+        if not cfg.convection:
             break
         increment = np.linalg.norm(u_new - a) / max(np.linalg.norm(u_new), 1e-300)
         if increment <= cfg.picard_tol:

@@ -115,6 +115,48 @@ def test_dimension_choices():
         parse_config("mesh.dim = 4\n")
 
 
+def test_solver_settings_are_checked_when_made():
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(dt=0.0, T=1.0)
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(dt=0.1, T=-1.0)
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(dt=0.1, T=1.0, picard_tol=0.0)
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(dt=0.1, T=1.0, linear_tol=2.0)
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(dt=0.1, T=1.0, picard_max=0)
+
+
+def test_stabilization_settings_are_checked_when_made():
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(nu=0.0)
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(nu=1.0, C_s=0.0)
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(nu=1.0, C_c=-1.0)
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(nu=1.0, tau_floor=-0.1)
+    # one message per problem
+    with pytest.raises(ConfigurationError) as info:
+        ScenarioConfig(nu=-1.0, C_s=-1.0)
+    assert "nu" in str(info.value) and "C_s" in str(info.value)
+
+
+def test_scenario_names_are_checked_when_made():
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(nu=1.0, initial="bogus", forcing="none")
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(nu=1.0, initial="zero", forcing="bogus")
+
+
+def test_every_broken_rule_is_reported_at_once():
+    with pytest.raises(ConfigurationError) as info:
+        ScenarioConfig(dt=0.0, nu=-1.0, picard_tol=2.0)
+    named = [m.split(" = ")[0] for m in info.value.messages]
+    assert sorted(named) == ["dt", "nu", "picard_tol"]
+
+
 def test_parse_config_file_missing(tmp_path):
     with pytest.raises(ConfigurationError) as info:
         parse_config_file(tmp_path / "absent.cfg")

@@ -19,9 +19,9 @@ from vmsns.diagnostics import (
 from vmsns.errors import ConfigurationError
 from vmsns.fe import assemble_load, quad_norm
 from vmsns.mesh import build_structured
-from vmsns.solver import (RunResult, SolveConfig, StarState, build_discretization,
+from vmsns.solver import (RunResult, StarState, build_discretization,
                           continuity_residual, initialize, run, step)
-from vmsns.subgrid import StabParams, zero_subscale
+from vmsns.subgrid import zero_subscale
 from vmsns import scenarios
 
 import oracles as orc
@@ -105,10 +105,9 @@ def test_ledger_entry_against_independent_arithmetic():
 def test_solver_step_closes_the_ledger():
     disc = _disc(4)
     state = initialize(scenarios._vortex_velocity, disc)
-    params = StabParams(nu=0.05)
-    cfg = SolveConfig(dt=0.02, T=1.0)
-    new = step(state, None, cfg, params)
-    rec = energy_ledger_entry(state, new, None, cfg.dt, new.tau_used, params.nu)
+    cfg = ScenarioConfig(nu=0.05, dt=0.02, T=1.0)
+    new = step(state, None, cfg)
+    rec = energy_ledger_entry(state, new, None, cfg.dt, new.tau_used, cfg.nu)
     assert abs(rec.imbalance) <= 1e-12 * rec.relative_scale(cfg.dt)
 
 
@@ -209,7 +208,7 @@ def _constant_history(disc, c=(1.0, -0.5), n_snap=41, T=1.0):
         s.u = u.copy()
         states.append(s)
     return RunResult(states=states, records=[], disc=disc,
-                     params=StabParams(nu=0.01), config=None)
+                     config=ScenarioConfig(nu=0.01))
 
 
 def _bump_grid_aligned():
@@ -260,7 +259,7 @@ def test_local_energy_needs_enough_snapshots():
     with pytest.raises(ConfigurationError):
         local_energy_residual(
             RunResult(states=hist.states[:1], records=[], disc=disc,
-                      params=StabParams(nu=0.01), config=None),
+                      config=ScenarioConfig(nu=0.01)),
             _bump_grid_aligned())
 
 

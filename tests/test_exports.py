@@ -1,6 +1,7 @@
 """Every name the package and its modules export resolves, the entry
-points the benchmark times or wraps stay public functions, and the
-modules import each other without cycles."""
+points the benchmark times or wraps stay public functions, the calls
+that read run settings take one ScenarioConfig, and the modules import
+each other without cycles."""
 
 import ast
 import importlib
@@ -37,6 +38,19 @@ def test_entry_point_is_a_public_function_of_its_module(name):
     fn = getattr(mod, attr, None)
     assert inspect.isfunction(fn), f"vmsns.{name} is not a function"
     assert fn.__module__ == mod.__name__, f"vmsns.{name} is defined in {fn.__module__}"
+
+
+#: calls that read every run setting from one ScenarioConfig, ``cfg``
+CONFIG_CALLS = {"solver.step": ("state", "load", "cfg"),
+                "solver.run": ("cfg",),
+                "subgrid.compute_tau": ("cfg", "h", "u_linf")}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CALLS))
+def test_settings_arrive_as_one_config(name):
+    module, _, attr = name.partition(".")
+    fn = getattr(importlib.import_module(f"vmsns.{module}"), attr)
+    assert tuple(inspect.signature(fn).parameters) == CONFIG_CALLS[name]
 
 
 def _module_level_imports(module):

@@ -1,22 +1,24 @@
 """Time stepper: projection initialization, Picard stepping, energy law."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from vmsns import solver
 from vmsns.config import ScenarioConfig
-from vmsns.errors import ConfigurationError, SolverNonconvergence
+from vmsns.diagnostics import energy_ledger_entry
+from vmsns.errors import SolverNonconvergence
 from vmsns.fe import advection_factor, assemble_load
 from vmsns.mesh import build_structured
 from vmsns.solver import (
-    SolveConfig,
     build_discretization,
     initialize,
     run,
     step,
 )
-from vmsns.subgrid import StabParams, continuity_pairing, orthogonality_defect
+from vmsns.subgrid import continuity_pairing, orthogonality_defect
 from vmsns import scenarios
 
 import oracles as orc
@@ -24,19 +26,6 @@ import oracles as orc
 
 def _disc(n=4):
     return build_discretization(build_structured(2, n))
-
-
-def test_solve_config_validation():
-    with pytest.raises(ConfigurationError):
-        SolveConfig(dt=0.0, T=1.0)
-    with pytest.raises(ConfigurationError):
-        SolveConfig(dt=0.1, T=-1.0)
-    with pytest.raises(ConfigurationError):
-        SolveConfig(dt=0.1, T=1.0, picard_tol=0.0)
-    with pytest.raises(ConfigurationError):
-        SolveConfig(dt=0.1, T=1.0, linear_tol=2.0)
-    with pytest.raises(ConfigurationError):
-        SolveConfig(dt=0.1, T=1.0, picard_max=0)
 
 
 def test_initialize_zero_field():
@@ -90,7 +79,7 @@ def _explicit_augmented(disc, dt, nu, beta, a):
     C, NN, NG = (sp.csr_matrix(b) for b in orc.dense_advection_operators(disc, a))
     M, K = disc.V.mass, disc.V.stiffness
     G, KQ = disc.G, disc.Q.stiffness
-    m_p = sp.csr_matrix(disc.m_p[:, None])
+    m_p = sp.csr_matrix(disc.Q.mean_vector[:, None])
     return sp.bmat([
         [M / dt + C + nu * K + beta * NN, G + beta * NG, -beta * C.T, None],
         [G.T - beta * NG.T, -beta * KQ, beta * G.T, m_p],
@@ -183,12 +172,12 @@ def test_step_matches_dense_schur_oracle(dim, n, degree, initial, forced,
         u0 = fields.initial
         if forced:
             load = assemble_load(disc.V, fields.forcing)
-    params = StabParams(nu=0.01)
-    cfg = SolveConfig(dt=0.02, T=1.0)
+    cfg = ScenarioConfig(dim=dim, n=n, nu=0.01, dt=0.02, T=1.0,
+                         convection=convection)
     state = want = initialize(u0, disc)
     for _ in range(3):
-        state = step(state, load, cfg, params, convection=convection)
-        want = orc.dense_schur_step(want, load, cfg, params, convection=convection)
+        state = step(state, load, cfg)
+        want = orc.dense_schur_step(want, load, cfg)
         assert state.picard_iters == want.picard_iters
         assert orc.rel(state.u, want.u) <= 1e-10
         assert orc.rel(state.p, want.p) <= 1e-10
@@ -198,11 +187,11 @@ def test_step_matches_dense_schur_oracle(dim, n, degree, initial, forced,
 def _vortex_n8():
     disc = build_discretization(build_structured(2, 8))
     state = initialize(scenarios._vortex_velocity, disc)
-    return state, StabParams(nu=0.01), SolveConfig(dt=0.02, T=1.0)
+    return state, ScenarioConfig(nu=0.01, dt=0.02, T=1.0)
 
 
 def test_step_factors_once_and_solves_later_iterates_by_sweeps(monkeypatch):
-    state, params, cfg = _vortex_n8()
+    state, cfg = _vortex_n8()
     splu = solver.spla.splu
     calls = []
 
@@ -211,7 +200,7 @@ def test_step_factors_once_and_solves_later_iterates_by_sweeps(monkeypatch):
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(solver.spla, "splu", counting_splu)
-    new = step(state, None, cfg, params)
+    new = step(state, None, cfg)
     assert new.picard_iters > 1
     assert new.factorizations == len(calls) == 1
     assert new.sweeps > 0
@@ -225,7 +214,7 @@ def test_failed_carried_solve_refactors_its_iterate(monkeypatch, garbage):
     serves: a non-finite sweep stops the sweeps at once, and finite ones
     spend the sweep budget.  Each iterate then refactors, and the step
     still agrees with the dense oracle."""
-    state, params, cfg = _vortex_n8()
+    state, cfg = _vortex_n8()
     solve = solver._solve
 
     def garbage_factor(*args):
@@ -236,8 +225,8 @@ def test_failed_carried_solve_refactors_its_iterate(monkeypatch, garbage):
     sweeps = 1 if np.isnan(garbage) else solver.SWEEP_BUDGET
     want = state
     for carried in (False, True):
-        state = step(state, None, cfg, params)
-        want = orc.dense_schur_step(want, None, cfg, params)
+        state = step(state, None, cfg)
+        want = orc.dense_schur_step(want, None, cfg)
         assert state.picard_iters == want.picard_iters > 1
         assert state.factorizations == state.picard_iters
         # one failed solve per iterate that has a factor to start from
@@ -270,13 +259,13 @@ def test_carried_factor_serves_the_next_step_and_is_replaced_when_stale():
     """The factor a step carries preconditions the next step's first
     solve; at a 50 times larger dt the sweeps stall, so that step
     refactors (twice), and both agree with the dense oracle."""
-    state, params, cfg = _vortex_n8()
-    state = step(state, None, cfg, params)
+    state, cfg = _vortex_n8()
+    state = step(state, None, cfg)
     assert state.factor is not None and state.copy().factor is None
-    big = SolveConfig(dt=50 * cfg.dt, T=1.0)
+    big = replace(cfg, dt=50 * cfg.dt)
     for c, factors in ((cfg, 0), (big, 2)):
-        new = step(state, None, c, params)
-        want = orc.dense_schur_step(state, None, c, params)
+        new = step(state, None, c)
+        want = orc.dense_schur_step(state, None, c)
         assert new.factorizations == factors
         assert new.sweeps > 0
         assert new.picard_iters == want.picard_iters
@@ -291,8 +280,8 @@ def test_factor_stale_at_twice_the_dt_is_replaced_within_the_sweep_budget(
     converges, but slowly.  No solve spends more than the sweep budget:
     the slow one refactors its iterate instead, and the step agrees with
     the dense oracle."""
-    state, params, cfg = _vortex_n8()
-    state = step(state, None, cfg, params)
+    state, cfg = _vortex_n8()
+    state = step(state, None, cfg)
     spent = []
     correct = solver._correct
 
@@ -302,9 +291,9 @@ def test_factor_stale_at_twice_the_dt_is_replaced_within_the_sweep_budget(
         return out
 
     monkeypatch.setattr(solver, "_correct", record)
-    c = SolveConfig(dt=2 * cfg.dt, T=1.0)
-    new = step(state, None, c, params)
-    want = orc.dense_schur_step(state, None, c, params)
+    c = replace(cfg, dt=2 * cfg.dt)
+    new = step(state, None, c)
+    want = orc.dense_schur_step(state, None, c)
     assert max(spent) <= solver.SWEEP_BUDGET
     assert new.factorizations == 1
     assert new.picard_iters == want.picard_iters
@@ -325,9 +314,8 @@ def test_run_totals_solver_counts_over_every_step():
 def test_step_rest_state_stays_at_rest():
     disc = _disc(3)
     state = initialize(lambda x: np.zeros_like(x), disc)
-    params = StabParams(nu=0.1)
-    cfg = SolveConfig(dt=0.05, T=1.0)
-    new = step(state, None, cfg, params)
+    cfg = ScenarioConfig(nu=0.1, dt=0.05, T=1.0)
+    new = step(state, None, cfg)
     assert np.max(np.abs(new.u)) < 1e-13
     assert new.tilde.norm_l2() < 1e-13
     assert new.t == pytest.approx(0.05)
@@ -336,15 +324,14 @@ def test_step_rest_state_stays_at_rest():
 def test_step_energy_monotone_without_forcing():
     disc = _disc(4)
     state = initialize(scenarios._vortex_velocity, disc)
-    params = StabParams(nu=0.05)
-    cfg = SolveConfig(dt=0.02, T=1.0)
+    cfg = ScenarioConfig(nu=0.05, dt=0.02, T=1.0)
 
     def total_energy(s):
         return 0.5 * float(s.u @ (disc.V.mass @ s.u)) + 0.5 * s.tilde.norm_l2() ** 2
 
     energies = [total_energy(state)]
     for _ in range(5):
-        state = step(state, None, cfg, params)
+        state = step(state, None, cfg)
         energies.append(total_energy(state))
     diffs = np.diff(energies)
     assert np.all(diffs < 0.0)
@@ -353,19 +340,18 @@ def test_step_energy_monotone_without_forcing():
 def test_stokes_step_solves_in_one_iteration():
     disc = _disc(3)
     state = initialize(scenarios._vortex_velocity, disc)
-    params = StabParams(nu=1.0)
-    cfg = SolveConfig(dt=0.1, T=1.0)
-    new = step(state, None, cfg, params, convection=False)
+    cfg = ScenarioConfig(nu=1.0, dt=0.1, T=1.0, convection=False)
+    new = step(state, None, cfg)
     assert new.picard_iters == 1
 
 
 def test_step_nonconvergence_reports_position():
     disc = _disc(3)
     state = initialize(scenarios._vortex_velocity, disc)
-    params = StabParams(nu=0.01)
-    cfg = SolveConfig(dt=0.1, T=1.0, picard_tol=1e-15, picard_max=1)
+    cfg = ScenarioConfig(nu=0.01, dt=0.1, T=1.0, picard_tol=1e-15,
+                         picard_max=1)
     with pytest.raises(SolverNonconvergence) as info:
-        step(state, None, cfg, params)
+        step(state, None, cfg)
     assert info.value.iterations == 1
     assert np.isfinite(info.value.last_increment)
 
@@ -426,6 +412,31 @@ def test_run_is_deterministic():
         assert np.array_equal(sa.tilde.values, sb.tilde.values)
     for ra, rb in zip(a.records, b.records):
         assert ra == rb
+
+
+def test_run_is_initialize_then_steps_with_the_settings_of_its_config():
+    """``run(cfg)`` is the initialization followed by a loop of
+    ``step(state, load, cfg)``, record for record.  The config switches
+    convection off and floors τ above the largest value the mesh allows,
+    so every step shows that it reads both settings from the config."""
+    cfg = _tiny_scenario(convection=False, tau_floor=1.0)
+    disc = build_discretization(build_structured(2, cfg.n))
+    assert disc.mesh.h_max ** 2 / (cfg.C_s * cfg.nu) < cfg.tau_floor
+    result = run(cfg)
+    state = initialize(scenarios.fields_for(cfg).initial, disc)
+    states, records = [state], []
+    for _ in range(3):
+        prev, state = state, step(state, None, cfg)
+        assert state.picard_iters == 1 and state.tau_used == cfg.tau_floor
+        states.append(state)
+        records.append(energy_ledger_entry(prev, state, None, cfg.dt,
+                                           state.tau_used, cfg.nu))
+    assert records == result.records
+    assert len(states) == len(result.states)
+    for want, got in zip(states, result.states):
+        assert np.array_equal(want.u, got.u)
+        assert np.array_equal(want.p, got.p)
+        assert np.array_equal(want.tilde.values, got.tilde.values)
 
 
 def test_run_energy_records_are_consistent():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vmsns.config import ScenarioConfig
 from vmsns.errors import ConfigurationError, InvariantViolation
 from vmsns.fe import advection_factor, build_space
 from vmsns.mesh import build_structured
 from vmsns.subgrid import (
-    StabParams,
     SubscaleField,
     advance_subscale,
     compute_tau,
@@ -44,19 +44,19 @@ def _orthogonal_noise(V, seed=0, scale=1.0):
 # ---------------------------------------------------------------------------
 
 def test_tau_frozen_values():
-    p = StabParams(nu=1.0)
+    p = ScenarioConfig(nu=1.0)
     assert compute_tau(p, 1.0, 0.0) == 0.25
     assert compute_tau(p, 1.0, 10.0) == 1.0 / 24.0
-    assert compute_tau(StabParams(nu=0.01, C_s=1.0, C_c=0.0), 0.5, 99.0) == 25.0
+    assert compute_tau(ScenarioConfig(nu=0.01, C_s=1.0, C_c=0.0), 0.5, 99.0) == 25.0
 
 
 def test_tau_floor():
-    p = StabParams(nu=1.0, tau_floor=0.5)
+    p = ScenarioConfig(nu=1.0, tau_floor=0.5)
     assert compute_tau(p, 0.1, 0.0) == 0.5
 
 
 def test_tau_argument_validation():
-    p = StabParams(nu=1.0)
+    p = ScenarioConfig(nu=1.0)
     with pytest.raises(ConfigurationError):
         compute_tau(p, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
@@ -71,25 +71,9 @@ def test_tau_argument_validation():
     h=st.floats(1e-3, 10.0),
 )
 def test_tau_monotone_in_viscosity_and_velocity(nu, bump, u, h):
-    base = compute_tau(StabParams(nu=nu), h, u)
-    assert compute_tau(StabParams(nu=nu + bump), h, u) <= base
-    assert compute_tau(StabParams(nu=nu), h, u + bump) <= base
-
-
-def test_stab_params_validation():
-    with pytest.raises(ConfigurationError):
-        StabParams(nu=0.0)
-    with pytest.raises(ConfigurationError):
-        StabParams(nu=1.0, C_s=0.0)
-    with pytest.raises(ConfigurationError):
-        StabParams(nu=1.0, C_c=-1.0)
-    with pytest.raises(ConfigurationError):
-        StabParams(nu=1.0, tau_floor=-0.1)
-    # one message per problem
-    try:
-        StabParams(nu=-1.0, C_s=-1.0)
-    except ConfigurationError as exc:
-        assert "nu" in str(exc) and "C_s" in str(exc)
+    base = compute_tau(ScenarioConfig(nu=nu), h, u)
+    assert compute_tau(ScenarioConfig(nu=nu + bump), h, u) <= base
+    assert compute_tau(ScenarioConfig(nu=nu), h, u + bump) <= base
 
 
 # ---------------------------------------------------------------------------
