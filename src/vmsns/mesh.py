@@ -14,6 +14,7 @@ h halves exactly.
 """
 
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -126,6 +127,8 @@ class Mesh:
         sides 0..2*dim-1 in (xmin, xmax, ymin, ymax, zmin, zmax) order.
     h_max, h_min : float
         Largest / smallest cell diameter.
+    grid : ndarray, shape (n_vertices, dim), or None
+        Integer grid index (i, j[, k]) of each vertex of a structured mesh.
     """
 
     dim: int
@@ -135,6 +138,7 @@ class Mesh:
     boundary_tags: np.ndarray = field(repr=False)
     h_max: float = 0.0
     h_min: float = 0.0
+    grid: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_vertices(self):
@@ -171,7 +175,7 @@ class Mesh:
 
 
 def _finish(dim, vertices, cells, boundary_facets, boundary_tags,
-            facet_count=None):
+            facet_count=None, grid=None):
     diam = cell_diameters(vertices, cells)
     m = Mesh(
         dim=dim,
@@ -181,6 +185,7 @@ def _finish(dim, vertices, cells, boundary_facets, boundary_tags,
         boundary_tags=np.ascontiguousarray(boundary_tags, dtype=np.int64),
         h_max=float(diam.max()),
         h_min=float(diam.min()),
+        grid=grid,
     )
     return m.validate(facet_count)
 
@@ -229,51 +234,37 @@ def build_structured(dim, n, domain=None):
     if any(hi <= lo for lo, hi in box):
         raise ConfigurationError("domain box has a non-positive side length")
 
+    # vertex numbers run through the grid indices (i, j[, k]) with x
+    # fastest in 2D and z fastest in 3D
+    grid = np.indices((n + 1,) * dim).reshape(dim, -1).T
+    stride = (n + 1) ** np.arange(dim - 1, -1, -1)
+    if dim == 2:
+        grid, stride = grid[:, ::-1], stride[::-1]
     axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
+    vertices = np.column_stack([axes[a][grid[:, a]] for a in range(dim)])
 
     if dim == 2:
-        X, Y = np.meshgrid(axes[0], axes[1], indexing="xy")
-        vertices = np.column_stack([X.ravel(), Y.ravel()])
-        v = lambda i, j: j * (n + 1) + i
-        cells = []
-        for j in range(n):
-            for i in range(n):
-                a, b = v(i, j), v(i + 1, j)
-                c, d = v(i + 1, j + 1), v(i, j + 1)
-                # split along the a--c diagonal, same direction everywhere
-                cells.append((a, b, c))
-                cells.append((a, c, d))
-        cells = np.asarray(cells, dtype=np.int64)
+        # split along the low--high diagonal, same direction everywhere
+        walks = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
     else:
-        X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
-        # index (i, j, k) -> flat with k fastest is awkward; use explicit map
-        vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-        v = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
         # Kuhn subdivision: one tet per permutation of the axes, walking
-        # from the low corner to the high corner of each grid cube.
-        from itertools import permutations
-
-        steps = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
-        cells = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for perm in permutations((0, 1, 2)):
-                        p = [(i, j, k)]
-                        for axis in perm:
-                            s = steps[axis]
-                            p.append(tuple(p[-1][q] + s[q] for q in range(3)))
-                        cells.append(tuple(v(*q) for q in p))
-        cells = np.asarray(cells, dtype=np.int64)
-        # half the permutations are odd; flip those to positive orientation
-        vols = signed_volumes(vertices, cells)
-        flip = vols < 0
-        cells[np.ix_(flip, [2, 3])] = cells[np.ix_(flip, [3, 2])]
+        # from the low corner to the high corner of each grid cube
+        eye = np.eye(3, dtype=np.int64)
+        walks = np.array([np.cumsum([[0, 0, 0], *eye[list(perm)]], axis=0)
+                          for perm in permutations(range(3))])
+    # cells of each grid cell (its low corner, in vertex order) in turn
+    corners = grid[np.all(grid < n, axis=1)]
+    cells = ((corners[:, None, None, :] + walks) @ stride).reshape(-1, dim + 1)
+    # half the Kuhn permutations are odd; swapping the last two vertices
+    # turns those to positive orientation
+    flip = signed_volumes(vertices, cells) < 0
+    cells[np.ix_(flip, [-2, -1])] = cells[np.ix_(flip, [-1, -2])]
 
     facets, counts = _facet_count(cells)
     boundary = facets[counts == 1]
     return _finish(dim, vertices, cells, boundary,
-                   _boundary_tags(vertices, boundary, box), (facets, counts))
+                   _boundary_tags(vertices, boundary, box), (facets, counts),
+                   grid)
 
 
 # ---------------------------------------------------------------------------

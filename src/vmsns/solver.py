@@ -35,8 +35,9 @@ unknown, which gives the sparse augmented system (with β = 1/(1/dt + 1/τ))
 
 Its sparsity pattern depends only on the mesh, so
 :func:`build_discretization` builds it once, together with the data
-position of every term and a reverse Cuthill-McKee ordering (the mean
-multiplier last, since its row is dense).  Each Picard iteration fills
+position of every term and a nested-dissection ordering of the grid's
+vertices (:func:`_dissect`), each with its unknowns together, and the mean
+multiplier last, since its row is dense.  Each Picard iteration fills
 the data of that pattern with one ``bincount``.  From one iterate to the
 next only the advection terms change, and from one step to the next only
 those and τ, so one SuperLU factor serves many steps.  Every solve is
@@ -107,11 +108,11 @@ __all__ = [
 
 #: SuperLU settings for the augmented matrix, factored for the
 #: initialization, for the first step and whenever a solve with the factor
-#: in use fails (module docstring).  The
-#: pattern is already in a fill-reducing order, so no column permutation
-#: is applied, and the threshold keeps a diagonal pivot unless it is ten
-#: times smaller than the largest entry of its column, compared after the
-#: symmetric diagonal scaling of :func:`_factor`.
+#: in use fails (module docstring).  The pattern is already in a
+#: fill-reducing order, nested dissection of the grid, so no column
+#: permutation is applied, and the threshold keeps a diagonal pivot unless
+#: it is ten times smaller than the largest entry of its column, compared
+#: after the symmetric diagonal scaling of :func:`_factor`.
 SUPERLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                        options={"SymmetricMode": True})
 
@@ -126,16 +127,20 @@ SWEEP_BUDGET = 20
 #: check.
 SWEEP_RTOL = 1e-14
 
+#: vertices in a box of the grid that nested dissection cuts no further
+DISSECTION_LEAF = 8
+
 
 @dataclass
 class AugmentedPattern:
     """Fixed CSC pattern of the augmented matrix, in solve order.
 
     Unknowns are numbered [u, p, ζ, λ] and then permuted: solve-order row
-    i is unknown ``perm[i]``.  ``positions[e]`` is the data slot of term
-    entry e, in the order :func:`_system_matrix` lists its weights; entries
-    on eliminated dofs point at the spare slot ``nnz``.  ``values`` holds
-    the CSR data of M, K, G and K_Q and the pressure means m_p.
+    i is unknown ``perm[i]``, and unknown j is row ``where[j]``.
+    ``positions[e]`` is the data slot of term entry e, in the order
+    :func:`_system_matrix` lists its weights; entries on eliminated dofs
+    point at the spare slot ``nnz``.  ``values`` holds the CSR data of M,
+    K, G and K_Q and the pressure means m_p.
     """
 
     n: int
@@ -143,6 +148,7 @@ class AugmentedPattern:
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
     perm: np.ndarray = field(repr=False)
+    where: np.ndarray = field(repr=False)
     positions: np.ndarray = field(repr=False)
     values: tuple = field(repr=False)
 
@@ -171,11 +177,22 @@ def _csr_coords(mat):
     return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)), mat.indices
 
 
+def _dissect(grid, vertices):
+    """``vertices``, a box of the grid indices ``grid`` (``Mesh.grid``), in
+    nested-dissection order: the two sides of the middle grid plane across
+    the box's longest axis, each in this order, then the plane, which
+    separates them."""
+    if vertices.size <= DISSECTION_LEAF:
+        return vertices
+    g = grid[vertices]
+    x = g[:, np.argmax(np.ptp(g, axis=0))]
+    side = np.sign(x - (x.min() + x.max() + 1) // 2)
+    return np.concatenate([_dissect(grid, vertices[side < 0]),
+                           _dissect(grid, vertices[side > 0]), vertices[side == 0]])
+
+
 def _build_pattern(V, Q, G):
     """Pattern, data positions and ordering of the augmented matrix."""
-    # imported here, so that `import vmsns` (and the lab) does not load csgraph
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
     n_u, n_p = V.n_dofs, Q.n_scalar
     p0, z0, lam = n_u, n_u + n_p, 2 * n_u + n_p
     n = lam + 1
@@ -214,11 +231,14 @@ def _build_pattern(V, Q, G):
                         + [m.ravel() for _, _, m in cell])
     rows, cols = rows[ok], cols[ok]
 
-    # ordering: RCM on the pattern without the dense mean row, which goes last
-    inner = (rows < lam) & (cols < lam)
-    graph = sp.csr_matrix((np.ones(int(inner.sum())), (rows[inner], cols[inner])),
-                          shape=(lam, lam))
-    perm = np.append(reverse_cuthill_mckee(graph, symmetric_mode=True), lam)
+    # ordering: the unknowns stably by the nested-dissection rank of their
+    # vertex (velocity dofs number the interior vertices in turn, pressure
+    # dofs all), so each vertex keeps u, p, ζ; the dense mean row last
+    nv = V.mesh.n_vertices
+    rank = np.empty(nv, dtype=np.int64)
+    rank[_dissect(V.mesh.grid, np.arange(nv))] = np.arange(nv)
+    inner = np.repeat(rank[V.node_dof >= 0], d)
+    perm = np.argsort(np.concatenate([inner, rank, inner, [nv]]), kind="stable")
     where = np.empty(n, dtype=np.int64)
     where[perm] = np.arange(n)
 
@@ -231,13 +251,13 @@ def _build_pattern(V, Q, G):
         [[0], np.cumsum(np.bincount(uniq // n, minlength=n))]).astype(np.int32)
     return AugmentedPattern(
         n=n, nnz=nnz, indptr=indptr, indices=(uniq % n).astype(np.int32),
-        perm=perm, positions=positions,
+        perm=perm, where=where, positions=positions,
         values=(M.data, K.data, G.data, KQ.data, Q.mean_vector))
 
 
 def build_discretization(mesh):
     """P1/P1 velocity/pressure spaces, the constant operator set and the
-    pattern of the augmented Picard matrix."""
+    pattern of the augmented Picard matrix, on a structured mesh."""
     V = build_space(mesh, components=mesh.dim, constraint="zero_trace")
     Q = build_space(mesh, components=1, constraint="zero_mean")
     G = assemble_gradient_coupling(V, Q)
@@ -323,7 +343,7 @@ def _factor(A, what):
     every mesh size.  Unscaled, the mass diagonal (about h^d / dt) can fall
     below a tenth of the gradient coupling in its column (about h^(d-1)),
     as it does in the initialization matrix (dt = 1): SuperLU then pivots
-    off the diagonal, and the fill grows (2.3 times at 2-D n = 64).
+    off the diagonal, and the fill grows (10.8 times at 2-D n = 64).
     """
     d = np.abs(A.diagonal())
     s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
@@ -391,13 +411,6 @@ def _solve(A, b, carried, linear_tol, what):
     return y, (solve, y), sweeps, True
 
 
-def _unknown_order(y, perm):
-    """A solve-order vector in unknown order."""
-    x = np.empty_like(y)
-    x[perm] = y
-    return x
-
-
 # ---------------------------------------------------------------------------
 # initialization (the coupled projection of the initial datum)
 # ---------------------------------------------------------------------------
@@ -425,9 +438,9 @@ def initialize(u0, disc):
         np.zeros(n_u + 1),
     ])
     A = _system_matrix(disc, 1.0, 0.0, 1.0, advection_factor(V, np.zeros(n_u)))
-    perm = disc.pattern.perm
-    y = _solve(A, rhs[perm], None, 1e-10, "initialization solve")[0]
-    x = _unknown_order(y, perm)
+    pat = disc.pattern
+    y = _solve(A, rhs[pat.perm], None, 1e-10, "initialization solve")[0]
+    x = y[pat.where]
 
     u_h = x[:n_u]
     xi = x[n_u:n_u + n_p]
@@ -499,7 +512,7 @@ def step(state, load, cfg):
     u_new = p_new = None
     iterations = factorizations = sweeps = 0
     increment = np.inf
-    perm = disc.pattern.perm
+    pat = disc.pattern
     what = f"step solve at t={state.t:g}"
     carried = state.factor
 
@@ -515,11 +528,11 @@ def step(state, load, cfg):
             np.zeros(n_u + 1),
         ])
 
-        y, carried, spent, factored = _solve(A, rhs[perm], carried,
+        y, carried, spent, factored = _solve(A, rhs[pat.perm], carried,
                                              cfg.linear_tol, what)
         sweeps += spent
         factorizations += factored
-        x = _unknown_order(y, perm)
+        x = y[pat.where]
         u_new = x[:n_u]
         p_new = x[n_u:n_u + n_p]
         if not cfg.convection:

@@ -17,6 +17,9 @@ the lab goes through its cached divergence-free eigenbasis.  The data-bound
 oracle solves with the dense stiffness where the package factors the
 sparse one.  ``step_convection`` is no oracle: it reads the step's own
 C(a) off the system matrix, for the tests that hold it to the oracles.
+The structured mesh is rebuilt by a Python loop per grid cell, and the
+augmented system's nested-dissection order is compared with the reverse
+Cuthill-McKee band order.
 """
 
 import math
@@ -783,6 +786,64 @@ def dense_schur_step(state, load, cfg):
                      tilde=advance_subscale(state.tilde, res, tau, dt),
                      t=state.t + dt, disc=disc, tau_used=tau,
                      picard_iters=iterations)
+
+
+# ---------------------------------------------------------------------------
+# structured mesh and ordering
+# ---------------------------------------------------------------------------
+
+def loop_structured_mesh(dim, n, box):
+    """Vertices and cells of ``mesh.build_structured(dim, n, box)`` by a
+    loop over grid cells: triangles split along the low--high diagonal in
+    2D (x fastest), Kuhn tetrahedra in 3D (z fastest), one per axis
+    permutation, with the odd ones' last two vertices swapped."""
+    from itertools import permutations
+
+    from vmsns.mesh import signed_volumes
+
+    axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
+    cells = []
+    if dim == 2:
+        X, Y = np.meshgrid(axes[0], axes[1], indexing="xy")
+        vertices = np.column_stack([X.ravel(), Y.ravel()])
+        v = lambda i, j: j * (n + 1) + i
+        for j in range(n):
+            for i in range(n):
+                a, b = v(i, j), v(i + 1, j)
+                c, d = v(i + 1, j + 1), v(i, j + 1)
+                cells.append((a, b, c))
+                cells.append((a, c, d))
+        return vertices, np.asarray(cells, dtype=np.int64)
+    X, Y, Z = np.meshgrid(axes[0], axes[1], axes[2], indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    v = lambda i, j, k: (i * (n + 1) + j) * (n + 1) + k
+    steps = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for perm in permutations((0, 1, 2)):
+                    p = [(i, j, k)]
+                    for axis in perm:
+                        s = steps[axis]
+                        p.append(tuple(p[-1][q] + s[q] for q in range(3)))
+                    cells.append(tuple(v(*q) for q in p))
+    cells = np.asarray(cells, dtype=np.int64)
+    flip = signed_volumes(vertices, cells) < 0
+    cells[np.ix_(flip, [2, 3])] = cells[np.ix_(flip, [3, 2])]
+    return vertices, cells
+
+
+def rcm_order(A):
+    """Reverse Cuthill-McKee order of the augmented matrix ``A``, given in
+    unknown order, on its pattern without the dense mean row and column,
+    which go last: the band order that nested dissection replaced."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    lam = A.shape[0] - 1
+    graph = sp.csr_matrix(A)[:lam, :lam]
+    graph.data = np.ones_like(graph.data)
+    return np.append(reverse_cuthill_mckee(graph, symmetric_mode=True), lam)
 
 
 # ---------------------------------------------------------------------------

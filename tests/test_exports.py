@@ -1,13 +1,16 @@
 """Every name the package and its modules export resolves, the entry
 points the benchmark times or wraps stay public functions, the calls
-that read run settings take one ScenarioConfig, and the modules import
-each other without cycles."""
+that read run settings take one ScenarioConfig, the modules import each
+other without cycles, and a run imports neither graph routines nor the
+lab."""
 
 import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +97,17 @@ def test_no_module_imports_the_lab_at_load():
     importers = [m for m in MODULES
                  if m != "spectral_lab" and "spectral_lab" in _module_level_imports(m)]
     assert not importers, f"{importers} import spectral_lab at module level"
+
+
+def test_a_run_imports_neither_csgraph_nor_the_lab():
+    code = ("import sys\n"
+            "from vmsns import solver\n"
+            "from vmsns.config import ScenarioConfig\n"
+            "solver.run(ScenarioConfig(n=3, T=0.02))\n"
+            "print(sorted(m for m in sys.modules if m.startswith(\n"
+            "    ('scipy.sparse.csgraph', 'vmsns.spectral_lab'))))\n")
+    path = [os.path.dirname(vmsns.__path__[0]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

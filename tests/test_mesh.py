@@ -15,6 +15,8 @@ from vmsns.mesh import (
     signed_volumes,
 )
 
+import oracles as orc
+
 
 def test_unit_square_counts():
     m = build_structured(2, 1)
@@ -42,6 +44,23 @@ def test_positive_orientation_and_total_volume(dim, n):
     vols = signed_volumes(m.vertices, m.cells)
     assert np.all(vols > 0.0)
     assert abs(vols.sum() - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_matches_a_loop_over_grid_cells(dim, n):
+    box = [(-1.0, 2.0), (0.0, 1.0), (0.5, 1.5)][:dim]
+    m = build_structured(dim, n, box)
+    vertices, cells = orc.loop_structured_mesh(dim, n, box)
+    assert np.array_equal(m.vertices, vertices)
+    assert m.cells.dtype == cells.dtype and np.array_equal(m.cells, cells)
+    # the grid index of each vertex: every index once, and the vertex at it
+    assert m.grid.shape == (m.n_vertices, dim)
+    assert np.unique(m.grid, axis=0).shape[0] == (n + 1) ** dim
+    assert m.grid.min() == 0 and m.grid.max() == n
+    for a, (lo, hi) in enumerate(box):
+        assert np.array_equal(m.vertices[:, a],
+                              np.linspace(lo, hi, n + 1)[m.grid[:, a]])
 
 
 def test_boundary_tags_partition_box_sides():

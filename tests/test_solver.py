@@ -141,6 +141,81 @@ def test_initialization_factor_keeps_diagonal_pivots(monkeypatch):
     assert np.count_nonzero(perm_r != np.arange(perm_r.size)) <= 2
 
 
+def _unknowns_of_vertex(disc, v):
+    """The unknowns of vertex v, in the order the pattern keeps them:
+    velocity components, pressure, ζ components (no velocity or ζ on the
+    boundary)."""
+    d, dof = disc.V.components, int(disc.V.node_dof[v])
+    u = [dof * d + k for k in range(d)] if dof >= 0 else []
+    p = disc.n_u + int(disc.Q.node_dof[v])
+    return u + [p] + [disc.n_u + disc.n_p + i for i in u]
+
+
+def _check_dissection(grid, rank, lo, hi):
+    """Each cut of the box lo..hi of grid indices, at the middle plane of
+    its longest axis, ranks the plane after both halves."""
+    size = hi - lo + 1
+    inside = np.all((grid >= lo) & (grid <= hi), axis=1)
+    if inside.sum() <= solver.DISSECTION_LEAF:
+        return
+    axis = int(np.argmax(size))
+    mid = lo[axis] + size[axis] // 2
+    plane = inside & (grid[:, axis] == mid)
+    assert rank[plane].min() > rank[inside & ~plane].max()
+    for a, b in ((lo[axis], mid - 1), (mid + 1, hi[axis])):
+        half_lo, half_hi = lo.copy(), hi.copy()
+        half_lo[axis], half_hi[axis] = a, b
+        _check_dissection(grid, rank, half_lo, half_hi)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 5), (2, 8), (3, 3), (3, 4)])
+def test_pattern_orders_vertices_by_nested_dissection(dim, n):
+    disc = build_discretization(build_structured(dim, n))
+    perm, lam = disc.pattern.perm, disc.pattern.n - 1
+    assert np.array_equal(np.sort(perm), np.arange(lam + 1))
+    assert perm[-1] == lam
+    assert np.array_equal(disc.pattern.where[perm], np.arange(lam + 1))
+    owner = np.empty(lam, dtype=np.int64)
+    for v in range(disc.mesh.n_vertices):
+        owner[_unknowns_of_vertex(disc, v)] = v
+    # each vertex's unknowns form one run, in their own order
+    seq = owner[perm[:-1]]
+    vertices = seq[np.flatnonzero(np.diff(seq, prepend=-1))]
+    assert np.array_equal(np.sort(vertices), np.arange(disc.mesh.n_vertices))
+    want = np.concatenate([_unknowns_of_vertex(disc, v) for v in vertices])
+    assert np.array_equal(perm[:-1], want)
+    rank = np.empty_like(vertices)
+    rank[vertices] = np.arange(vertices.size)
+    grid = disc.mesh.grid
+    _check_dissection(grid, rank, grid.min(axis=0), grid.max(axis=0))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+def test_nested_dissection_fills_no_more_than_rcm(monkeypatch, dim, n):
+    """The step factor in the pattern's order has no more nonzeros than
+    in the reverse Cuthill-McKee order, with the same scaling and SuperLU
+    settings.  (At 2-D n <= 16 RCM fills less, so the sizes are larger.)"""
+    disc = build_discretization(build_structured(dim, n))
+    a = 0.1 * np.random.default_rng(5).standard_normal(disc.n_u)
+    A = solver._system_matrix(disc, 0.01, 0.01, 0.005,
+                              advection_factor(disc.V, a))
+    factors = []
+    splu = solver.spla.splu
+
+    def capture(*args, **kwargs):
+        factors.append((args[0], splu(*args, **kwargs)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(solver.spla, "splu", capture)
+    solver._factor(A, "nested dissection")
+    scaled, nd = factors[0]
+    where = disc.pattern.where
+    unknown = scaled[where][:, where]
+    rcm = orc.rcm_order(unknown)
+    band = splu(unknown[rcm][:, rcm].tocsc(), **solver.SUPERLU_OPTIONS)
+    assert nd.L.nnz + nd.U.nnz <= band.L.nnz + band.U.nnz
+
+
 def _vortex_3d(x):
     return np.stack([np.sin(np.pi * x[:, 1]) * x[:, 2] * (1.0 - x[:, 2]),
                      np.cos(2.0 * x[:, 0] + x[:, 2]),
