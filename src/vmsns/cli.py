@@ -81,11 +81,14 @@ def _cmd_run(args):
     ledger_path = _write_run_outputs(result, cfg.out_dir)
     worst = max((abs(r.imbalance) / r.relative_scale(cfg.dt)
                  for r in result.records), default=0.0)
-    print(f"ran {len(result.records)} steps to t={result.states[-1].t!r} "
+    steps = len(result.records)
+    print(f"ran {steps} steps to t={result.states[-1].t!r} "
           f"on a {cfg.dim}-D mesh (n={cfg.n}); "
           f"worst relative energy imbalance {worst:.3e}")
-    print(f"linear solves over {len(result.records)} steps: "
-          f"{result.picard_iters} Picard iterations, "
+    print(f"linear solves over {steps} steps: "
+          f"{result.picard_iters} Picard iterations "
+          f"({result.picard_iters / max(steps, 1):.2f} per step, "
+          f"at most {result.max_picard_iters}), "
           f"{result.factorizations} factorizations, "
           f"{result.sweeps} correction sweeps")
     print(f"ledger: {ledger_path}")

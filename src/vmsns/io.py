@@ -9,6 +9,7 @@ formatting loss.
 
 import math
 import os
+import weakref
 
 import numpy as np
 
@@ -129,6 +130,33 @@ def check_energy_ledger(records, imbalance_tol=IMBALANCE_TOL,
 # VTK legacy ASCII fields
 # ---------------------------------------------------------------------------
 
+#: (weak reference to a mesh, its VTK mesh block): the block of the last
+#: mesh written, which every later snapshot of that mesh reuses (a mesh's
+#: vertices and cells do not change after it is built)
+_last_mesh_block = (None, "")
+
+
+def _mesh_block(mesh):
+    """The POINTS, CELLS and CELL_TYPES lines of ``mesh``, each with its
+    newline, formatted once per mesh."""
+    global _last_mesh_block
+    ref, block = _last_mesh_block
+    if ref is not None and ref() is mesh:
+        return block
+    pts3 = np.zeros((mesh.n_vertices, 3))
+    pts3[:, :mesh.dim] = mesh.vertices
+    npc = mesh.cells.shape[1]
+    lines = [f"POINTS {mesh.n_vertices} double"]
+    lines += [" ".join(map(repr, p)) for p in pts3.tolist()]
+    lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells * (npc + 1)}")
+    lines += [f"{npc} " + " ".join(map(str, cell)) for cell in mesh.cells.tolist()]
+    lines.append(f"CELL_TYPES {mesh.n_cells}")
+    lines += [str(5 if mesh.dim == 2 else 10)] * mesh.n_cells
+    block = "\n".join(lines) + "\n"
+    _last_mesh_block = (weakref.ref(mesh), block)
+    return block
+
+
 def write_fields_vtk(state, path, title="flow fields"):
     """Velocity (point vectors), pressure (point scalars), and the
     quadrature-averaged subscale magnitude (cell scalars)."""
@@ -143,27 +171,11 @@ def write_fields_vtk(state, path, title="flow fields"):
                             state.tilde.values))
     sub_mag = np.einsum("cq,cq->c", w, mag) / w.sum(axis=1)
 
-    pts3 = np.zeros((mesh.n_vertices, 3))
-    pts3[:, :mesh.dim] = mesh.vertices
     vel3 = np.zeros((mesh.n_vertices, 3))
     vel3[:, :mesh.dim] = vel
-    npc = mesh.cells.shape[1]
-    cell_type = 5 if mesh.dim == 2 else 10
 
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_vertices} double",
-    ]
-    lines += [" ".join(map(repr, p)) for p in pts3.tolist()]
-    lines.append(f"CELLS {mesh.n_cells} {mesh.n_cells * (npc + 1)}")
-    lines += [f"{npc} " + " ".join(map(str, cell)) for cell in mesh.cells.tolist()]
-    lines.append(f"CELL_TYPES {mesh.n_cells}")
-    lines += [str(cell_type)] * mesh.n_cells
-    lines.append(f"POINT_DATA {mesh.n_vertices}")
-    lines.append("VECTORS velocity double")
+    head = f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+    lines = [f"POINT_DATA {mesh.n_vertices}", "VECTORS velocity double"]
     lines += [" ".join(map(repr, v)) for v in vel3.tolist()]
     lines.append("SCALARS pressure double 1")
     lines.append("LOOKUP_TABLE default")
@@ -173,7 +185,7 @@ def write_fields_vtk(state, path, title="flow fields"):
     lines.append("LOOKUP_TABLE default")
     lines += map(repr, sub_mag.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + _mesh_block(mesh) + "\n".join(lines) + "\n")
 
 
 def read_fields_vtk(path):

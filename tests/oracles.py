@@ -718,6 +718,19 @@ def _dense_refined_solve(A, rhs):
     return x + sla.lu_solve(lu, rhs - A @ x)
 
 
+def extrapolated_start(state, t):
+    """The velocity at ``t`` of the polynomial in time through ``state``
+    and the states of its history, by ``np.polyfit`` in t - ``t`` (so the
+    value is the constant coefficient); ``state.u`` without a history or
+    where ``t`` lies further ahead of ``state.t`` than the history
+    reaches back."""
+    h = state.history
+    if h is None or t - state.t > state.t - h.times.min():
+        return state.u.copy()
+    times = np.concatenate([[state.t], h.times]) - t
+    return np.polyfit(times, np.vstack([state.u, h.velocities]), times.size - 1)[-1]
+
+
 def dense_schur_step(state, load, cfg):
     """One backward-Euler step with the projection eliminated densely.
 
@@ -728,10 +741,12 @@ def dense_schur_step(state, load, cfg):
     load vector or None; every setting comes from the ScenarioConfig
     ``cfg``.  The subscale pairings, τ and the subscale update
     are the package's own; the residual that drives the update is
-    :func:`einsum_residual_field`.  Returns the new StarState.
+    :func:`einsum_residual_field`.  Picard starts from
+    :func:`extrapolated_start`.  Returns the new StarState, with the
+    history of ``state`` and its state, and no solutions.
     """
     from vmsns.fe import advection_factor, linf_norm
-    from vmsns.solver import StarState
+    from vmsns.solver import History, StarState
     from vmsns.subgrid import (advance_subscale, compute_tau,
                                continuity_pairing, transport_pairing)
 
@@ -753,7 +768,7 @@ def dense_schur_step(state, load, cfg):
     base_rhs_u = F + M_d @ state.u / dt
     cont_cross = continuity_pairing(Q, state.tilde.values)
 
-    a = state.u.copy() if cfg.convection else np.zeros(n_u)
+    a = extrapolated_start(state, state.t + dt) if cfg.convection else np.zeros(n_u)
     n = n_u + n_p + 1
     for iterations in range(1, cfg.picard_max + 1):
         C, NN, NG = dense_advection_operators(disc, a)
@@ -782,10 +797,15 @@ def dense_schur_step(state, load, cfg):
         raise AssertionError("dense Schur step: Picard did not converge")
 
     res = einsum_residual_field(V, Q, u_new, p_new, advection=a)
+    times, velocities = [state.t], [state.u]
+    if state.history is not None:            # keep the latest earlier state
+        times.append(state.history.times[0])
+        velocities.append(state.history.velocities[0])
+    history = History(np.array(times), np.array(velocities), np.array([]))
     return StarState(u=u_new, p=p_new,
                      tilde=advance_subscale(state.tilde, res, tau, dt),
                      t=state.t + dt, disc=disc, tau_used=tau,
-                     picard_iters=iterations)
+                     picard_iters=iterations, history=history)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, outputs on disk, audits."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ def test_run_writes_checkable_ledger(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "ledger" in printed
     assert "linear solves over 3 steps: " in printed
+    assert re.search(r" Picard iterations \(\d\.\d\d per step, at most \d+\), ", printed)
     assert " 1 factorizations, " in printed
     records = read_energy_ledger(out / "ledger.csv")
     assert len(records) == 3

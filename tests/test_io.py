@@ -234,3 +234,17 @@ def test_table_csv_cells(tmp_path):
     assert lines[0] == "a,b,c"
     assert lines[1] == "1,0.5,"
     assert lines[2] == "x,,2.0"
+
+
+def test_vtk_mesh_block_is_formatted_once_per_mesh(tmp_path):
+    """Every snapshot of a run reuses its mesh's block, a write of another
+    mesh formats that one's, and every file equals freshly formatted
+    text."""
+    states_2d = _run_records(n=3).states
+    state_3d = initialize(_vortex_3d, build_discretization(build_structured(3, 2)))
+    mesh = states_2d[0].disc.mesh
+    assert io._mesh_block(mesh) is io._mesh_block(mesh)
+    for k, state in enumerate(states_2d + [state_3d, states_2d[-1]]):
+        path = tmp_path / f"fields{k}.vtk"
+        write_fields_vtk(state, path, title="t")
+        assert path.read_bytes() == _fmt_built_vtk(state, "t").encode("utf-8")

@@ -3,13 +3,21 @@ random physics, stabilization and time-step parameters on small meshes."""
 
 import os
 import tempfile
+from dataclasses import replace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vmsns import scenarios
 from vmsns.cli import main
+from vmsns.config import ScenarioConfig
+from vmsns.diagnostics import energy_ledger_entry
+from vmsns.errors import SolverNonconvergence
+from vmsns.fe import assemble_load
 from vmsns.io import (IMBALANCE_TOL, LEDGER_HEADER, check_energy_ledger,
-                      read_energy_ledger)
+                      read_energy_ledger, write_energy_ledger)
+from vmsns.mesh import build_structured
+from vmsns.solver import build_discretization, initialize, step
 
 STEPS = 3
 COLUMNS = LEDGER_HEADER.split(",")
@@ -90,6 +98,45 @@ def test_energy_identity_and_audit_under_random_parameters(
         with open(ledger, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         assert main(["check"] + argv) == 4
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    nu=st.floats(1e-3, 1.0),
+    dt=st.floats(1e-3, 0.05),
+    ratios=st.lists(st.floats(0.25, 2.0), min_size=STEPS + 2, max_size=STEPS + 2),
+    convection=st.booleans(),
+    forcing=st.sampled_from(("none", "manufactured_poly")),
+)
+def test_energy_identity_and_audit_when_dt_changes_every_step(
+        n, nu, dt, ratios, convection, forcing):
+    """Each step's dt is the last one's times a random ratio, so each
+    step's start is extrapolated through states at uneven times, or, past
+    their reach, not at all; every step's identity and the audit of the
+    written ledger still hold."""
+    cfg = ScenarioConfig(n=n, nu=nu, dt=dt, T=2.0, convection=convection,
+                         initial="decaying_vortex", forcing=forcing)
+    disc = build_discretization(build_structured(2, n))
+    fields = scenarios.fields_for(cfg)
+    load = None if fields.forcing is None else assemble_load(disc.V, fields.forcing)
+    state = initialize(fields.initial, disc)
+    records = []
+    for ratio in ratios:
+        cfg = replace(cfg, dt=cfg.dt * ratio)
+        try:
+            new = step(state, load, cfg)
+        except SolverNonconvergence:
+            assume(False)
+        r = energy_ledger_entry(state, new, load, cfg.dt, new.tau_used, nu)
+        assert abs(r.imbalance) <= IMBALANCE_TOL * r.relative_scale(cfg.dt)
+        records.append(r)
+        state = new
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger = os.path.join(tmp, "ledger.csv")
+        write_energy_ledger(records, ledger)
+        assert read_energy_ledger(ledger) == records
+        check_energy_ledger(read_energy_ledger(ledger))
 
 
 def test_audit_accepts_a_ledger_whose_energy_is_all_subscale():

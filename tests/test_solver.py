@@ -521,3 +521,115 @@ def test_run_energy_records_are_consistent():
     # every stored state satisfies the continuity bound
     for s in result.states:
         assert s.continuity_residual <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the extrapolated start of a step
+# ---------------------------------------------------------------------------
+
+def test_extrapolation_reproduces_a_quadratic_in_t_at_uneven_steps():
+    rng = np.random.default_rng(3)
+    c0, c1, c2 = rng.standard_normal((3, 7))
+    times = np.array([0.31, 0.27, 0.2])             # latest first, uneven
+    values = np.array([c0 + c1 * t + c2 * t * t for t in times])
+    for t in (0.33, 0.35, 0.38):                    # no further than 0.11 ahead
+        got = solver._extrapolate(times, values, t)
+        assert np.allclose(got, c0 + c1 * t + c2 * t * t, rtol=0, atol=1e-13)
+    # two states give the line through them, one state itself
+    assert np.allclose(solver._extrapolate(times[:2], values[:2], 0.33),
+                       values[0] + (values[0] - values[1]) * 0.5, atol=1e-13)
+    assert np.array_equal(solver._extrapolate(times[:1], values[:1], 0.33), values[0])
+    # further ahead than the states reach back: the latest state
+    assert np.array_equal(solver._extrapolate(times, values, 0.43), values[0])
+
+
+def _mms_state(n=8):
+    cfg = ScenarioConfig(n=n, nu=0.01, dt=0.01, T=1.0,
+                         initial="manufactured_poly", forcing="manufactured_poly")
+    disc = build_discretization(build_structured(2, n))
+    fields = scenarios.fields_for(cfg)
+    return initialize(fields.initial, disc), assemble_load(disc.V, fields.forcing), cfg
+
+
+def test_history_holds_arrays_of_the_last_two_states_and_copies_drop_it():
+    state, load, cfg = _mms_state(4)
+    assert state.history is None
+    states = [state]
+    for _ in range(4):
+        states.append(step(states[-1], load, cfg))
+    for k, s in enumerate(states[1:], start=1):
+        h = s.history
+        assert all(isinstance(a, np.ndarray) for a in h)
+        earlier = states[max(k - solver.HISTORY_DEPTH, 0):k][::-1]
+        assert np.array_equal(h.times, [e.t for e in earlier])
+        assert np.array_equal(h.velocities, [e.u for e in earlier])
+        # every earlier state but the initial one has its solution
+        assert np.array_equal(h.solutions, [e.factor[1] for e in earlier
+                                            if e.factor is not None])
+        copied = s.copy()
+        assert copied.history is None and copied.factor is None
+        assert np.array_equal(copied.u, s.u) and copied.t == s.t
+
+
+def test_step_with_history_reaches_the_state_of_the_step_without():
+    state, load, cfg = _mms_state()
+    for _ in range(4):
+        state = step(state, load, cfg)
+    assert state.history is not None
+    news = []
+    for start in (state, replace(state, history=None)):
+        new = step(start, load, cfg)
+        rec = energy_ledger_entry(start, new, load, cfg.dt, new.tau_used, cfg.nu)
+        assert abs(rec.imbalance) <= 1e-10 * rec.relative_scale(cfg.dt)
+        news.append(new)
+    extrapolated, plain = news
+    assert extrapolated.picard_iters < plain.picard_iters
+    assert orc.rel(extrapolated.u, plain.u) <= cfg.picard_tol
+    assert orc.rel(extrapolated.p, plain.p) <= cfg.picard_tol
+    assert orc.rel(extrapolated.tilde.values, plain.tilde.values) <= cfg.picard_tol
+
+
+def test_extrapolated_start_saves_picard_iterations_and_sweeps():
+    """150 steps of the 2-D n = 8 manufactured flow: with the history,
+    63% of the Picard iterations and 53% of the sweeps of the same run
+    with the history stripped before every step.  The saving grows as
+    the flow settles: 77% of the iterations over the first 30 steps, 60%
+    over 300."""
+    state, load, cfg = _mms_state()
+    plain = state
+    counts = np.zeros((2, 2), dtype=int)
+    for _ in range(150):
+        state = step(state, load, cfg)
+        plain = step(replace(plain, history=None), load, cfg)
+        counts += [[state.picard_iters, state.sweeps],
+                   [plain.picard_iters, plain.sweeps]]
+    assert counts[0, 0] <= 0.7 * counts[1, 0]
+    assert counts[0, 1] <= 0.6 * counts[1, 1]
+    assert orc.rel(state.u, plain.u) <= cfg.picard_tol
+
+
+def test_first_carried_solve_starts_from_the_extrapolated_solution(monkeypatch):
+    state, load, cfg = _mms_state(4)
+    for _ in range(3):
+        state = step(state, load, cfg)
+    starts = []
+    correct = solver._correct
+
+    def record(A, b, solve, y):
+        starts.append(y)
+        return correct(A, b, solve, y)
+
+    monkeypatch.setattr(solver, "_correct", record)
+    step(state, load, cfg)
+    h = state.history
+    times = np.concatenate([[state.t], h.times]) - (state.t + cfg.dt)
+    ys = np.vstack([state.factor[1], h.solutions])
+    assert ys.shape[0] == 3
+    assert orc.rel(starts[0], np.polyfit(times, ys, 2)[-1]) <= 1e-12
+
+
+def test_run_reports_the_most_picard_iterations_of_a_step():
+    result = run(_tiny_scenario(T=0.1))
+    per_step = [s.picard_iters for s in result.states[1:]]
+    assert result.max_picard_iters == max(per_step)
+    assert result.picard_iters == sum(per_step)
