@@ -31,16 +31,17 @@ class UsageError(VmsnsError):
 class SolverNonconvergence(VmsnsError):
     """Picard loop exhausted its iteration budget.
 
-    Carries the last relative increment and the step index so the caller
-    can report where the run died.
+    Carries the last relative increment and the time ``t`` the failing
+    step was advancing to, so the caller can report where the run died;
+    the time names the step also when dt changes between steps.
     """
 
-    def __init__(self, step_index, iterations, last_increment):
-        self.step_index = step_index
+    def __init__(self, t, iterations, last_increment):
+        self.t = t
         self.iterations = iterations
         self.last_increment = last_increment
         super().__init__(
-            f"picard iteration did not converge at step {step_index}: "
+            f"picard iteration did not converge in the step to t = {t:g}: "
             f"{iterations} iterations, last relative increment {last_increment:.3e}"
         )
 

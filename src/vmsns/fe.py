@@ -3,10 +3,12 @@
 Everything is tabulated once per space: basis values and physical
 gradients at the quadrature points of every cell.  Assemblers contract
 these tables with quadrature weights (vectorized over cells) and scatter
-into scipy CSR matrices.  Vector spaces use interleaved component
-ordering -- global dof = scalar_dof * components + component -- so
-component-diagonal operators are Kronecker products of their scalar
-counterparts with a small identity.
+cell blocks into scipy CSR matrices (``_assemble``) or cell vectors into
+coefficient vectors (``_scatter_add``).  Vector spaces use interleaved
+component ordering -- global dof = scalar_dof * components + component.
+This numbering is formed in one place, ``FeSpace.vdofs``; every scatter and
+gather, here and in the solver's step pattern, goes through it or its
+per-cell table ``FeSpace.cell_vdofs``.
 
 Dirichlet (zero-trace) constraints are imposed by eliminating boundary
 nodes from the dof numbering.  Zero-mean pressure spaces keep all nodes;
@@ -19,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, InternalError
-from .mesh import extract_edges, signed_volumes
+from .mesh import _edge_pairs, extract_edges, signed_volumes
 from .quadrature import simplex_quadrature
 
 __all__ = [
@@ -115,6 +117,9 @@ class FeSpace:
         Global scalar dof of each node, -1 if eliminated.
     cell_nodes : ndarray (n_cells, n_loc)
         Scalar node indices per cell.
+    cell_vdofs : ndarray (n_cells, n_loc, components)
+        Global dof of every component of every cell-local node,
+        ``vdofs(cell_nodes)``.
     """
 
     def __init__(self, mesh, degree, components, constraint):
@@ -144,18 +149,12 @@ class FeSpace:
                 axis=0)
             self.cell_nodes = np.concatenate(
                 [mesh.cells, nv + cell_edges], axis=1)
-            edge_index = {tuple(e): i for i, e in enumerate(map(tuple, edges))}
-            bset = set(np.unique(mesh.boundary_facets).tolist())
-            bedges = set()
-            for f in mesh.boundary_facets:
-                f = sorted(int(q) for q in f)
-                if mesh.dim == 2:
-                    bedges.add((f[0], f[1]))
-                else:
-                    bedges.update(((f[0], f[1]), (f[0], f[2]), (f[1], f[2])))
-            boundary_nodes = np.asarray(
-                sorted(bset) + sorted(nv + edge_index[e] for e in bedges),
-                dtype=np.int64)
+            # an edge node is on the boundary when its edge is an edge of a
+            # boundary facet
+            facet_edges = _edge_pairs(mesh.boundary_facets).reshape(-1, 2)
+            on_boundary = np.isin(edges @ [nv, 1], facet_edges @ [nv, 1])
+            boundary_nodes = np.concatenate(
+                [np.unique(mesh.boundary_facets), nv + np.flatnonzero(on_boundary)])
 
         n_nodes = self.nodes.shape[0]
         keep = np.ones(n_nodes, dtype=bool)
@@ -166,14 +165,21 @@ class FeSpace:
         self.n_scalar = int(keep.sum())
         self.n_dofs = self.n_scalar * components
 
-        # scalar dof per cell-local node (-1 where eliminated)
-        self.cell_dofs = self.node_dof[self.cell_nodes]
+        self.cell_vdofs = self.vdofs(self.cell_nodes)
 
         self._tabs = {}
         self._mass = None
         self._stiffness = None
         self._mass_lu = None
         self._mean = None
+
+    def vdofs(self, nodes):
+        """Global dofs of the components of scalar nodes: shape
+        ``nodes.shape + (components,)``, dof ``node_dof * components + k``
+        for component k, and -1 where the node is eliminated."""
+        sdofs = self.node_dof[nodes][..., None]
+        return np.where(sdofs >= 0,
+                        sdofs * self.components + np.arange(self.components), -1)
 
     # -- tabulation --------------------------------------------------------
 
@@ -223,13 +229,11 @@ class FeSpace:
         if coeffs.shape != (self.n_dofs,):
             raise ConfigurationError(
                 f"coefficient vector has shape {coeffs.shape}, expected ({self.n_dofs},)")
-        full = np.zeros((self.nodes.shape[0], self.components))
-        full[self.node_dof >= 0] = coeffs.reshape(self.n_scalar, self.components)
-        return full
+        return _gather(coeffs, self.vdofs(np.arange(self.nodes.shape[0])))
 
     def _cellwise(self, coeffs):
         """Coefficients gathered per cell: (nc, n_loc, components)."""
-        return self.nodal_values(coeffs)[self.cell_nodes]
+        return _gather(coeffs, self.cell_vdofs)
 
     def eval_at_qp(self, coeffs, order=None):
         """Field values at quadrature points: (nc, nq, components)."""
@@ -305,54 +309,49 @@ def build_space(m, degree=1, components=1, constraint="none"):
 # assembly
 # ---------------------------------------------------------------------------
 
-def scatter_cell_blocks(space_rows, space_cols, local):
-    """Scatter per-cell scalar blocks (nc, nr_loc, nc_loc) into CSR.
+def _gather(coeffs, vdofs):
+    """Coefficients at a table of dofs, zero where a dof is -1."""
+    return np.append(np.asarray(coeffs, dtype=float), 0.0)[vdofs]
 
-    Row dofs come from ``space_rows``'s scalar numbering, columns from
-    ``space_cols``'s.  Eliminated dofs (-1) are dropped.
-    """
-    r = space_rows.cell_dofs[:, :, None]
-    c = space_cols.cell_dofs[:, None, :]
-    r, c = np.broadcast_arrays(r, c)
-    keep = (r >= 0) & (c >= 0)
-    mat = sp.coo_matrix(
-        (local[keep], (r[keep], c[keep])),
-        shape=(space_rows.n_scalar, space_cols.n_scalar),
-    )
-    return mat.tocsr()
+
+def _assemble(rows, cols, local, shape):
+    """CSR of cell-local entries ``local`` at global (rows, cols); the
+    three broadcast together, and entries on an eliminated dof (-1) are
+    dropped.  Duplicates are summed by scipy's COO -> CSR conversion."""
+    rows, cols, local = np.broadcast_arrays(rows, cols, local)
+    keep = (rows >= 0) & (cols >= 0)
+    return sp.coo_matrix((local[keep], (rows[keep], cols[keep])),
+                         shape=shape).tocsr()
 
 
 def _scatter_add(space, loc):
     """Sum cell-local vectors (nc, n_loc, components) into a coefficient
-    vector of ``space``, in interleaved order; eliminated dofs are dropped."""
-    out = np.zeros((space.n_scalar, space.components))
-    sdofs = space.cell_dofs
-    valid = sdofs >= 0
-    for k in range(space.components):
-        np.add.at(out[:, k], sdofs[valid], loc[:, :, k][valid])
-    return out.ravel()
+    vector of ``space``; eliminated dofs are dropped."""
+    keep = space.cell_vdofs >= 0
+    return np.bincount(space.cell_vdofs[keep], weights=loc[keep],
+                       minlength=space.n_dofs)
 
 
-def _expand_components(scalar_csr, components):
-    if components == 1:
-        return scalar_csr
-    return sp.kron(scalar_csr, sp.eye(components, format="csr"), format="csr")
+def _component_diagonal(V, local):
+    """Operator acting as the scalar cell blocks ``local`` (nc, nl, nl) on
+    every component alike."""
+    vd = V.cell_vdofs
+    return _symmetrized(_assemble(vd[:, :, None, :], vd[:, None, :, :],
+                                  local[..., None], (V.n_dofs, V.n_dofs)))
 
 
 def assemble_mass(V):
     """L² mass operator; SPD on the constrained space."""
     tab = V.tabulation()
-    local = np.einsum("cq,qi,qj->cij", tab["weights"], tab["phi"], tab["phi"])
-    return _symmetrized(
-        _expand_components(scatter_cell_blocks(V, V, local), V.components))
+    return _component_diagonal(
+        V, np.einsum("cq,qi,qj->cij", tab["weights"], tab["phi"], tab["phi"]))
 
 
 def assemble_stiffness(V):
     """Dirichlet form (∇·, ∇·); PSD, and PD under zero_trace."""
     tab = V.tabulation()
-    local = np.einsum("cq,cqid,cqjd->cij", tab["weights"], tab["grad"], tab["grad"])
-    return _symmetrized(
-        _expand_components(scatter_cell_blocks(V, V, local), V.components))
+    return _component_diagonal(
+        V, np.einsum("cq,cqid,cqjd->cij", tab["weights"], tab["grad"], tab["grad"]))
 
 
 def assemble_gradient_coupling(V, Q):
@@ -360,7 +359,8 @@ def assemble_gradient_coupling(V, Q):
 
     Rows are vector velocity dofs, columns scalar pressure dofs.  The same
     operator serves the incompressibility equation (transposed) and the
-    pressure-gradient term of the subscale equation.
+    pressure-gradient term of the subscale equation.  Entries that sum
+    to exactly zero are not stored.
     """
     if V.mesh is not Q.mesh:
         raise ConfigurationError("velocity and pressure spaces live on different meshes")
@@ -368,17 +368,12 @@ def assemble_gradient_coupling(V, Q):
         raise ConfigurationError("gradient coupling expects a vector velocity space")
     order = max(V.quad_order, Q.quad_order)
     tabv = V.tabulation(order)
-    tabq = Q.tabulation(order)
-    mat = None
-    for k in range(V.components):
-        local = np.einsum("cq,qi,cqj->cij",
-                          tabv["weights"], tabv["phi"], tabq["grad"][:, :, :, k])
-        d_k = scatter_cell_blocks(V, Q, local)
-        # kron with the k-th unit column interleaves: row = scalar*comp + k
-        e_k = sp.csr_matrix((np.ones(1), ([k], [0])), shape=(V.components, 1))
-        term = sp.kron(d_k, e_k, format="csr")
-        mat = term if mat is None else mat + term
-    return mat.tocsr()
+    local = np.einsum("cq,qi,cqjk->cijk",
+                      tabv["weights"], tabv["phi"], Q.tabulation(order)["grad"])
+    mat = _assemble(V.cell_vdofs[:, :, None, :], Q.cell_vdofs[:, None, :, :],
+                    local, (V.n_dofs, Q.n_dofs))
+    mat.eliminate_zeros()
+    return mat
 
 
 def advection_factor(V, a):

@@ -72,6 +72,14 @@ def _facet_count(cells):
     return np.unique(np.sort(facets, axis=1), axis=0, return_counts=True)
 
 
+def _edge_pairs(simplices):
+    """The edges of every simplex as vertex pairs sorted ascending, shape
+    (n_simplices, n_local_edges, 2).  Local edges are the vertex pairs
+    (i, j), i < j, in lexicographic order."""
+    i, j = np.triu_indices(simplices.shape[1], k=1)
+    return np.sort(np.stack([simplices[:, i], simplices[:, j]], axis=-1), axis=-1)
+
+
 def extract_edges(cells):
     """Global edge numbering from cell connectivity.
 
@@ -85,23 +93,14 @@ def extract_edges(cells):
         (0,1), (0,2), (1,2) on triangles and (0,1), (0,2), (0,3), (1,2),
         (1,3), (2,3) on tetrahedra.
     """
-    nloc = cells.shape[1]
-    pairs = [(i, j) for i in range(nloc) for j in range(i + 1, nloc)]
-    index = {}
-    edges = []
-    cell_edges = np.empty((cells.shape[0], len(pairs)), dtype=np.int64)
-    for c, cell in enumerate(cells):
-        for e, (i, j) in enumerate(pairs):
-            key = (int(cell[i]), int(cell[j]))
-            if key[0] > key[1]:
-                key = (key[1], key[0])
-            g = index.get(key)
-            if g is None:
-                g = len(edges)
-                index[key] = g
-                edges.append(key)
-            cell_edges[c, e] = g
-    return np.asarray(edges, dtype=np.int64), cell_edges
+    pairs = _edge_pairs(cells).reshape(-1, 2)
+    _, first, inverse = np.unique(pairs @ [int(cells.max()) + 1, 1],
+                                  return_index=True, return_inverse=True)
+    # number the unique edges in the order they are first seen
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return pairs[first[order]], number[inverse].reshape(cells.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -229,17 +229,18 @@ def _build_pattern(V, Q, G):
 
     # cell-local terms: velocity/velocity blocks per component (C + βNᵀWN,
     # C in the ζ rows, -βCᵀ in the ζ columns), then velocity/pressure
-    # blocks (βNᵀW𝒢 and its negated transpose)
+    # blocks (βNᵀW𝒢 and its negated transpose); entries on eliminated dofs
+    # are masked before the block offsets are added, which would turn -1
+    # into a valid index
     d = V.components
-    sv, sq = V.cell_dofs, Q.cell_dofs
-    v_ok = sv >= 0
-    vdof = sv[:, :, None] * d + np.arange(d)                 # (nc, nl, d)
+    vd, qd = V.cell_vdofs, Q.cell_vdofs                      # (nc, nl, d|1)
+    v_ok = vd[:, :, :1] >= 0                                 # per node
     vi, vj, vv_ok = np.broadcast_arrays(
-        vdof[:, :, None, :], vdof[:, None, :, :],
-        v_ok[:, :, None, None] & v_ok[:, None, :, None])
+        vd[:, :, None, :], vd[:, None, :, :],
+        v_ok[:, :, None, :] & v_ok[:, None, :, :])
     vq, qj, vq_ok = np.broadcast_arrays(
-        vdof[:, :, None, :], p0 + sq[:, None, :, None],
-        v_ok[:, :, None, None] & (sq >= 0)[:, None, :, None])
+        vd[:, :, None, :], p0 + qd[:, None, :, :],
+        v_ok[:, :, None, :] & (qd >= 0)[:, None, :, :])
     cell = [(vi, vj, vv_ok), (z0 + vi, vj, vv_ok), (vj, z0 + vi, vv_ok),
             (vq, qj, vq_ok), (qj, vq, vq_ok)]
 
@@ -626,9 +627,8 @@ def step(state, load, cfg):
             break
         a = u_new
     else:
-        raise SolverNonconvergence(
-            step_index=int(round(state.t / dt)) + 1, iterations=iterations,
-            last_increment=increment)
+        raise SolverNonconvergence(t=state.t + dt, iterations=iterations,
+                                   last_increment=increment)
 
     # subscale update driven by the SAME frozen-advection residual the
     # monolithic solve eliminated -- this is what keeps the step energy
@@ -672,7 +672,8 @@ class RunResult:
 def run(cfg):
     """Execute a ScenarioConfig: initialize, then ceil(T/dt) steps.
 
-    Returns a RunResult; solver failures propagate with their step index.
+    Returns a RunResult; solver failures propagate with the time of the
+    step that failed.
     """
     mesh = build_structured(cfg.dim, cfg.n, cfg.box)
     disc = build_discretization(mesh)

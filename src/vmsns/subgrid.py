@@ -62,12 +62,6 @@ class SubscaleField:
         return self
 
 
-def zero_subscale(V):
-    tab = V.tabulation()
-    shape = (V.mesh.n_cells, tab["weights"].shape[1], V.components)
-    return SubscaleField(values=np.zeros(shape), space=V)
-
-
 def compute_tau(cfg, h, u_linf):
     """Global subscale relaxation time, held at least at ``cfg.tau_floor``.
 

@@ -17,9 +17,12 @@ the lab goes through its cached divergence-free eigenbasis.  The data-bound
 oracle solves with the dense stiffness where the package factors the
 sparse one.  ``step_convection`` is no oracle: it reads the step's own
 C(a) off the system matrix, for the tests that hold it to the oracles.
-The structured mesh is rebuilt by a Python loop per grid cell, and the
-augmented system's nested-dissection order is compared with the reverse
-Cuthill-McKee band order.
+The structured mesh is rebuilt by a Python loop per grid cell, the edge
+numbering, the degree-2 boundary nodes and the degree-1 -> degree-2
+embedding by dictionary, set and entry loops, and the augmented system's
+nested-dissection order is compared with the reverse Cuthill-McKee band
+order.  A few helpers only the tests need (the zero subscale field, the
+composite mass and form) live here too.
 """
 
 import math
@@ -136,7 +139,7 @@ def dense_scalar_mass(V):
     n = V.n_dofs
     M = np.zeros((n, n))
     for c, _, _, _, _, mass, _ in _scalar_cells(V.mesh):
-        dofs = V.cell_dofs[c]
+        dofs = V.node_dof[V.cell_nodes[c]]
         for i, gi in enumerate(dofs):
             if gi < 0:
                 continue
@@ -151,7 +154,7 @@ def dense_scalar_stiffness(V):
     n = V.n_dofs
     K = np.zeros((n, n))
     for c, _, _, _, _, _, stiff in _scalar_cells(V.mesh):
-        dofs = V.cell_dofs[c]
+        dofs = V.node_dof[V.cell_nodes[c]]
         for i, gi in enumerate(dofs):
             if gi < 0:
                 continue
@@ -168,7 +171,7 @@ def dense_vector_mass(V):
     n = V.n_dofs
     M = np.zeros((n, n))
     for c, _, _, _, _, mass, _ in _scalar_cells(V.mesh):
-        dofs = V.cell_dofs[c]
+        dofs = V.node_dof[V.cell_nodes[c]]
         for i, gi in enumerate(dofs):
             if gi < 0:
                 continue
@@ -186,7 +189,7 @@ def dense_vector_stiffness(V):
     n = V.n_dofs
     K = np.zeros((n, n))
     for c, _, _, _, _, _, stiff in _scalar_cells(V.mesh):
-        dofs = V.cell_dofs[c]
+        dofs = V.node_dof[V.cell_nodes[c]]
         for i, gi in enumerate(dofs):
             if gi < 0:
                 continue
@@ -209,8 +212,8 @@ def dense_gradient(V, Q, rule_n=8):
         _, A, det = cell_geometry(mesh, c)
         gphys = np.linalg.solve(A.T, grads_ref.T).T
         volfac = abs(det)
-        vdofs = V.cell_dofs[c]
-        qdofs = Q.cell_dofs[c]
+        vdofs = V.node_dof[V.cell_nodes[c]]
+        qdofs = Q.node_dof[Q.cell_nodes[c]]
         for i, gi in enumerate(vdofs):
             if gi < 0:
                 continue
@@ -234,7 +237,7 @@ def eval_p1(V, coeffs, cell, pts_phys):
     _, A, _ = cell_geometry(V.mesh, cell)
     gphys = np.linalg.solve(A.T, grads_ref.T).T
     coeffs = np.asarray(coeffs, dtype=float).reshape(V.n_scalar, comp)
-    dofs = V.cell_dofs[cell]
+    dofs = V.node_dof[V.cell_nodes[cell]]
     out = np.zeros((ref.shape[0], comp))
     gout = np.zeros((ref.shape[0], comp, V.mesh.dim))
     for i, gi in enumerate(dofs):
@@ -260,7 +263,7 @@ def dense_convection(V, a, rule_n=8):
         pts = x0 + ref @ A.T
         a_vals, a_grads = eval_p1(V, a, c, pts)
         div_a = np.einsum("qdd->q", a_grads)
-        dofs = V.cell_dofs[c]
+        dofs = V.node_dof[V.cell_nodes[c]]
         for j, gj in enumerate(dofs):
             if gj < 0:
                 continue
@@ -302,7 +305,7 @@ def dense_load(V, f, rule_n=8):
         pts = x0 + ref @ A.T
         fv = np.array([np.asarray(f(p), dtype=float) for p in pts])
         volfac = abs(det)
-        dofs = V.cell_dofs[c]
+        dofs = V.node_dof[V.cell_nodes[c]]
         for i, gi in enumerate(dofs):
             if gi < 0:
                 continue
@@ -323,12 +326,21 @@ def grad_pair_oracle(Q, f, rule_n=8):
         pts = x0 + ref @ A.T
         fv = np.array([np.asarray(f(p), dtype=float) for p in pts])
         volfac = abs(det)
-        dofs = Q.cell_dofs[c]
+        dofs = Q.node_dof[Q.cell_nodes[c]]
         for j, gj in enumerate(dofs):
             if gj < 0:
                 continue
             out[gj] += np.sum(wts * (fv @ gphys[j])) * volfac
     return out
+
+
+def zero_subscale(V):
+    """The identically zero subscale field of V."""
+    from vmsns.subgrid import SubscaleField
+
+    tab = V.tabulation()
+    shape = (V.mesh.n_cells, tab["weights"].shape[1], V.components)
+    return SubscaleField(values=np.zeros(shape), space=V)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +361,7 @@ def residual_at_points(V, Q, u, p, cell, pts_phys, advection=None):
     _, A, _ = cell_geometry(Q.mesh, cell)
     gphys = np.linalg.solve(A.T, grads_ref.T).T
     pc = np.asarray(p, dtype=float)
-    dofs = Q.cell_dofs[cell]
+    dofs = Q.node_dof[Q.cell_nodes[cell]]
     gp = np.zeros((ref.shape[0], Q.mesh.dim))
     for j, gj in enumerate(dofs):
         if gj >= 0:
@@ -379,14 +391,14 @@ def dense_subscale_pairings(V, Q, u, tilde_vals, rule_n=None):
         a_vals, a_grads = eval_p1(V, u, c, pts)
         div_a = np.einsum("qdd->q", a_grads)
         tv = tilde_vals[c]
-        vdofs = V.cell_dofs[c]
+        vdofs = V.node_dof[V.cell_nodes[c]]
         for i, gi in enumerate(vdofs):
             if gi < 0:
                 continue
             ni = a_vals @ gphys[i] + 0.5 * div_a * vals[:, i]
             for k in range(comp):
                 momentum[gi * comp + k] += np.sum(w * ni * tv[:, k])
-        qdofs = Q.cell_dofs[c]
+        qdofs = Q.node_dof[Q.cell_nodes[c]]
         for j, gj in enumerate(qdofs):
             if gj < 0:
                 continue
@@ -489,12 +501,12 @@ def _qp_pairings(V, Q, qp_field):
         gphys = np.linalg.solve(A.T, grads_ref.T).T
         w = wts_all[c]
         fv = qp_field[c]
-        for i, gi in enumerate(V.cell_dofs[c]):
+        for i, gi in enumerate(V.node_dof[V.cell_nodes[c]]):
             if gi < 0:
                 continue
             for k in range(comp):
                 load[gi * comp + k] += np.sum(w * vals[:, i] * fv[:, k])
-        for j, gj in enumerate(Q.cell_dofs[c]):
+        for j, gj in enumerate(Q.node_dof[Q.cell_nodes[c]]):
             if gj >= 0:
                 gpair[gj] += np.sum(w * (fv @ gphys[j]))
     return load, gpair
@@ -540,7 +552,7 @@ def dense_initialize(V, Q, u0_qp):
         _, Amap, _ = cell_geometry(Q.mesh, c)
         gphys = np.linalg.solve(Amap.T, grads_ref.T).T
         gxi = np.zeros((nq, V.mesh.dim))
-        for j, gj in enumerate(Q.cell_dofs[c]):
+        for j, gj in enumerate(Q.node_dof[Q.cell_nodes[c]]):
             if gj >= 0:
                 gxi += gphys[j][None, :] * xi[gj]
         raw[c] = u0_qp[c] - gxi
@@ -627,28 +639,43 @@ def explicit_infsup_constant(space, s):
 # generalized-pencil routes
 # ---------------------------------------------------------------------------
 
+def apply_mass(space, X):
+    """The composite mass M★ = blockdiag(M1, I) applied to star vectors."""
+    out = np.array(X, dtype=float, copy=True)
+    out[:space.n1] = space.M1 @ X[:space.n1]
+    return out
+
+
+def apply_form(space, X):
+    """The composite form blockdiag(K1, h⁻² I) applied to star vectors."""
+    out = np.empty_like(np.asarray(X, dtype=float))
+    out[:space.n1] = space.K1 @ X[:space.n1]
+    out[space.n1:] = np.asarray(X[space.n1:]) / space.h ** 2
+    return out
+
+
 def dense_saddle_project(space, top_apply, v):
     """Constrained projection of ``v`` orthogonal in the top block
-    ``top_apply`` (``space.apply_mass``: Leray; ``space.apply_form``:
-    Ritz), from one dense symmetric saddle solve
+    ``top_apply`` (:func:`apply_mass`: Leray; :func:`apply_form`: Ritz),
+    from one dense symmetric saddle solve
 
         [A    C     0  ] [u]   [A v]
         [Cᵀ   0     m_p] [r] = [ 0 ],   C = [G1; T_pp],
         [0    m_pᵀ  0  ] [μ]   [ 0 ]
 
-    with A assembled as ``top_apply(I)``.  Returns (u, r)."""
+    with A assembled as ``top_apply(space, I)``.  Returns (u, r)."""
     n_t = space.n_star
     npres = space.Q.n_dofs
     C = np.vstack([space.G1, space.T_pp])
     n = n_t + npres + 1
     A = np.zeros((n, n))
-    A[:n_t, :n_t] = top_apply(np.eye(n_t))
+    A[:n_t, :n_t] = top_apply(space, np.eye(n_t))
     A[:n_t, n_t:n_t + npres] = C
     A[n_t:n_t + npres, :n_t] = C.T
     A[n_t:n_t + npres, -1] = space.m_p
     A[-1, n_t:n_t + npres] = space.m_p
     rhs = np.zeros(n)
-    rhs[:n_t] = top_apply(np.asarray(v, dtype=float))
+    rhs[:n_t] = top_apply(space, np.asarray(v, dtype=float))
     sol = sla.solve(A, rhs, assume_a="sym")
     return sol[:n_t], sol[n_t:n_t + npres]
 
@@ -662,8 +689,8 @@ def dense_wv_equivalence(space, s):
     h^(-2s) I; the intrinsic Gram is U Λˢ Uᵀ from NᵀAN = U Λ Uᵀ."""
     n1 = space.n1
     N = sla.null_space(np.hstack([space.G1.T, space.T_pp.T]))
-    N = N @ np.linalg.inv(np.linalg.cholesky(N.T @ space.apply_mass(N)).T)
-    lamV, U = np.linalg.eigh(N.T @ space.apply_form(N))
+    N = N @ np.linalg.inv(np.linalg.cholesky(N.T @ apply_mass(space, N)).T)
+    lamV, U = np.linalg.eigh(N.T @ apply_form(space, N))
     lam1, Z = sla.eigh(space.K1, space.M1)
     MZ = space.M1 @ Z
     amb = N[:n1].T @ ((MZ * lam1 ** s) @ MZ.T) @ N[:n1]
@@ -687,10 +714,20 @@ def _component_blockdiag(scalar_dense, components):
     return out
 
 
+def _dense_scatter(rows, cols, local, shape):
+    """Dense sum of the cell blocks ``local[c]`` at the scalar dofs
+    ``rows[c]`` and ``cols[c]``, one cell at a time; -1 dofs dropped."""
+    out = np.zeros(shape)
+    for r, c, block in zip(rows, cols, local):
+        keep_r, keep_c = r >= 0, c >= 0
+        out[np.ix_(r[keep_r], c[keep_c])] += block[np.ix_(keep_r, keep_c)]
+    return out
+
+
 def dense_advection_operators(disc, a):
     """Dense C(a), NᵀWN and NᵀW𝒢 for a frozen advection velocity, scattered
-    block by block through the package's sparse scatter."""
-    from vmsns.fe import advection_factor, scatter_cell_blocks
+    cell by cell into scalar blocks and interleaved per component."""
+    from vmsns.fe import advection_factor
 
     V, Q = disc.V, disc.Q
     order = V.quad_order
@@ -698,16 +735,17 @@ def dense_advection_operators(disc, a):
     tabq = Q.tabulation(order)
     w = tab["weights"]
     n_fac = advection_factor(V, a)
+    sv, sq = V.node_dof[V.cell_nodes], Q.node_dof[Q.cell_nodes]
+    vv = (V.n_scalar, V.n_scalar)
     conv_loc = np.einsum("cq,qi,cqj->cij", w, tab["phi"], n_fac)
     nn_loc = np.einsum("cq,cqi,cqj->cij", w, n_fac, n_fac)
-    C = _component_blockdiag(
-        scatter_cell_blocks(V, V, conv_loc).toarray(), V.components)
-    NN = _component_blockdiag(
-        scatter_cell_blocks(V, V, nn_loc).toarray(), V.components)
+    C = _component_blockdiag(_dense_scatter(sv, sv, conv_loc, vv), V.components)
+    NN = _component_blockdiag(_dense_scatter(sv, sv, nn_loc, vv), V.components)
     NG = np.zeros((V.n_dofs, Q.n_scalar))
     for k in range(V.components):
         dk_loc = np.einsum("cq,cqi,cqj->cij", w, n_fac, tabq["grad"][:, :, :, k])
-        NG[k::V.components, :] = scatter_cell_blocks(V, Q, dk_loc).toarray()
+        NG[k::V.components, :] = _dense_scatter(sv, sq, dk_loc,
+                                                (V.n_scalar, Q.n_scalar))
     return C, NN, NG
 
 
@@ -809,7 +847,7 @@ def dense_schur_step(state, load, cfg):
 
 
 # ---------------------------------------------------------------------------
-# structured mesh and ordering
+# structured mesh, edge and dof numbering, and ordering
 # ---------------------------------------------------------------------------
 
 def loop_structured_mesh(dim, n, box):
@@ -851,6 +889,69 @@ def loop_structured_mesh(dim, n, box):
     flip = signed_volumes(vertices, cells) < 0
     cells[np.ix_(flip, [2, 3])] = cells[np.ix_(flip, [3, 2])]
     return vertices, cells
+
+
+def loop_extract_edges(cells):
+    """Edges in first-seen order and each cell's edges, local pairs (i, j),
+    i < j, lexicographic: ``mesh.extract_edges`` by a dictionary loop."""
+    nloc = cells.shape[1]
+    pairs = [(i, j) for i in range(nloc) for j in range(i + 1, nloc)]
+    index = {}
+    edges = []
+    cell_edges = np.empty((cells.shape[0], len(pairs)), dtype=np.int64)
+    for c, cell in enumerate(cells):
+        for e, (i, j) in enumerate(pairs):
+            key = tuple(sorted((int(cell[i]), int(cell[j]))))
+            if key not in index:
+                index[key] = len(edges)
+                edges.append(key)
+            cell_edges[c, e] = index[key]
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2), cell_edges
+
+
+def loop_p2_node_dof(mesh):
+    """Scalar dof of every node of the zero-trace degree-2 space (vertices,
+    then one node per edge of :func:`loop_extract_edges`), -1 on the
+    boundary: the boundary vertices and the edges of boundary facets,
+    collected as sets."""
+    edges, _ = loop_extract_edges(mesh.cells)
+    nv = mesh.n_vertices
+    edge_index = {tuple(e): i for i, e in enumerate(edges.tolist())}
+    boundary = set(np.unique(mesh.boundary_facets).tolist())
+    for facet in mesh.boundary_facets:
+        f = sorted(int(q) for q in facet)
+        for a in range(len(f)):
+            for b in range(a + 1, len(f)):
+                boundary.add(nv + edge_index[(f[a], f[b])])
+    node_dof = -np.ones(nv + len(edges), dtype=np.int64)
+    kept = [q for q in range(node_dof.size) if q not in boundary]
+    node_dof[kept] = np.arange(len(kept))
+    return node_dof
+
+
+def loop_embedding(mesh, V1, V2):
+    """Nodal interpolation of the degree-1 space into the degree-2 space,
+    entry by entry: 1 from a vertex to itself, ½ from an edge node to each
+    endpoint, per component, with the dofs written out as
+    scalar dof * components + k."""
+    edges, _ = loop_extract_edges(mesh.cells)
+    comp = V1.components
+    J = np.zeros((V2.n_dofs, V1.n_dofs))
+    for v in range(mesh.n_vertices):
+        s2, s1 = V2.node_dof[v], V1.node_dof[v]
+        if s2 >= 0 and s1 >= 0:
+            for k in range(comp):
+                J[s2 * comp + k, s1 * comp + k] = 1.0
+    for e, ends in enumerate(edges):
+        s2 = V2.node_dof[mesh.n_vertices + e]
+        if s2 < 0:
+            continue
+        for vtx in ends:
+            s1 = V1.node_dof[vtx]
+            if s1 >= 0:
+                for k in range(comp):
+                    J[s2 * comp + k, s1 * comp + k] = 0.5
+    return J
 
 
 def rcm_order(A):

@@ -21,7 +21,6 @@ from vmsns.fe import assemble_load, quad_norm
 from vmsns.mesh import build_structured
 from vmsns.solver import (RunResult, StarState, build_discretization,
                           continuity_residual, initialize, run, step)
-from vmsns.subgrid import zero_subscale
 from vmsns import scenarios
 
 import oracles as orc
@@ -33,7 +32,7 @@ def _disc(n=4):
 
 def _zero_state(disc, t=0.0):
     return StarState(u=np.zeros(disc.n_u), p=np.zeros(disc.n_p),
-                     tilde=zero_subscale(disc.V), t=t, disc=disc)
+                     tilde=orc.zero_subscale(disc.V), t=t, disc=disc)
 
 
 # ---------------------------------------------------------------------------

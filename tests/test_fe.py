@@ -3,7 +3,9 @@
 Matrix assembly is cross-checked against the dense, loop-based
 re-implementations in oracles.py, which use an independently constructed
 quadrature rule (collapsed Gauss-Legendre rather than Gauss-Jacobi) and
-plain Python scatter loops.
+plain Python scatter loops.  The vectorised edge numbering, degree-2
+boundary rule and degree-1 -> degree-2 embedding must equal their loop
+oracles exactly: the lab's seeded Leray rows depend on them bit for bit.
 """
 
 import numpy as np
@@ -23,7 +25,7 @@ from vmsns.fe import (
     linf_norm,
     quad_norm,
 )
-from vmsns.mesh import build_structured
+from vmsns.mesh import build_structured, extract_edges
 from vmsns.solver import build_discretization
 
 import oracles as orc
@@ -49,8 +51,6 @@ def test_dof_counts_by_constraint():
 
 
 def test_p2_dof_count():
-    from vmsns.mesh import extract_edges
-
     m = _mesh(2)
     W = build_space(m, degree=2)
     edges, _ = extract_edges(m.cells)
@@ -72,6 +72,66 @@ def test_volume_and_mean_vector():
     assert abs(V.volume - 1.0) < 1e-13
     ones = np.ones(V.n_dofs)
     assert abs(V.mean_vector @ ones - 1.0) < 1e-13
+
+
+def test_vdofs_interleave_components_and_mark_eliminated_nodes():
+    V = build_space(_mesh(3), components=2, constraint="zero_trace")
+    nodes = np.arange(V.nodes.shape[0])
+    sdof = V.node_dof[:, None]
+    want = np.where(sdof >= 0, 2 * sdof + np.array([0, 1]), -1)
+    np.testing.assert_array_equal(V.vdofs(nodes), want)
+    np.testing.assert_array_equal(V.cell_vdofs, want[V.cell_nodes])
+
+
+def test_space_without_dofs_gathers_and_scatters_zeros():
+    V = build_space(_mesh(1), components=2, constraint="zero_trace")
+    assert V.n_dofs == 0
+    assert np.all(V.nodal_values(np.zeros(0)) == 0.0)
+    assert V.eval_at_qp(np.zeros(0)).shape[1:] == (V.tabulation()["weights"].shape[1], 2)
+    assert V.mean_vector.shape == (0,)
+
+
+#: unit boxes and one non-unit box per dimension
+NUMBERING_MESHES = [(2, n, box) for n in (1, 2, 3, 8)
+                    for box in (None, ((0.0, 2.0), (-1.0, 0.5)))] + [
+                   (3, n, box) for n in (1, 2, 3)
+                   for box in (None, ((0.0, 2.0), (-1.0, 0.5), (0.25, 1.0)))]
+
+
+def _numbering_id(case):
+    dim, n, box = case
+    return f"{dim}d-n{n}-{'unit' if box is None else 'box'}"
+
+
+@pytest.fixture(params=NUMBERING_MESHES, ids=_numbering_id)
+def numbering_mesh(request):
+    dim, n, box = request.param
+    return build_structured(dim, n, box)
+
+
+def test_edges_match_the_loop_oracle(numbering_mesh):
+    edges, cell_edges = extract_edges(numbering_mesh.cells)
+    want_edges, want_cell_edges = orc.loop_extract_edges(numbering_mesh.cells)
+    np.testing.assert_array_equal(edges, want_edges)
+    np.testing.assert_array_equal(cell_edges, want_cell_edges)
+    assert edges.dtype == cell_edges.dtype == np.int64
+
+
+def test_p2_boundary_nodes_match_the_loop_oracle(numbering_mesh):
+    m = numbering_mesh
+    W = build_space(m, degree=2, components=m.dim, constraint="zero_trace")
+    np.testing.assert_array_equal(W.node_dof, orc.loop_p2_node_dof(m))
+
+
+@pytest.mark.parametrize("constraint", ["none", "zero_trace"])
+def test_embedding_matches_the_loop_oracle(numbering_mesh, constraint):
+    from vmsns.spectral_lab import _embedding
+
+    m = numbering_mesh
+    V1 = build_space(m, components=m.dim, constraint="zero_trace")
+    V2 = build_space(m, degree=2, components=m.dim, constraint=constraint)
+    np.testing.assert_array_equal(_embedding(m, V1, V2),
+                                  orc.loop_embedding(m, V1, V2))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +214,17 @@ def test_gradient_annihilates_constants():
     Q = build_space(m)
     G = assemble_gradient_coupling(V, Q)
     assert np.max(np.abs(G @ np.ones(Q.n_dofs))) < 1e-14
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+def test_gradient_stores_no_exact_zeros(dim, n):
+    """Cell contributions cancel to exactly zero at a few entries here;
+    stored, they would enter the step's pattern as ζ-p couplings."""
+    m = build_structured(dim, n)
+    V = build_space(m, components=dim, constraint="zero_trace")
+    Q = build_space(m, constraint="zero_mean")
+    G = assemble_gradient_coupling(V, Q)
+    assert np.count_nonzero(G.data) == G.nnz
 
 
 def test_integration_by_parts():

@@ -429,6 +429,23 @@ def test_step_nonconvergence_reports_position():
         step(state, None, cfg)
     assert info.value.iterations == 1
     assert np.isfinite(info.value.last_increment)
+    assert info.value.t == pytest.approx(0.1)
+    assert "in the step to t = 0.1:" in str(info.value)
+
+
+def test_step_nonconvergence_names_the_step_by_its_time_when_dt_changes():
+    """Three steps at dt = 0.01, then a failing one at dt = 0.1: the error
+    names the step to t = 0.13, which no step count derived from t / dt
+    gets right."""
+    disc = _disc(3)
+    state = initialize(scenarios._vortex_velocity, disc)
+    cfg = ScenarioConfig(nu=0.01, dt=0.01, T=1.0)
+    for _ in range(3):
+        state = step(state, None, cfg)
+    with pytest.raises(SolverNonconvergence) as info:
+        step(state, None, replace(cfg, dt=0.1, picard_tol=1e-15, picard_max=1))
+    assert info.value.t == pytest.approx(0.13)
+    assert "in the step to t = 0.13:" in str(info.value)
 
 
 def _tiny_scenario(**overrides):

@@ -18,7 +18,6 @@ from vmsns.subgrid import (
     project_orthogonal,
     residual_field,
     transport_pairing,
-    zero_subscale,
 )
 
 import oracles as orc
@@ -152,7 +151,7 @@ def test_projection_idempotent_and_orthogonal():
 
 def test_orthogonality_defect_extremes():
     V, _ = _spaces(3)
-    assert orthogonality_defect(zero_subscale(V)) == 0.0
+    assert orthogonality_defect(orc.zero_subscale(V)) == 0.0
     tilde = SubscaleField(values=_orthogonal_noise(V, seed=3), space=V)
     assert orthogonality_defect(tilde) < 1e-10
     rng = np.random.default_rng(6)
@@ -163,7 +162,7 @@ def test_orthogonality_defect_extremes():
 
 def test_check_finite_rejects_nan():
     V, _ = _spaces(2)
-    tilde = zero_subscale(V)
+    tilde = orc.zero_subscale(V)
     tilde.values[0, 0, 0] = np.nan
     with pytest.raises(InvariantViolation):
         tilde.check_finite()
@@ -189,7 +188,7 @@ def test_advance_from_rest_closed_form():
     res = _self_residual(V, Q, rng.standard_normal(V.n_dofs),
                          rng.standard_normal(Q.n_dofs))
     dt, tau = 0.02, 0.1
-    new = advance_subscale(zero_subscale(V), res, tau, dt)
+    new = advance_subscale(orc.zero_subscale(V), res, tau, dt)
     want = -project_orthogonal(res, V) / (1.0 / dt + 1.0 / tau)
     assert orc.rel(new.values, want) < 1e-11
 
@@ -206,7 +205,7 @@ def test_advance_result_stays_orthogonal():
 
 def test_advance_argument_validation():
     V, _ = _spaces(2)
-    z = zero_subscale(V)
+    z = orc.zero_subscale(V)
     with pytest.raises(ConfigurationError):
         advance_subscale(z, z.values, 0.0, 0.01)
     with pytest.raises(ConfigurationError):
@@ -221,7 +220,7 @@ def test_cross_terms_vanish_for_zero_subscale():
     V, Q = _spaces(3)
     rng = np.random.default_rng(12)
     n_fac = advection_factor(V, rng.standard_normal(V.n_dofs))
-    zero = zero_subscale(V).values
+    zero = orc.zero_subscale(V).values
     mom, cont = transport_pairing(V, n_fac, zero), continuity_pairing(Q, zero)
     assert np.max(np.abs(mom)) == 0.0
     assert np.max(np.abs(cont)) == 0.0
