@@ -16,7 +16,7 @@ from .errors import (ConfigurationError, InternalError, InvariantViolation,
 from .mesh import Mesh, build_structured, mesh_quality
 from .solver import RunResult, StarState, build_discretization, initialize, \
     run, step
-from .subgrid import SubscaleField, compute_tau
+from .subgrid import compute_tau
 
 __all__ = [
     "ScenarioConfig",
@@ -31,7 +31,6 @@ __all__ = [
     "Mesh",
     "build_structured",
     "mesh_quality",
-    "SubscaleField",
     "compute_tau",
     "StarState",
     "RunResult",

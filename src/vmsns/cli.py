@@ -191,21 +191,20 @@ def _cmd_check(args):
 
 
 def _cmd_init(args):
-    from . import scenarios
-    from .mesh import build_structured
-    from .solver import build_discretization, initialize
+    from . import solver
+    from .diagnostics import kinetic_energy
+    from .fe import quad_norm
 
     cfg = _load_config(args)
     out_root = io_mod.ensure_dir(cfg.out_dir)
-    mesh = build_structured(cfg.dim, cfg.n, cfg.box)
-    disc = build_discretization(mesh)
-    fields = scenarios.fields_for(cfg)
-    state = initialize(fields.initial, disc)
+    result = solver.run(replace(cfg, T=0))
+    state = result.states[0]
     path = os.path.join(out_root, "init_state.vtk")
     io_mod.write_fields_vtk(state, path)
-    ke = 0.5 * float(state.u @ (disc.V.mass @ state.u))
+    V = result.disc.V
+    ke, _ = kinetic_energy(V, state.u, state.tilde)
     print(f"projected initial state: kinetic energy {ke!r}, "
-          f"subscale magnitude {state.tilde.norm_l2()!r}, "
+          f"subscale magnitude {quad_norm(V, state.tilde)!r}, "
           f"continuity residual {state.continuity_residual:.3e}")
     print(f"state: {path}")
     return 0

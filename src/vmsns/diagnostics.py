@@ -34,6 +34,7 @@ from .fe import as_qp_field, assemble_load, quad_norm
 __all__ = [
     "EnergyRecord",
     "BumpTest",
+    "kinetic_energy",
     "energy_ledger_entry",
     "local_energy_residual",
     "error_norms",
@@ -71,26 +72,25 @@ class EnergyRecord:
                    abs(dt * self.power_in), MACHINE_FLOOR)
 
 
+def kinetic_energy(V, u, tilde):
+    """(½‖u‖²_M, ½‖ũ‖²): the kinetic energies of the resolved coefficients
+    ``u`` of V and of the subscale field ``tilde`` at its quadrature
+    points."""
+    return 0.5 * float(u @ (V.mass @ u)), 0.5 * quad_norm(V, tilde) ** 2
+
+
 def energy_ledger_entry(prev, new, load, dt, tau, nu):
     """Evaluate the step energy identity between two consecutive states.
 
     ``load`` is the load vector (f, phi_i) the step used, or None when
     there is no forcing; ``tau`` is the relaxation time the step used.
     """
-    disc = new.disc
-    V = disc.V
-    M, K = V.mass, V.stiffness
-
-    def ke(u):
-        return 0.5 * float(u @ (M @ u))
-
-    ke_new, ke_old = ke(new.u), ke(prev.u)
-    ks_new = 0.5 * quad_norm(V, new.tilde.values) ** 2
-    ks_old = 0.5 * quad_norm(V, prev.tilde.values) ** 2
-    jump = (0.5 * float((new.u - prev.u) @ (M @ (new.u - prev.u)))
-            + 0.5 * quad_norm(V, new.tilde.values - prev.tilde.values) ** 2)
-    visc = nu * float(new.u @ (K @ new.u))
-    sub = quad_norm(V, new.tilde.values) ** 2 / tau
+    V = new.disc.V
+    ke_new, ks_new = kinetic_energy(V, new.u, new.tilde)
+    ke_old, ks_old = kinetic_energy(V, prev.u, prev.tilde)
+    jump = sum(kinetic_energy(V, new.u - prev.u, new.tilde - prev.tilde))
+    visc = nu * float(new.u @ (V.stiffness @ new.u))
+    sub = 2.0 * ks_new / tau
     power = 0.0 if load is None else float(load @ new.u)
 
     imbalance = ((ke_new - ke_old) + (ks_new - ks_old) + jump
@@ -309,9 +309,7 @@ def energy_totals(result):
     final composite kinetic energy + all dissipation + all jumps."""
     if not result.records:
         first = result.states[0]
-        V = result.disc.V
-        return (0.5 * float(first.u @ (V.mass @ first.u))
-                + 0.5 * quad_norm(V, first.tilde.values) ** 2)
+        return sum(kinetic_energy(result.disc.V, first.u, first.tilde))
     dt = result.config.dt
     last = result.records[-1]
     diss = sum(dt * (r.visc_diss + r.sub_diss) for r in result.records)
@@ -334,11 +332,9 @@ def a_priori_bound(result):
     forcing the exact step identities make the ledger totals equal the
     first two terms.
     """
-    disc = result.disc
-    V = disc.V
+    V = result.disc.V
     first = result.states[0]
-    total = (0.5 * float(first.u @ (V.mass @ first.u))
-             + 0.5 * quad_norm(V, first.tilde.values) ** 2)
+    total = sum(kinetic_energy(V, first.u, first.tilde))
     f = _forcing_of(result)
     if f is None:
         return total

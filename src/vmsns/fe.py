@@ -16,6 +16,8 @@ the mean constraint is enforced downstream by a scalar multiplier, and
 projections subtract the mean explicitly.
 """
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -168,10 +170,6 @@ class FeSpace:
         self.cell_vdofs = self.vdofs(self.cell_nodes)
 
         self._tabs = {}
-        self._mass = None
-        self._stiffness = None
-        self._mass_lu = None
-        self._mean = None
 
     def vdofs(self, nodes):
         """Global dofs of the components of scalar nodes: shape
@@ -264,36 +262,32 @@ class FeSpace:
 
     # -- cached operators ----------------------------------------------------
 
-    @property
+    @cached_property
     def mass(self):
-        if self._mass is None:
-            self._mass = assemble_mass(self)
-        return self._mass
+        return assemble_mass(self)
 
-    @property
+    @cached_property
     def stiffness(self):
-        if self._stiffness is None:
-            self._stiffness = assemble_stiffness(self)
-        return self._stiffness
+        return assemble_stiffness(self)
+
+    @cached_property
+    def _mass_lu(self):
+        try:
+            return spla.factorized(self.mass.tocsc())
+        except RuntimeError as exc:  # pragma: no cover - SPD by construction
+            raise InternalError(f"mass factorization failed: {exc}")
 
     def mass_solve(self, rhs):
         """Solve M x = rhs with a cached sparse LU factorization."""
-        if self._mass_lu is None:
-            try:
-                self._mass_lu = spla.factorized(self.mass.tocsc())
-            except RuntimeError as exc:  # pragma: no cover - SPD by construction
-                raise InternalError(f"mass factorization failed: {exc}")
         return self._mass_lu(np.asarray(rhs, dtype=float))
 
-    @property
+    @cached_property
     def mean_vector(self):
         """Integrals of the basis functions (scalar spaces)."""
-        if self._mean is None:
-            ones = np.ones((self.mesh.n_cells,
-                            self.tabulation()["weights"].shape[1],
-                            self.components))
-            self._mean = self.load_from_qp(ones)
-        return self._mean
+        ones = np.ones((self.mesh.n_cells,
+                        self.tabulation()["weights"].shape[1],
+                        self.components))
+        return self.load_from_qp(ones)
 
     @property
     def volume(self):

@@ -7,6 +7,7 @@ can re-derive each row's imbalance from its neighbours without slack for
 formatting loss.
 """
 
+import dataclasses
 import math
 import os
 import weakref
@@ -29,7 +30,9 @@ __all__ = [
     "write_table_csv",
 ]
 
-LEDGER_HEADER = "t,ke_fe,ke_sub,visc_diss,sub_diss,power_in,jump_terms,imbalance"
+#: the EnergyRecord fields, in ledger column order
+_LEDGER_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyRecord))
+LEDGER_HEADER = ",".join(_LEDGER_FIELDS)
 LEDGER_NAME = "ledger.csv"
 
 #: invariant bound on each row's relative imbalance
@@ -44,8 +47,17 @@ def _fmt(x):
 
 def _ledger_row(r):
     """The fields of one record, in LEDGER_HEADER order."""
-    return (r.t, r.ke_fe, r.ke_sub, r.visc_diss, r.sub_diss,
-            r.power_in, r.jump_terms, r.imbalance)
+    return tuple(getattr(r, name) for name in _LEDGER_FIELDS)
+
+
+def _read_lines(path, what):
+    """The lines of the text file ``path``, without line ends; a file that
+    cannot be read is a ConfigurationError naming ``what`` it was to be."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.rstrip("\n") for ln in fh]
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def write_energy_ledger(records, path):
@@ -58,17 +70,13 @@ def write_energy_ledger(records, path):
 
 
 def read_energy_ledger(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read ledger {path}: {exc}") from exc
+    lines = _read_lines(path, "ledger")
     if not lines or lines[0] != LEDGER_HEADER:
         raise InvariantViolation(
             f"{path}: ledger header mismatch "
             f"(expected {LEDGER_HEADER!r}, got {lines[0] if lines else ''!r})")
     records = []
-    n_fields = len(LEDGER_HEADER.split(","))
+    n_fields = len(_LEDGER_FIELDS)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -97,9 +105,8 @@ def check_energy_ledger(records, imbalance_tol=IMBALANCE_TOL,
     problems = []
     prev_t = 0.0
     prev = None
-    names = LEDGER_HEADER.split(",")
     for i, r in enumerate(records):
-        bad = [name for name, v in zip(names, _ledger_row(r))
+        bad = [name for name, v in zip(_LEDGER_FIELDS, _ledger_row(r))
                if not math.isfinite(v)]
         if bad:
             problems.append(f"row {i + 1}: non-finite {', '.join(bad)}")
@@ -167,8 +174,7 @@ def write_fields_vtk(state, path, title="flow fields"):
     pres = disc.Q.nodal_values(state.p)[:mesh.n_vertices, 0]
     tab = disc.V.tabulation()
     w = tab["weights"]
-    mag = np.sqrt(np.einsum("cqk,cqk->cq", state.tilde.values,
-                            state.tilde.values))
+    mag = np.sqrt(np.einsum("cqk,cqk->cq", state.tilde, state.tilde))
     sub_mag = np.einsum("cq,cq->c", w, mag) / w.sum(axis=1)
 
     vel3 = np.zeros((mesh.n_vertices, 3))
@@ -190,47 +196,52 @@ def write_fields_vtk(state, path, title="flow fields"):
 
 def read_fields_vtk(path):
     """Minimal reader for the files write_fields_vtk produces (round-trip
-    checks and downstream tooling)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    idx = {"cursor": 0}
+    checks and downstream tooling).  Malformed content raises
+    InvariantViolation naming ``path:line``."""
+    lines = [ln.strip() for ln in _read_lines(path, "VTK file")]
+    cursor = 0                   # lines taken; the last one is line `cursor`
 
     def take():
-        ln = lines[idx["cursor"]]
-        idx["cursor"] += 1
-        return ln
+        nonlocal cursor
+        if cursor == len(lines):
+            raise InvariantViolation(f"{path}:{cursor + 1}: unexpected end of file")
+        cursor += 1
+        return lines[cursor - 1]
 
     def expect(prefix):
         ln = take()
         if not ln.startswith(prefix):
-            raise InvariantViolation(f"{path}: expected {prefix!r}, got {ln!r}")
+            raise InvariantViolation(f"{path}:{cursor}: expected {prefix!r}, got {ln!r}")
         return ln
 
-    expect("# vtk DataFile")
-    take()                       # title
-    expect("ASCII")
-    expect("DATASET UNSTRUCTURED_GRID")
-    n_pts = int(expect("POINTS").split()[1])
-    points = np.array([[float(c) for c in take().split()] for _ in range(n_pts)])
-    n_cells = int(expect("CELLS").split()[1])
-    cells = []
-    for _ in range(n_cells):
-        parts = [int(v) for v in take().split()]
-        cells.append(parts[1:1 + parts[0]])
-    cells = np.array(cells)
-    expect("CELL_TYPES")
-    for _ in range(n_cells):
-        take()
-    expect("POINT_DATA")
-    expect("VECTORS velocity")
-    velocity = np.array([[float(c) for c in take().split()] for _ in range(n_pts)])
-    expect("SCALARS pressure")
-    expect("LOOKUP_TABLE")
-    pressure = np.array([float(take()) for _ in range(n_pts)])
-    expect("CELL_DATA")
-    expect("SCALARS subscale_magnitude")
-    expect("LOOKUP_TABLE")
-    subscale = np.array([float(take()) for _ in range(n_cells)])
+    try:
+        expect("# vtk DataFile")
+        take()                       # title
+        expect("ASCII")
+        expect("DATASET UNSTRUCTURED_GRID")
+        n_pts = int(expect("POINTS").split()[1])
+        points = np.array([[float(c) for c in take().split()] for _ in range(n_pts)])
+        n_cells = int(expect("CELLS").split()[1])
+        cells = []
+        for _ in range(n_cells):
+            parts = [int(v) for v in take().split()]
+            cells.append(parts[1:1 + parts[0]])
+        cells = np.array(cells)
+        expect("CELL_TYPES")
+        for _ in range(n_cells):
+            take()
+        expect("POINT_DATA")
+        expect("VECTORS velocity")
+        velocity = np.array([[float(c) for c in take().split()] for _ in range(n_pts)])
+        expect("SCALARS pressure")
+        expect("LOOKUP_TABLE")
+        pressure = np.array([float(take()) for _ in range(n_pts)])
+        expect("CELL_DATA")
+        expect("SCALARS subscale_magnitude")
+        expect("LOOKUP_TABLE")
+        subscale = np.array([float(take()) for _ in range(n_cells)])
+    except (ValueError, IndexError) as exc:
+        raise InvariantViolation(f"{path}:{cursor}: {exc}") from exc
     return {"points": points, "cells": cells, "velocity": velocity,
             "pressure": pressure, "subscale_magnitude": subscale}
 
@@ -264,21 +275,34 @@ def write_equivalence_csv(report, path):
 
 
 def read_equivalence_csv(path):
+    """Read a report written by write_equivalence_csv; blank lines are
+    skipped, and malformed content raises InvariantViolation naming
+    ``path:line``."""
     from .spectral_lab import EquivalenceReport, ReportRow
 
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = tuple(lines[0].split(","))
-    if header != EquivalenceReport.HEADER:
-        raise InvariantViolation(f"{path}: unexpected header {header}")
+    lines = [(k, ln) for k, ln in
+             enumerate(_read_lines(path, "report"), start=1) if ln.strip()]
+    if not lines or tuple(lines[0][1].split(",")) != EquivalenceReport.HEADER:
+        lineno, got = lines[0] if lines else (1, "")
+        raise InvariantViolation(
+            f"{path}:{lineno}: expected header "
+            f"{','.join(EquivalenceReport.HEADER)!r}, got {got!r}")
+    n_fields = len(EquivalenceReport.HEADER)
     rows = []
-    for line in lines[1:]:
-        lemma, s, level, h, value, rmin, rmax = line.split(",")
-        rows.append(ReportRow(
-            lemma=lemma, s=float(s), level=int(level), h=float(h),
-            value=float(value),
-            ratio_min=float(rmin) if rmin else float("nan"),
-            ratio_max=float(rmax) if rmax else float("nan")))
+    for lineno, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise InvariantViolation(
+                f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+        lemma, s, level, h, value, rmin, rmax = parts
+        try:
+            rows.append(ReportRow(
+                lemma=lemma, s=float(s), level=int(level), h=float(h),
+                value=float(value),
+                ratio_min=float(rmin) if rmin else float("nan"),
+                ratio_max=float(rmax) if rmax else float("nan")))
+        except ValueError as exc:
+            raise InvariantViolation(f"{path}:{lineno}: {exc}") from exc
     return EquivalenceReport(rows=tuple(rows))
 
 

@@ -9,11 +9,12 @@ velocity a and frozen tau,
 
 with the subscale update substituted in closed form, so the monolithic
 system couples only (u, p), one scalar multiplier λ pinning the pressure
-mean, and the projection coefficient ζ below.  Because the substituted
-update is exactly the one applied afterwards, the discrete energy identity
-holds to solver roundoff for every converged step -- the skew transport
-form vanishes on the diagonal for any frozen advection field, and the
-resolved/subscale transport cross-terms cancel.
+mean, and the projection coefficient ζ below.  The update applied after
+the final solve reads π⊥(N(a)u + ∇p) off that solve's own ζ, so the
+substituted update is exactly the one applied afterwards, and the discrete
+energy identity holds to solver roundoff for every converged step -- the
+skew transport form vanishes on the diagonal for any frozen advection
+field, and the resolved/subscale transport cross-terms cancel.
 
 The projector identities keep assembly cell-local:
 
@@ -97,7 +98,6 @@ from .fe import (
 )
 from .mesh import build_structured
 from .subgrid import (
-    SubscaleField,
     advance_subscale,
     compute_tau,
     continuity_pairing,
@@ -296,7 +296,9 @@ class History(NamedTuple):
 
 @dataclass
 class StarState:
-    """Resolved velocity/pressure coefficients plus the subscale field.
+    """Resolved velocity/pressure coefficients plus the subscale field
+    ``tilde``, sampled at the quadrature points of the velocity space:
+    shape (n_cells, n_qp, dim).
 
     The trailing metadata fields describe the step that produced the
     state (relaxation time used, Picard iterations, SuperLU factorizations
@@ -309,7 +311,7 @@ class StarState:
 
     u: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
-    tilde: SubscaleField = field(repr=False)
+    tilde: np.ndarray = field(repr=False)
     t: float = 0.0
     disc: Discretization = field(default=None, repr=False)
     tau_used: float = 0.0
@@ -502,8 +504,9 @@ def initialize(u0, disc):
         (u_h, v) + (v, ∇xi)            = (u0, v)
         (u_h, ∇q) - (π⊥∇xi, ∇q)_W      = -(π⊥u0, ∇q)_W     + mean multiplier
 
-    -- the augmented matrix at dt = 1, ν = 0, β = 1, a = 0 -- and
-    reconstructs the subscale part ũ₀ = π⊥(u0 - ∇xi) pointwise.  The
+    -- the augmented matrix at dt = 1, ν = 0, β = 1, a = 0, whose ζ is
+    M⁻¹G xi = π∇xi -- and reconstructs the subscale part
+    ũ₀ = π⊥(u0 - ∇xi) = π⊥u0 - ∇xi + ζ pointwise.  The
     returned state satisfies the discrete continuity constraint and the
     subscale orthogonality invariant at solver precision.
     """
@@ -519,17 +522,12 @@ def initialize(u0, disc):
     A = _system_matrix(disc, 1.0, 0.0, 1.0, advection_factor(V, np.zeros(n_u)))
     pat = disc.pattern
     y = _solve(A, rhs[pat.perm], None, 1e-10, "initialization solve")[0]
-    x = y[pat.where]
-
-    u_h = x[:n_u]
-    xi = x[n_u:n_u + n_p]
+    u_h, xi, zeta = np.split(y[pat.where][:-1], [n_u, n_u + n_p])
     grad_xi = Q.eval_grad_at_qp(xi, V.quad_order)[:, :, 0, :]
-    tilde_vals = project_orthogonal(u0_qp - grad_xi, V)
-    # applied twice: when u0 is itself resolvable the first pass returns
+    # projected once more: when u0 is itself resolvable the difference is
     # pure roundoff whose resolved FRACTION is O(1), and the state
     # invariant below checks the fraction, not the size
-    tilde_vals = project_orthogonal(tilde_vals, V)
-    tilde = SubscaleField(values=tilde_vals, space=V).check_finite()
+    tilde = project_orthogonal(u0_perp - grad_xi + V.eval_at_qp(zeta), V)
 
     state = StarState(u=u_h, p=np.zeros(n_p), tilde=tilde, t=0.0, disc=disc)
     _check_state_invariants(state, 1e-10)
@@ -539,7 +537,7 @@ def initialize(u0, disc):
 def continuity_residual(state):
     """max_j |(u_h, ∇psi_j) + (ũ_h, ∇psi_j)| over the pressure basis."""
     disc = state.disc
-    res = disc.GT @ state.u + continuity_pairing(disc.Q, state.tilde.values)
+    res = disc.GT @ state.u + continuity_pairing(disc.Q, state.tilde)
     return float(np.abs(res).max(initial=0.0))
 
 
@@ -549,7 +547,7 @@ def _check_state_invariants(state, linear_tol):
         raise InvariantViolation(
             f"continuity residual {state.continuity_residual:.3e} exceeds "
             f"{10.0 * linear_tol:.1e}")
-    defect = orthogonality_defect(state.tilde)
+    defect = orthogonality_defect(state.disc.V, state.tilde)
     if defect > 1e-8:
         raise InvariantViolation(
             f"subscale orthogonality defect {defect:.3e} exceeds 1e-8")
@@ -589,7 +587,7 @@ def step(state, load, cfg):
         load = np.zeros(n_u)
     base_rhs_u = load + V.mass @ state.u / dt
     # ũⁿ is fixed for the step: its continuity pairing is too
-    rhs_p = -(beta / dt) * continuity_pairing(Q, state.tilde.values)
+    rhs_p = -(beta / dt) * continuity_pairing(Q, state.tilde)
 
     a, carried = _step_start(state, state.t + dt)
     if not cfg.convection:
@@ -605,7 +603,7 @@ def step(state, load, cfg):
         n_fac = advection_factor(V, a)
         A = _system_matrix(disc, dt, cfg.nu, beta, n_fac)
 
-        mom_cross = transport_pairing(V, n_fac, state.tilde.values)
+        mom_cross = transport_pairing(V, n_fac, state.tilde)
         rhs = np.concatenate([
             base_rhs_u + (beta / dt) * mom_cross,
             rhs_p,
@@ -616,9 +614,7 @@ def step(state, load, cfg):
                                              cfg.linear_tol, what)
         sweeps += spent
         factorizations += factored
-        x = y[pat.where]
-        u_new = x[:n_u]
-        p_new = x[n_u:n_u + n_p]
+        u_new, p_new, zeta = np.split(y[pat.where][:-1], [n_u, n_u + n_p])
         if not cfg.convection:
             break  # system independent of the advection iterate: done
         increment = float(np.linalg.norm(u_new - a) /
@@ -631,10 +627,11 @@ def step(state, load, cfg):
                                    last_increment=increment)
 
     # subscale update driven by the SAME frozen-advection residual the
-    # monolithic solve eliminated -- this is what keeps the step energy
-    # identity exact rather than merely picard_tol-accurate
-    res = residual_field(V, Q, u_new, p_new, n_fac)
-    tilde_new = advance_subscale(state.tilde, res, tau, dt)
+    # monolithic solve eliminated, with its resolved part ζ from that
+    # solve -- this is what keeps the step energy identity exact rather
+    # than merely picard_tol-accurate
+    res_perp = residual_field(V, Q, u_new, p_new, n_fac) - V.eval_at_qp(zeta)
+    tilde_new = advance_subscale(V, state.tilde, res_perp, tau, dt)
 
     new = StarState(
         u=u_new, p=p_new, tilde=tilde_new, t=state.t + dt, disc=disc,

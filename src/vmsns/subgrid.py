@@ -3,11 +3,16 @@
 The subscale velocity lives in the L²-orthogonal complement of the
 resolved velocity space and is driven by the resolved residual
 N(u_h, u_h) + ∇p_h.  It is stored pointwise at the quadrature nodes of the
-velocity space -- the standard dynamic-subscale representation -- with the
-complement constraint enforced by explicit orthogonal projection after
-every update.  All invariants tested downstream (orthogonality defect,
-closed-form relaxation, energy bookkeeping) are independent of this
-storage choice.
+velocity space -- the standard dynamic-subscale representation -- as a
+plain array of shape (n_cells, n_qp, dim), and every function that reads
+it takes the velocity space explicitly.  The update takes the residual's
+complement part π⊥res from its caller: the step reads it off the
+projection coefficient ζ its system solves for (``solver`` module
+docstring), so no second projection of the residual is made.  The
+complement constraint is enforced by one explicit orthogonal projection
+after every update.  All invariants tested downstream (orthogonality
+defect, closed-form relaxation, energy bookkeeping) are independent of
+this storage choice.
 
 The relaxation time tau is a single global scalar per time step,
 
@@ -18,15 +23,12 @@ solve genuinely linear.  nu, C_s, C_c and tau_floor are read from the
 run's ScenarioConfig; C_s = 4 and C_c = 2 are its defaults.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
 from .fe import _scatter_add, as_qp_field, l2_project, quad_norm
 
 __all__ = [
-    "SubscaleField",
     "compute_tau",
     "residual_field",
     "project_orthogonal",
@@ -38,28 +40,6 @@ __all__ = [
 
 #: guard against 0/0 in the orthogonality ratio on an identically zero field
 EPS_NORM = 1e-300
-
-
-@dataclass
-class SubscaleField:
-    """Subscale velocity sampled at the quadrature points of ``space``.
-
-    values has shape (n_cells, n_qp, dim).
-    """
-
-    values: np.ndarray = field(repr=False)
-    space: object = None
-
-    def copy(self):
-        return SubscaleField(values=self.values.copy(), space=self.space)
-
-    def norm_l2(self):
-        return quad_norm(self.space, self.values)
-
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise InvariantViolation("subscale field contains non-finite values")
-        return self
 
 
 def compute_tau(cfg, h, u_linf):
@@ -107,33 +87,33 @@ def project_orthogonal(f, V):
     return f - V.eval_at_qp(coarse)
 
 
-def orthogonality_defect(tilde):
-    """‖π_V ũ‖ / max(‖ũ‖, eps): must stay at solver-roundoff level."""
-    V = tilde.space
-    coarse = l2_project(tilde.values, V)
+def orthogonality_defect(V, tilde):
+    """‖π_V ũ‖ / max(‖ũ‖, eps) of a subscale field ``tilde`` of V: must
+    stay at solver-roundoff level."""
+    coarse = l2_project(tilde, V)
     num = quad_norm(V, V.eval_at_qp(coarse))
-    den = max(tilde.norm_l2(), EPS_NORM)
-    return num / den
+    return num / max(quad_norm(V, tilde), EPS_NORM)
 
 
-def advance_subscale(tilde_old, res, tau, dt):
-    """One backward-Euler subscale update with the resolved residual frozen,
+def advance_subscale(V, tilde, res_perp, tau, dt):
+    """One backward-Euler subscale update of the field ``tilde`` of V with
+    the complement part ``res_perp`` = π⊥res of the resolved residual
+    frozen,
 
         ũ⁺ = (ũ/dt − π⊥res) / (1/dt + 1/τ),
 
     followed by re-projection onto the complement, which removes the
-    resolved component that floating-point drift (and a non-orthogonal
-    residual argument) would otherwise let accumulate.
+    resolved component that floating-point drift would otherwise let
+    accumulate.  Raises InvariantViolation when the update is not finite.
     """
     if not (tau > 0):
         raise ConfigurationError(f"tau must be positive, got {tau}")
     if not (dt > 0):
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    V = tilde_old.space
-    res_perp = project_orthogonal(res, V)
-    new = (tilde_old.values / dt - res_perp) / (1.0 / dt + 1.0 / tau)
-    new = project_orthogonal(new, V)
-    return SubscaleField(values=new, space=V).check_finite()
+    new = project_orthogonal((tilde / dt - res_perp) / (1.0 / dt + 1.0 / tau), V)
+    if not np.all(np.isfinite(new)):
+        raise InvariantViolation("subscale update contains non-finite values")
+    return new
 
 
 def continuity_pairing(Q, qp_field):

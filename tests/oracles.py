@@ -336,11 +336,8 @@ def grad_pair_oracle(Q, f, rule_n=8):
 
 def zero_subscale(V):
     """The identically zero subscale field of V."""
-    from vmsns.subgrid import SubscaleField
-
     tab = V.tabulation()
-    shape = (V.mesh.n_cells, tab["weights"].shape[1], V.components)
-    return SubscaleField(values=np.zeros(shape), space=V)
+    return np.zeros((V.mesh.n_cells, tab["weights"].shape[1], V.components))
 
 
 # ---------------------------------------------------------------------------
@@ -779,14 +776,17 @@ def dense_schur_step(state, load, cfg):
     load vector or None; every setting comes from the ScenarioConfig
     ``cfg``.  The subscale pairings, τ and the subscale update
     are the package's own; the residual that drives the update is
-    :func:`einsum_residual_field`.  Picard starts from
-    :func:`extrapolated_start`.  Returns the new StarState, with the
-    history of ``state`` and its state, and no solutions.
+    :func:`einsum_residual_field`, and its complement part is taken with
+    ``project_orthogonal``, not read off a projection coefficient.
+    Picard starts from :func:`extrapolated_start`.  Returns the new
+    StarState, with the history of ``state`` and its state, and no
+    solutions.
     """
     from vmsns.fe import advection_factor, linf_norm
     from vmsns.solver import History, StarState
     from vmsns.subgrid import (advance_subscale, compute_tau,
-                               continuity_pairing, transport_pairing)
+                               continuity_pairing, project_orthogonal,
+                               transport_pairing)
 
     disc = state.disc
     V, Q = disc.V, disc.Q
@@ -804,7 +804,7 @@ def dense_schur_step(state, load, cfg):
     beta = 1.0 / (1.0 / dt + 1.0 / tau)
     F = np.zeros(n_u) if load is None else load
     base_rhs_u = F + M_d @ state.u / dt
-    cont_cross = continuity_pairing(Q, state.tilde.values)
+    cont_cross = continuity_pairing(Q, state.tilde)
 
     a = extrapolated_start(state, state.t + dt) if cfg.convection else np.zeros(n_u)
     n = n_u + n_p + 1
@@ -820,7 +820,7 @@ def dense_schur_step(state, load, cfg):
         A[n_u:n_u + n_p, -1] = Q.mean_vector
         A[-1, n_u:n_u + n_p] = Q.mean_vector
         mom_cross = transport_pairing(V, advection_factor(V, a),
-                                      state.tilde.values)
+                                      state.tilde)
         rhs = np.concatenate([base_rhs_u + (beta / dt) * mom_cross,
                               -(beta / dt) * cont_cross, [0.0]])
         x = _dense_refined_solve(A, rhs)
@@ -841,7 +841,8 @@ def dense_schur_step(state, load, cfg):
         velocities.append(state.history.velocities[0])
     history = History(np.array(times), np.array(velocities), np.array([]))
     return StarState(u=u_new, p=p_new,
-                     tilde=advance_subscale(state.tilde, res, tau, dt),
+                     tilde=advance_subscale(V, state.tilde,
+                                            project_orthogonal(res, V), tau, dt),
                      t=state.t + dt, disc=disc, tau_used=tau,
                      picard_iters=iterations, history=history)
 

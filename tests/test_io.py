@@ -160,7 +160,7 @@ def _fmt_built_vtk(state, title):
     vel3[:, :mesh.dim] = disc.V.nodal_values(state.u)[:nv]
     pres = disc.Q.nodal_values(state.p)[:nv, 0]
     w = disc.V.tabulation()["weights"]
-    mag = np.sqrt(np.einsum("cqk,cqk->cq", state.tilde.values, state.tilde.values))
+    mag = np.sqrt(np.einsum("cqk,cqk->cq", state.tilde, state.tilde))
     sub_mag = np.einsum("cq,cq->c", w, mag) / w.sum(axis=1)
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
@@ -200,6 +200,41 @@ def test_vtk_reader_rejects_foreign_files(tmp_path):
         read_fields_vtk(path)
 
 
+def _vtk_text(tmp_path):
+    path = tmp_path / "whole.vtk"
+    write_fields_vtk(_run_records(n=2, T=0.0).states[0], path)
+    return path.read_text()
+
+
+def test_vtk_reader_names_the_line_where_an_empty_file_ends(tmp_path):
+    path = tmp_path / "empty.vtk"
+    path.write_text("")
+    with pytest.raises(InvariantViolation, match=r"empty\.vtk:1: unexpected end"):
+        read_fields_vtk(path)
+
+
+def test_vtk_reader_names_the_line_where_a_truncated_file_ends(tmp_path):
+    lines = _vtk_text(tmp_path).splitlines()
+    path = tmp_path / "cut.vtk"
+    path.write_text("\n".join(lines[:20]) + "\n")
+    with pytest.raises(InvariantViolation, match=r"cut\.vtk:21: unexpected end"):
+        read_fields_vtk(path)
+
+
+def test_vtk_reader_names_the_line_of_an_unparsable_number(tmp_path):
+    lines = _vtk_text(tmp_path).splitlines()
+    lines[5] = "0.0 zero 0.0"                     # the first point
+    path = tmp_path / "bad.vtk"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvariantViolation, match=r"bad\.vtk:6: "):
+        read_fields_vtk(path)
+
+
+def test_vtk_reader_reports_a_missing_file_as_configuration(tmp_path):
+    with pytest.raises(ConfigurationError, match="cannot read VTK file"):
+        read_fields_vtk(tmp_path / "absent.vtk")
+
+
 # ---------------------------------------------------------------------------
 # report tables
 # ---------------------------------------------------------------------------
@@ -224,6 +259,27 @@ def test_equivalence_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(InvariantViolation):
         read_equivalence_csv(path)
+
+
+_EQ_HEADER = "lemma,s,level,h,value,ratio_min,ratio_max\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "eq.csv:1: expected header"),
+    (_EQ_HEADER + "inf_sup,0.0,4,0.25,0.7\n", "eq.csv:2: expected 7 fields, got 5"),
+    (_EQ_HEADER + "\ninf_sup,0.0,4,0.25,seven,,\n", "eq.csv:3: could not convert"),
+], ids=["empty", "short_row", "unparsable_float"])
+def test_equivalence_csv_names_the_line_of_malformed_content(tmp_path, text,
+                                                              where):
+    path = tmp_path / "eq.csv"
+    path.write_text(text)
+    with pytest.raises(InvariantViolation, match=where):
+        read_equivalence_csv(path)
+
+
+def test_equivalence_csv_reports_a_missing_file_as_configuration(tmp_path):
+    with pytest.raises(ConfigurationError, match="cannot read report"):
+        read_equivalence_csv(tmp_path / "absent.csv")
 
 
 def test_table_csv_cells(tmp_path):
