@@ -52,12 +52,15 @@ def _ledger_row(r):
 
 def _read_lines(path, what):
     """The lines of the text file ``path``, without line ends; a file that
-    cannot be read is a ConfigurationError naming ``what`` it was to be."""
+    cannot be read is a ConfigurationError, and one that is not UTF-8 an
+    InvariantViolation, each naming ``what`` it was to be."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return [ln.rstrip("\n") for ln in fh]
     except OSError as exc:
         raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvariantViolation(f"{path}: {what} is not UTF-8 text: {exc}") from exc
 
 
 def write_energy_ledger(records, path):

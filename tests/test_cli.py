@@ -179,6 +179,16 @@ def test_check_rejects_non_finite_ledger(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_check_rejects_a_ledger_that_is_not_utf8(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "run.cfg")
+    out = tmp_path / "flow"
+    out.mkdir()
+    (out / "ledger.csv").write_bytes(b"\xff\xfe" + "t\n".encode("utf-16-le"))
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "invariant violation" in err and "not UTF-8" in err
+
+
 def test_init_writes_state(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.cfg")
     out = tmp_path / "init"

@@ -282,6 +282,28 @@ def test_equivalence_csv_reports_a_missing_file_as_configuration(tmp_path):
         read_equivalence_csv(tmp_path / "absent.csv")
 
 
+# ---------------------------------------------------------------------------
+# files that are not UTF-8
+# ---------------------------------------------------------------------------
+
+#: a UTF-16 byte-order mark, which no UTF-8 file starts with
+_NOT_UTF8 = b"\xff\xfe" + "t,ke_fe\n".encode("utf-16-le")
+
+
+@pytest.mark.parametrize("reader, what", [
+    (read_energy_ledger, "ledger"),
+    (read_equivalence_csv, "report"),
+    (read_fields_vtk, "VTK file"),
+], ids=["ledger", "equivalence", "vtk"])
+def test_readers_report_a_file_that_is_not_utf8_as_an_invariant_violation(
+        tmp_path, reader, what):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(_NOT_UTF8)
+    with pytest.raises(InvariantViolation,
+                       match=rf"utf16\.txt: {what} is not UTF-8 text"):
+        reader(path)
+
+
 def test_table_csv_cells(tmp_path):
     path = tmp_path / "table.csv"
     write_table_csv(("a", "b", "c"),

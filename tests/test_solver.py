@@ -628,20 +628,26 @@ def test_run_energy_records_are_consistent():
 # the extrapolated start of a step
 # ---------------------------------------------------------------------------
 
-def test_extrapolation_reproduces_a_quadratic_in_t_at_uneven_steps():
+def test_extrapolation_reproduces_a_polynomial_of_degree_history_depth():
+    degree = solver.HISTORY_DEPTH
     rng = np.random.default_rng(3)
-    c0, c1, c2 = rng.standard_normal((3, 7))
-    times = np.array([0.31, 0.27, 0.2])             # latest first, uneven
-    values = np.array([c0 + c1 * t + c2 * t * t for t in times])
-    for t in (0.33, 0.35, 0.38):                    # no further than 0.11 ahead
+    coeffs = rng.standard_normal((degree + 1, 7))   # highest power first
+    # latest first, uneven steps of 0.03 to 0.07
+    times = 0.31 - np.concatenate([[0.0], np.cumsum(rng.uniform(0.03, 0.07, degree))])
+    values = np.polyval(coeffs, times[:, None])
+    reach = times[0] - times[-1]
+    for t in times[0] + reach * np.array([0.1, 0.25, 0.5, 0.75]):
         got = solver._extrapolate(times, values, t)
-        assert np.allclose(got, c0 + c1 * t + c2 * t * t, rtol=0, atol=1e-13)
+        assert np.allclose(got, np.polyval(coeffs, t), rtol=0, atol=1e-13)
     # two states give the line through them, one state itself
-    assert np.allclose(solver._extrapolate(times[:2], values[:2], 0.33),
+    half_ahead = times[0] + 0.5 * (times[0] - times[1])
+    assert np.allclose(solver._extrapolate(times[:2], values[:2], half_ahead),
                        values[0] + (values[0] - values[1]) * 0.5, atol=1e-13)
-    assert np.array_equal(solver._extrapolate(times[:1], values[:1], 0.33), values[0])
+    assert np.array_equal(solver._extrapolate(times[:1], values[:1], half_ahead),
+                          values[0])
     # further ahead than the states reach back: the latest state
-    assert np.array_equal(solver._extrapolate(times, values, 0.43), values[0])
+    assert np.array_equal(solver._extrapolate(times, values, times[0] + 1.01 * reach),
+                          values[0])
 
 
 def _mms_state(n=8):
@@ -652,16 +658,17 @@ def _mms_state(n=8):
     return initialize(fields.initial, disc), assemble_load(disc.V, fields.forcing), cfg
 
 
-def test_history_holds_arrays_of_the_last_two_states_and_copies_drop_it():
+def test_history_holds_arrays_of_the_last_states_and_copies_drop_it():
     state, load, cfg = _mms_state(4)
     assert state.history is None
     states = [state]
-    for _ in range(4):
+    for _ in range(solver.HISTORY_DEPTH + 2):
         states.append(step(states[-1], load, cfg))
     for k, s in enumerate(states[1:], start=1):
         h = s.history
         assert all(isinstance(a, np.ndarray) for a in h)
         earlier = states[max(k - solver.HISTORY_DEPTH, 0):k][::-1]
+        assert len(earlier) == min(k, solver.HISTORY_DEPTH)
         assert np.array_equal(h.times, [e.t for e in earlier])
         assert np.array_equal(h.velocities, [e.u for e in earlier])
         # every earlier state but the initial one has its solution
@@ -692,27 +699,32 @@ def test_step_with_history_reaches_the_state_of_the_step_without():
 
 def test_extrapolated_start_saves_picard_iterations_and_sweeps():
     """150 steps of the 2-D n = 8 manufactured flow: with the history,
-    63% of the Picard iterations and 53% of the sweeps of the same run
-    with the history stripped before every step.  The saving grows as
-    the flow settles: 77% of the iterations over the first 30 steps, 60%
-    over 300."""
+    39.5% of the Picard iterations and 28.3% of the sweeps of the same run
+    with the history stripped before every step, and 77 steps take one
+    Picard iterate, where the run without takes none (a history of two
+    states, a quadratic start, took 63% and 53%, and no such step).  The
+    saving grows as the flow settles: 62% of the iterations over the
+    first 30 steps, 36% over 300."""
     state, load, cfg = _mms_state()
     plain = state
     counts = np.zeros((2, 2), dtype=int)
+    one_iterate = 0
     for _ in range(150):
         state = step(state, load, cfg)
         plain = step(replace(plain, history=None), load, cfg)
         counts += [[state.picard_iters, state.sweeps],
                    [plain.picard_iters, plain.sweeps]]
-    assert counts[0, 0] <= 0.7 * counts[1, 0]
-    assert counts[0, 1] <= 0.6 * counts[1, 1]
+        one_iterate += state.picard_iters == 1
+    assert counts[0, 0] <= 0.45 * counts[1, 0]
+    assert counts[0, 1] <= 0.35 * counts[1, 1]
+    assert one_iterate >= 60
     assert orc.rel(state.u, plain.u) <= cfg.picard_tol
 
 
 def test_first_carried_solve_starts_from_the_extrapolated_solution(monkeypatch):
+    """After three steps the history holds the initial state, which has
+    no solution; after HISTORY_DEPTH + 1 every state in it has one."""
     state, load, cfg = _mms_state(4)
-    for _ in range(3):
-        state = step(state, load, cfg)
     starts = []
     correct = solver._correct
 
@@ -721,12 +733,31 @@ def test_first_carried_solve_starts_from_the_extrapolated_solution(monkeypatch):
         return correct(A, b, solve, y)
 
     monkeypatch.setattr(solver, "_correct", record)
-    step(state, load, cfg)
-    h = state.history
-    times = np.concatenate([[state.t], h.times]) - (state.t + cfg.dt)
-    ys = np.vstack([state.factor[1], h.solutions])
-    assert ys.shape[0] == 3
-    assert orc.rel(starts[0], np.polyfit(times, ys, 2)[-1]) <= 1e-12
+    for taken in (3, solver.HISTORY_DEPTH + 1):
+        while round(state.t / cfg.dt) < taken:
+            state = step(state, load, cfg)
+        starts.clear()
+        step(state, load, cfg)
+        h = state.history
+        ys = np.vstack([state.factor[1], h.solutions])
+        assert ys.shape[0] == taken
+        # each solution at the time of its own state
+        times = np.concatenate([[state.t], h.times])[:len(ys)] - (state.t + cfg.dt)
+        assert orc.rel(starts[0], np.polyfit(times, ys, len(ys) - 1)[-1]) <= 1e-12
+
+
+def test_run_assembles_no_load_for_no_step(monkeypatch):
+    calls = []
+
+    def counted(V, f):
+        calls.append(f)
+        return assemble_load(V, f)
+
+    monkeypatch.setattr(solver, "assemble_load", counted)
+    cfg = _tiny_scenario(initial="manufactured_poly", forcing="manufactured_poly", T=0)
+    assert run(cfg).records == [] and calls == []
+    run(replace(cfg, T=cfg.dt))
+    assert len(calls) == 1
 
 
 def test_run_reports_the_most_picard_iterations_of_a_step():
