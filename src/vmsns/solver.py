@@ -404,7 +404,7 @@ def _extrapolate(times, values, t):
     the linear start took one Picard iteration and one factor more)."""
     if t - times[0] > times[0] - times[-1]:
         return values[0]
-    weights = [np.prod([(t - s) / (ti - s) for j, s in enumerate(times) if j != i])
+    weights = [math.prod((t - s) / (ti - s) for j, s in enumerate(times) if j != i)
                for i, ti in enumerate(times)]
     return np.asarray(weights) @ values
 

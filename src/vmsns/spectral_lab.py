@@ -30,20 +30,23 @@ problem: the fields of V with a zero resolved part have quotient exactly
 the same factor.  The inf-sup form reads its complement term from TT.
 Nothing of the dimension of V is factored or eigendecomposed.
 
-``build_star_space`` (a dense eigendecomposition of the enriched Gram and
-a complete QR) is deliberately left as it is: the complement basis B it
-returns fixes the coordinates in which the report draws its random
-probes, so the Leray rows of a report depend on B, and bit for bit: with
-noise of 1e-15 relative added to every single-matrix ``eigh`` input of 100
-rows or more (the enriched Gram M_E among them), all six
-``leray_stability`` rows of the seed-0 report at levels (4, 8, 12) moved
-by 0.01-0.2% while the other 66 rows held to 1e-8.  Any change to the
-assembly of M2, G2, K_p or J, or to the eigh/QR below, therefore changes
-the Leray rows of a seeded report.  The tests pin that assembly: the
+``build_star_space`` orthonormalises the enriched space with a dense
+rank-revealing ``eigh`` of its Gram M_E and a Householder QR of the
+embedded resolved block, and forms T_pp = BᵀG_E by applying the QR's
+reflectors: neither the complete Q nor the complement basis B is formed.
+The report draws its random probes in the coordinates of B, so the
+Leray rows of a seeded report depend bit for bit on what fixes B: the
+assembly of M2, G2, K_p and J, the M_E ``eigh`` and the reflectors.  With
+noise of 1e-15 relative added to every single-matrix ``eigh`` input of
+100 rows or more (M_E among them), all six ``leray_stability`` rows of
+the seed-0 report at levels (4, 8, 12) moved by 0.01-0.2% while the
+other 66 rows held to 1e-8.  What follows the factorization may change
+at roundoff: forming T_pp from the reflectors instead of from B moved it
+by at most 2.7e-14 relative at n = 12.  The tests pin the assembly (the
 edge numbering, the degree-2 boundary nodes and J equal loop oracles
 entry for entry, and the seed-0 report at levels (4, 8) must match the
-benchmark's recorded rows.  All eigensolves are dense and guarded by a
-size cap.
+benchmark's recorded rows) and hold T_pp to the explicit B of the
+complete QR.  All eigensolves are dense and guarded by a size cap.
 """
 
 from dataclasses import dataclass, field
@@ -186,22 +189,19 @@ class StarSpace:
 
     The enriched space is the continuous degree-2 vector space joined with
     the span of the discrete pressure gradients; coefficient vectors over
-    it are stored as (degree-2 coefficients, pressure coefficients) stacks
-    of length n2 + np, with the exact linear dependencies (constant
-    fields) removed by a rank-revealing orthonormalization.
+    it are (degree-2 coefficients, pressure coefficients) stacks of length
+    n2 + np, with the exact linear dependencies (constant fields) removed
+    by a rank-revealing orthonormalization.  The complement basis itself
+    is not kept: the lab reads the complement only through its gradient
+    pairing T_pp (``tests/oracles.py: complement_basis`` rebuilds it).
     """
 
     mesh: object
     V1: object
     V2: object
     Q: object
-    J: np.ndarray          # (n2, n1) embedding of W_h into the degree-2 space
-    B: np.ndarray          # (n2 + np, m) complement basis, mixed coefficients
     M1: np.ndarray
     K1: np.ndarray
-    M2: np.ndarray
-    M_E: np.ndarray        # Gram matrix of the enriched mixed basis
-    G_E: np.ndarray        # (n2 + np, np) enriched-basis pressure pairing
     G1: np.ndarray         # (n1, np) resolved gradient pairing
     T_pp: np.ndarray       # (m, np) complement gradient pairing BᵀG_E
     m_p: np.ndarray        # pressure mean vector (zero-mean multiplier)
@@ -216,7 +216,7 @@ class StarSpace:
 
     @property
     def m(self):
-        return self.B.shape[1]
+        return self.T_pp.shape[0]
 
     @property
     def n_star(self):
@@ -275,7 +275,6 @@ def build_star_space(mesh):
 
     M1 = V1.mass.toarray()
     K1 = V1.stiffness.toarray()
-    M2 = V2.mass.toarray()
     K_p = Q.stiffness.toarray()
     G1 = assemble_gradient_coupling(V1, Q).toarray()
     G2 = assemble_gradient_coupling(V2, Q).toarray()
@@ -286,32 +285,53 @@ def build_star_space(mesh):
     # gradient pairing, so no new assembly is needed.  The set is exactly
     # rank-deficient (constant fields appear in both halves): strip the
     # null directions with a rank-revealing eigendecomposition into
-    # L²-orthonormal coordinates Y.
-    M_E = np.block([[M2, G2], [G2.T, K_p]])
+    # L²-orthonormal coordinates Y.  M_E is dropped once M_E [J; 0] and
+    # its symmetrised copy S are formed, and the eigh factors S in place
+    # (S is exactly symmetric and Sᵀ is its Fortran-ordered view), so two
+    # n_E-square arrays are alive at the eigh, and its λ and Y are bit for
+    # bit those of eigh(_sym(M_E)): the Leray rows depend on them.
+    M_E = np.block([[V2.mass.toarray(), G2], [G2.T, K_p]])
     G_E = np.vstack([G2, K_p])
-    lam_E, Y_E = sla.eigh(_sym(M_E))
+    MJ = M_E @ np.vstack([J, np.zeros((npres, n1))])
+    S = M_E + M_E.T
+    del M_E
+    S *= 0.5
+    lam_E, Y_E = sla.eigh(S.T, overwrite_a=True)
+    del S
     keep = lam_E > 1e-10 * lam_E[-1]
     n_null = int(np.sum(~keep))
     if n_null and lam_E[n_null - 1] > 1e-5 * lam_E[n_null]:
         raise InternalError(
             f"enriched Gram rank cutoff is ambiguous: "
             f"{lam_E[n_null - 1]:.3e} vs {lam_E[n_null]:.3e}")
-    Y = Y_E[:, keep] / np.sqrt(lam_E[keep])
+    # eigenvalues ascend, so the kept modes are the trailing columns
+    Y = Y_E[:, n_null:]
+    Y /= np.sqrt(lam_E[n_null:])
 
     # complement of the embedded resolved space: in Y-coordinates the L²
-    # geometry is Euclidean, so a complete QR of the embedded block hands
-    # over an exactly orthonormal complement basis
-    J_mix = np.vstack([J, np.zeros((npres, n1))])
-    Jc = Y.T @ (M_E @ J_mix)
-    Qfull, _ = sla.qr(Jc, mode="full")
-    B = Y @ Qfull[:, n1:]
+    # geometry is Euclidean, so the trailing columns of the Householder Q
+    # of the embedded block Jc are an exactly orthonormal complement
+    # basis B = Y Q[:, n1:].  Only T_pp = BᵀG_E = (Qᵀ YᵀG_E)[n1:] is
+    # needed, and Qᵀ is applied from the reflectors without forming Q.
+    (reflectors, tau), _ = sla.qr(Y.T @ MJ, mode="raw")
+    T_pp = _apply_qt(reflectors, tau, Y.T @ G_E)[n1:]
 
     velocity = spectral_decompose(K1, M1)
     pressure = spectral_decompose(K_p, Q.mass.toarray(), drop_null=1)
-    return StarSpace(mesh=mesh, V1=V1, V2=V2, Q=Q, J=J, B=B,
-                     M1=M1, K1=K1, M2=M2, M_E=M_E, G_E=G_E, G1=G1,
-                     T_pp=B.T @ G_E, m_p=Q.mean_vector, h=mesh.h_max,
+    return StarSpace(mesh=mesh, V1=V1, V2=V2, Q=Q, M1=M1, K1=K1, G1=G1,
+                     T_pp=T_pp, m_p=Q.mean_vector, h=mesh.h_max,
                      velocity=velocity, pressure=pressure)
+
+
+def _apply_qt(reflectors, tau, c):
+    """Qᵀc for the Q whose Householder reflectors ``geqrf`` returned."""
+    dormqr = sla.lapack.dormqr
+    work = dormqr("L", "T", reflectors, tau, c, lwork=-1)[1]
+    qtc, _, info = dormqr("L", "T", reflectors, tau, c,
+                          lwork=int(work[0]), overwrite_c=True)
+    if info != 0:
+        raise InternalError(f"dormqr failed with info = {info}")
+    return qtc
 
 
 # ---------------------------------------------------------------------------

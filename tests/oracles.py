@@ -13,7 +13,9 @@ solver in its linear algebra (projection eliminated, dense LU) and in
 the residual that drives the update (the einsum kernel).  The lab
 oracles likewise take the package's composite-space operators and differ
 in their linear algebra: dense saddle solves and generalized pencils where
-the lab goes through its cached divergence-free eigenbasis.  The data-bound
+the lab goes through its cached divergence-free eigenbasis, and
+``complement_basis`` forms the complement basis B by the complete QR
+where the lab applies the QR's reflectors.  The data-bound
 oracle solves with the dense stiffness where the package factors the
 sparse one.  ``step_convection`` is no oracle: it reads the step's own
 C(a) off the system matrix, for the tests that hold it to the oracles.
@@ -26,6 +28,7 @@ composite mass and form) live here too.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -591,6 +594,40 @@ def explicit_star_norm(space):
         return float(np.sqrt(np.sum(lam ** s * c * c)))
 
     return norm
+
+
+# ---------------------------------------------------------------------------
+# complement basis by the complete QR
+# ---------------------------------------------------------------------------
+
+class ComplementBasis(NamedTuple):
+    B: np.ndarray          # (n2 + np, m) complement basis, mixed coefficients
+    M_E: np.ndarray        # Gram matrix of the enriched mixed basis
+    G_E: np.ndarray        # (n2 + np, np) enriched-basis pressure pairing
+    J: np.ndarray          # (n2, n1) embedding of W_h into the degree-2 space
+
+
+def complement_basis(space):
+    """The complement basis B of a star space, formed explicitly: the
+    enriched Gram M_E and pairing G_E from the package's degree-2 mass and
+    gradient coupling and the pressure stiffness, the loop embedding J,
+    the rank-revealing ``eigh`` of M_E into L²-orthonormal coordinates Y,
+    and B = Y Q[:, n1:] from the complete QR of the embedded block Yᵀ M_E
+    [J; 0].  The lab forms only T_pp = BᵀG_E, from the QR's reflectors."""
+    from vmsns.fe import assemble_gradient_coupling
+
+    V1, V2, Q = space.V1, space.V2, space.Q
+    G2 = assemble_gradient_coupling(V2, Q).toarray()
+    K_p = Q.stiffness.toarray()
+    M_E = np.block([[V2.mass.toarray(), G2], [G2.T, K_p]])
+    G_E = np.vstack([G2, K_p])
+    J = loop_embedding(space.mesh, V1, V2)
+    lam, Y = sla.eigh(0.5 * (M_E + M_E.T))
+    keep = lam > 1e-10 * lam[-1]
+    Y = Y[:, keep] / np.sqrt(lam[keep])
+    J_mix = np.vstack([J, np.zeros((Q.n_dofs, V1.n_dofs))])
+    Qfull, _ = sla.qr(Y.T @ (M_E @ J_mix), mode="full")
+    return ComplementBasis(B=Y @ Qfull[:, V1.n_dofs:], M_E=M_E, G_E=G_E, J=J)
 
 
 # ---------------------------------------------------------------------------

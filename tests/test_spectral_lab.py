@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,22 +181,50 @@ def test_star_space_dimensions(star4):
 
 
 def test_complement_basis_is_orthonormal_and_orthogonal(star4):
-    gram = star4.B.T @ star4.M_E @ star4.B
+    B, M_E, _, J = orc.complement_basis(star4)
+    assert B.shape == (M_E.shape[0], star4.m)
+    gram = B.T @ M_E @ B
     assert np.max(np.abs(gram - np.eye(star4.m))) < 1e-10
-    J_mix = np.vstack([star4.J, np.zeros((star4.Q.n_dofs, star4.n1))])
-    cross = star4.B.T @ (star4.M_E @ J_mix)
+    J_mix = np.vstack([J, np.zeros((star4.Q.n_dofs, star4.n1))])
+    cross = B.T @ (M_E @ J_mix)
     assert np.max(np.abs(cross)) < 1e-10
 
 
 def test_embedding_preserves_the_resolved_geometry(star4):
     # nodal P1 -> P2 interpolation is exact on P1: the pulled-back mass
     # and pressure pairings must coincide with the directly assembled ones
-    J = star4.J
-    assert orc.rel(J.T @ star4.M2 @ J, star4.M1) < 1e-12
     from vmsns.fe import assemble_gradient_coupling
+    from vmsns.spectral_lab import _embedding
 
+    J = _embedding(star4.mesh, star4.V1, star4.V2)
+    assert orc.rel(J.T @ star4.V2.mass.toarray() @ J, star4.M1) < 1e-12
     G2 = assemble_gradient_coupling(star4.V2, star4.Q).toarray()
     assert orc.rel(J.T @ G2, star4.G1) < 1e-12
+
+
+@pytest.mark.parametrize("dim,n", ((2, 4), (2, 8), (2, 12), (3, 2)))
+def test_complement_pairing_from_reflectors_matches_the_explicit_basis(star, dim, n):
+    """T_pp, formed by applying the QR's Householder reflectors, is BᵀG_E
+    of the complement basis the complete QR forms explicitly."""
+    space = star(dim, n)
+    basis = orc.complement_basis(space)
+    assert space.T_pp.shape == (basis.B.shape[1], space.Q.n_dofs)
+    assert orc.rel(space.T_pp, basis.B.T @ basis.G_E) < 1e-12
+
+
+def test_star_space_build_keeps_few_enriched_square_arrays():
+    """At most six n_E-square arrays of doubles at the peak of a build
+    (n_E = n2 + np): the Gram's eigh works in place, and neither the
+    complete Q nor the complement basis is formed."""
+    mesh = build_structured(2, 8)
+    tracemalloc.start()
+    try:
+        space = build_star_space(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n_E = space.V2.n_dofs + space.Q.n_dofs
+    assert peak <= 6 * 8 * n_E ** 2, peak / (8 * n_E ** 2)
 
 
 def test_gradient_pythagoras(star4):
