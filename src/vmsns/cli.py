@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 configuration error,
-3 solver nonconvergence/divergence, 4 invariant or ledger-audit failure,
-5 internal error (a factorization or linear-residual gate that failed).
+Exit codes: 0 success, 1 usage error, 2 configuration error (an output
+file that cannot be written among them), 3 solver nonconvergence/divergence,
+4 invariant or ledger-audit failure, 5 internal error (a factorization or
+linear-residual gate that failed).
 """
 
 import argparse

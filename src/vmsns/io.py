@@ -63,35 +63,49 @@ def _read_lines(path, what):
         raise InvariantViolation(f"{path}: {what} is not UTF-8 text: {exc}") from exc
 
 
+def _write_lines(path, lines, what):
+    """Write ``lines`` to the text file ``path``, each ended by a newline;
+    a file that cannot be written is a ConfigurationError naming ``what``
+    it was to be."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def _read_table(path, header, what, parse):
+    """``parse(*fields)`` of each data row of the CSV table ``path``.
+    Empty lines are skipped; the first other line must be ``header``, and
+    a later one with another field count or that ``parse`` rejects with a
+    ValueError is an InvariantViolation naming ``path:line``."""
+    lines = [(k, ln.split(",")) for k, ln in
+             enumerate(_read_lines(path, what), start=1) if ln]
+    if not lines or tuple(lines[0][1]) != tuple(header):
+        lineno, got = (lines[0][0], ",".join(lines[0][1])) if lines else (1, "")
+        raise InvariantViolation(
+            f"{path}:{lineno}: expected header {','.join(header)!r}, got {got!r}")
+    rows = []
+    for lineno, parts in lines[1:]:
+        if len(parts) != len(header):
+            raise InvariantViolation(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
+        try:
+            rows.append(parse(*parts))
+        except ValueError as exc:
+            raise InvariantViolation(f"{path}:{lineno}: {exc}") from exc
+    return rows
+
+
 def write_energy_ledger(records, path):
     """One row per time step, strictly increasing t, repr-exact floats."""
-    lines = [LEDGER_HEADER]
-    for r in records:
-        lines.append(",".join(_fmt(v) for v in _ledger_row(r)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [LEDGER_HEADER] + [",".join(map(_fmt, _ledger_row(r)))
+                                          for r in records], "ledger")
 
 
 def read_energy_ledger(path):
-    lines = _read_lines(path, "ledger")
-    if not lines or lines[0] != LEDGER_HEADER:
-        raise InvariantViolation(
-            f"{path}: ledger header mismatch "
-            f"(expected {LEDGER_HEADER!r}, got {lines[0] if lines else ''!r})")
-    records = []
-    n_fields = len(_LEDGER_FIELDS)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise InvariantViolation(
-                f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-        try:
-            vals = [float(p) for p in parts]
-        except ValueError as exc:
-            raise InvariantViolation(f"{path}:{lineno}: {exc}") from exc
-        records.append(EnergyRecord(*vals))
+    records = _read_table(path, _LEDGER_FIELDS, "ledger",
+                          lambda *parts: EnergyRecord(*map(float, parts)))
     for a, b in zip(records, records[1:]):
         if not b.t > a.t:
             raise InvariantViolation(
@@ -147,8 +161,8 @@ _last_mesh_block = (None, "")
 
 
 def _mesh_block(mesh):
-    """The POINTS, CELLS and CELL_TYPES lines of ``mesh``, each with its
-    newline, formatted once per mesh."""
+    """The POINTS, CELLS and CELL_TYPES lines of ``mesh``, joined by
+    newlines, formatted once per mesh."""
     global _last_mesh_block
     ref, block = _last_mesh_block
     if ref is not None and ref() is mesh:
@@ -162,7 +176,7 @@ def _mesh_block(mesh):
     lines += [f"{npc} " + " ".join(map(str, cell)) for cell in mesh.cells.tolist()]
     lines.append(f"CELL_TYPES {mesh.n_cells}")
     lines += [str(5 if mesh.dim == 2 else 10)] * mesh.n_cells
-    block = "\n".join(lines) + "\n"
+    block = "\n".join(lines)
     _last_mesh_block = (weakref.ref(mesh), block)
     return block
 
@@ -183,8 +197,9 @@ def write_fields_vtk(state, path, title="flow fields"):
     vel3 = np.zeros((mesh.n_vertices, 3))
     vel3[:, :mesh.dim] = vel
 
-    head = f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n"
-    lines = [f"POINT_DATA {mesh.n_vertices}", "VECTORS velocity double"]
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", _mesh_block(mesh),
+             f"POINT_DATA {mesh.n_vertices}", "VECTORS velocity double"]
     lines += [" ".join(map(repr, v)) for v in vel3.tolist()]
     lines.append("SCALARS pressure double 1")
     lines.append("LOOKUP_TABLE default")
@@ -193,8 +208,7 @@ def write_fields_vtk(state, path, title="flow fields"):
     lines.append("SCALARS subscale_magnitude double 1")
     lines.append("LOOKUP_TABLE default")
     lines += map(repr, sub_mag.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head + _mesh_block(mesh) + "\n".join(lines) + "\n")
+    _write_lines(path, lines, "VTK file")
 
 
 def read_fields_vtk(path):
@@ -262,10 +276,8 @@ def write_table_csv(header, rows, path):
             return "" if np.isnan(v) else _fmt(v)
         return str(v)
 
-    lines = [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [",".join(header)]
+                 + [",".join(cell(v) for v in row) for row in rows], "table")
 
 
 def write_equivalence_csv(report, path):
@@ -278,35 +290,18 @@ def write_equivalence_csv(report, path):
 
 
 def read_equivalence_csv(path):
-    """Read a report written by write_equivalence_csv; blank lines are
+    """Read a report written by write_equivalence_csv; empty lines are
     skipped, and malformed content raises InvariantViolation naming
     ``path:line``."""
     from .spectral_lab import EquivalenceReport, ReportRow
 
-    lines = [(k, ln) for k, ln in
-             enumerate(_read_lines(path, "report"), start=1) if ln.strip()]
-    if not lines or tuple(lines[0][1].split(",")) != EquivalenceReport.HEADER:
-        lineno, got = lines[0] if lines else (1, "")
-        raise InvariantViolation(
-            f"{path}:{lineno}: expected header "
-            f"{','.join(EquivalenceReport.HEADER)!r}, got {got!r}")
-    n_fields = len(EquivalenceReport.HEADER)
-    rows = []
-    for lineno, line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise InvariantViolation(
-                f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
-        lemma, s, level, h, value, rmin, rmax = parts
-        try:
-            rows.append(ReportRow(
-                lemma=lemma, s=float(s), level=int(level), h=float(h),
-                value=float(value),
-                ratio_min=float(rmin) if rmin else float("nan"),
-                ratio_max=float(rmax) if rmax else float("nan")))
-        except ValueError as exc:
-            raise InvariantViolation(f"{path}:{lineno}: {exc}") from exc
-    return EquivalenceReport(rows=tuple(rows))
+    def row(lemma, s, level, h, value, rmin, rmax):
+        # an empty ratio cell is a NaN
+        return ReportRow(lemma, float(s), int(level), float(h), float(value),
+                         float(rmin or "nan"), float(rmax or "nan"))
+
+    return EquivalenceReport(rows=tuple(
+        _read_table(path, EquivalenceReport.HEADER, "report", row)))
 
 
 def ensure_dir(path):

@@ -85,6 +85,7 @@ import scipy.sparse.linalg as spla
 from . import scenarios
 from .diagnostics import energy_ledger_entry
 from .errors import (
+    ConfigurationError,
     InternalError,
     InvariantViolation,
     SolverDivergence,
@@ -280,6 +281,9 @@ def build_discretization(mesh):
     """P1/P1 velocity/pressure spaces, the constant operator set and the
     pattern of the augmented Picard matrix, on a structured mesh."""
     V = build_space(mesh, components=mesh.dim, constraint="zero_trace")
+    if V.n_dofs == 0:
+        raise ConfigurationError(
+            "the zero-trace velocity space has no interior dof (n >= 2)")
     Q = build_space(mesh, components=1, constraint="zero_mean")
     G = assemble_gradient_coupling(V, Q)
     return Discretization(mesh=mesh, V=V, Q=Q, G=G, GT=G.T.tocsr(),

@@ -18,19 +18,24 @@ scale of index s weighs the complement block by h^(-2s) and the resolved
 block through the spectral calculus of the Dirichlet Laplacian pencil
 (K1, M1).
 
-Everything on the discretely divergence-free subspace V = {v : Cᵀv = 0},
-C = [G1; T_pp], goes through one cached factorization of np-square size
-(``_schur``): F = M1⁻¹G1, TT = T_ppᵀT_pp and a Cholesky factor of the
-pressure Schur complement S = CᵀM★⁻¹C = G1ᵀF + TT, with M★ =
-blockdiag(M1, I) the composite mass, pinned by m_p m_pᵀ along the
+Every discrete pressure gradient lies in the enriched space, the
+L²-orthogonal sum of the resolved space and the complement, so the
+pressure Schur complement S = CᵀM★⁻¹C of the divergence constraint
+C = [G1; T_pp] (M★ = blockdiag(M1, I) the composite mass) is the
+pressure stiffness K_p, and TT = T_ppᵀT_pp = K_p - G1ᵀM1⁻¹G1 is the
+orthogonal subscale's pressure stabilization ‖π⊥∇q‖².  Everything on the
+discretely divergence-free subspace V = {v : Cᵀv = 0} goes through one
+cached np-square factor (``_schur``) of K_p + m_p m_pᵀ, pinned along the
 constants that C annihilates.  The Leray projection is v - M★⁻¹C r with
-(S + m_p m_pᵀ) r = Cᵀv.  The W/V equivalence reduces to an n1-sized
+(K_p + m_p m_pᵀ) r = Cᵀv.  The W/V equivalence reduces to an n1-sized
 problem: the fields of V with a zero resolved part have quotient exactly
 1, and the rest of V is the range of Π_V [I; 0], whose blocks follow from
-the same factor.  The inf-sup form reads its complement term from TT.
-Nothing of the dimension of V is factored or eigendecomposed.
+the same factor.  The inf-sup form needs no factor, and at s = 1 it is
+K_p against K_p.  Nothing of the dimension of V is factored or
+eigendecomposed.
 
-``build_star_space`` orthonormalises the enriched space with a dense
+Only the Leray rows (``leray_project``, ``grad_probe``) and ``n_star``
+read T_pp.  ``build_star_space`` orthonormalises the enriched space with a dense
 rank-revealing ``eigh`` of its Gram M_E and a Householder QR of the
 embedded resolved block, and forms T_pp = BᵀG_E by applying the QR's
 reflectors: neither the complete Q nor the complement basis B is formed.
@@ -40,9 +45,7 @@ assembly of M2, G2, K_p and J, the M_E ``eigh`` and the reflectors.  With
 noise of 1e-15 relative added to every single-matrix ``eigh`` input of
 100 rows or more (M_E among them), all six ``leray_stability`` rows of
 the seed-0 report at levels (4, 8, 12) moved by 0.01-0.2% while the
-other 66 rows held to 1e-8.  What follows the factorization may change
-at roundoff: forming T_pp from the reflectors instead of from B moved it
-by at most 2.7e-14 relative at n = 12.  The tests pin the assembly (the
+other 66 rows held to 1e-8.  The tests pin the assembly (the
 edge numbering, the degree-2 boundary nodes and J equal loop oracles
 entry for entry, and the seed-0 report at levels (4, 8) must match the
 benchmark's recorded rows) and hold T_pp to the explicit B of the
@@ -65,7 +68,6 @@ __all__ = [
     "StarSpace",
     "build_star_space",
     "fractional_norm",
-    "star_norm",
     "composite_norm",
     "wv_equivalence",
     "infsup_constant",
@@ -123,11 +125,6 @@ class Spectrum:
                 f"modes fail metric orthonormality by {defect:.3e}")
         return self
 
-    def fractional_coeffs(self, w, s):
-        """Coefficients Λ^{s/2} Zᵀ M w of the fractional calculus."""
-        c = self.modes.T @ (self.metric @ w)
-        return self.eigenvalues ** (0.5 * s) * c
-
 
 def spectral_decompose(A, M, drop_null=0):
     """Dense generalized symmetric eigendecomposition with invariants.
@@ -159,22 +156,8 @@ def spectral_decompose(A, M, drop_null=0):
 
 def fractional_norm(w, s, spectrum):
     """Fractional operator norm (Σ_i λ_i^s (z_iᵀ M w)²)^{1/2}."""
-    c = spectrum.fractional_coeffs(w, s)
+    c = spectrum.eigenvalues ** (0.5 * s) * (spectrum.modes.T @ (spectrum.metric @ w))
     return float(np.sqrt(c @ c))
-
-
-def star_norm(w_fe, w_perp, s, h, spectrum):
-    """Composite fractional norm of index s:
-
-        ‖(w_fe, w_perp)‖² = ‖w_fe‖²_{s} + h^(-2s) ‖w_perp‖²,
-
-    the block-diagonal evaluation over the resolved spectrum plus the
-    rescaled plain norm of the complement coordinates (which are
-    L²-orthonormal, so their Euclidean norm is their L² norm).
-    """
-    w_perp = np.asarray(w_perp, dtype=float)
-    fe = fractional_norm(w_fe, s, spectrum)
-    return float(np.sqrt(fe * fe + h ** (-2.0 * s) * (w_perp @ w_perp)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +322,17 @@ def _apply_qt(reflectors, tau, c):
 # ---------------------------------------------------------------------------
 
 def composite_norm(space, v, s):
-    """``star_norm`` over a stacked composite vector of a StarSpace."""
+    """Composite fractional norm of index s of a stacked composite vector:
+
+        ‖(v_fe, v_perp)‖² = ‖v_fe‖²_{s} + h^(-2s) ‖v_perp‖²,
+
+    the fractional norm over the resolved spectrum plus the rescaled plain
+    norm of the complement coordinates (which are L²-orthonormal, so their
+    Euclidean norm is their L² norm).
+    """
     v_fe, v_perp = space.split(v)
-    return star_norm(v_fe, v_perp, s, space.h, space.velocity)
+    fe = fractional_norm(v_fe, s, space.velocity)
+    return float(np.sqrt(fe * fe + space.h ** (-2.0 * s) * (v_perp @ v_perp)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +341,8 @@ def composite_norm(space, v, s):
 
 def _schur(space):
     """Pressure Schur data of the divergence constraint C = [G1; T_pp]:
-    (F, TT, factor) with F = M1⁻¹G1, TT = T_ppᵀT_pp and the Cholesky
-    factor of S + m_p m_pᵀ, where S = CᵀM★⁻¹C = G1ᵀF + TT.
+    (F, TT, factor) with F = M1⁻¹G1, TT = T_ppᵀT_pp = K_p - G1ᵀF and the
+    Cholesky factor of S + m_p m_pᵀ, where S = CᵀM★⁻¹C = G1ᵀF + TT is K_p.
 
     C annihilates the constant pressures, so S is singular along them;
     the pin m_p m_pᵀ lifts that direction, and since every right-hand
@@ -360,10 +351,11 @@ def _schur(space):
     """
     if "schur" not in space._cache:
         F = sla.solve(_sym(space.M1), space.G1, assume_a="pos")
-        TT = _sym(space.T_pp.T @ space.T_pp)
-        S = _sym(space.G1.T @ F) + TT + np.outer(space.m_p, space.m_p)
+        K_p = space.Q.stiffness.toarray()
+        TT = K_p - _sym(space.G1.T @ F)
         try:
-            factor = sla.cho_factor(S, lower=True)
+            factor = sla.cho_factor(K_p + np.outer(space.m_p, space.m_p),
+                                    lower=True)
         except sla.LinAlgError as exc:
             raise InternalError(
                 f"pinned pressure Schur complement is not positive definite: "
@@ -460,15 +452,21 @@ def infsup_constant(space, s, include_complement=True):
     the complement included the constant is bounded below uniformly in h;
     restricted to the resolved block alone it degenerates (the classical
     equal-order failure).
+
+    With the pressure modes Zp (ZpᵀK_p Zp = Λp) and the complete
+    M1-orthonormal velocity modes Z1, W = Z1ᵀG1Zp and the complement term
+    is ZpᵀTT Zp = Λp - WᵀW, so the form is
+    Wᵀ(Λ1^(s-1) - h^(2(1-s)))W + h^(2(1-s))Λp: Λp itself at s = 1.
     """
     lam1 = space.velocity.eigenvalues
-    Zp = space.pressure.modes
     lamp = space.pressure.eigenvalues
-    W = space.velocity.modes.T @ (space.G1 @ Zp)          # (n1, np - 1)
-    A = W.T @ (W * lam1[:, None] ** (s - 1.0))
+    W = space.velocity.modes.T @ (space.G1 @ space.pressure.modes)   # (n1, np - 1)
+    weights = lam1 ** (s - 1.0)
     if include_complement:
-        _, TT, _ = _schur(space)
-        A += space.h ** (2.0 * (1.0 - s)) * (Zp.T @ TT @ Zp)
+        c = space.h ** (2.0 * (1.0 - s))
+        A = W.T @ (W * (weights - c)[:, None]) + np.diag(c * lamp)
+    else:
+        A = W.T @ (W * weights[:, None])
     vals = sla.eigh(_sym(A), np.diag(lamp ** s), eigvals_only=True)
     return float(np.sqrt(max(vals[0], 0.0)))
 

@@ -1,10 +1,11 @@
 """Desk-scale acceptance gates for the flow solver and the operator lab.
 
 Each test is one gate with its tolerance and (where stated) wall-clock
-budget.  Shared runs are module fixtures so the expensive level-16 builds
-happen once.  Gate 6 and its companion bound the composite inf-sup
-constant below by one h-independent floor, the unit square's continuous
-inf-sup constant (see ``BETA_UNIT_SQUARE``).
+budget.  Shared runs are module fixtures and star spaces come from the
+session's ``star`` cache, so the expensive level-16 builds happen once.
+Gate 6 and its companion bound the composite inf-sup constant below by
+one h-independent floor, the unit square's continuous inf-sup constant
+(see ``BETA_UNIT_SQUARE``).
 """
 
 import math
@@ -23,8 +24,8 @@ from vmsns.mesh import build_structured
 from vmsns.scenarios import fields_for
 from vmsns.solver import (build_discretization, continuity_residual,
                           initialize, run)
-from vmsns.spectral_lab import (build_star_space, composite_norm, grad_probe,
-                                infsup_constant, inverse_inequality_constant,
+from vmsns.spectral_lab import (composite_norm, grad_probe, infsup_constant,
+                                inverse_inequality_constant,
                                 leray_star_stability)
 from vmsns.subgrid import orthogonality_defect
 
@@ -51,8 +52,8 @@ def vortex_runs():
 
 
 @pytest.fixture(scope="module")
-def star_spaces():
-    return {n: build_star_space(build_structured(2, n)) for n in LEVELS}
+def star_spaces(star):
+    return {n: star(2, n) for n in LEVELS}
 
 
 @pytest.fixture(scope="module")

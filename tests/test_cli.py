@@ -107,6 +107,35 @@ def test_unwritable_output_dir_fails_before_the_run(tmp_path, capsys,
     assert calls == []
 
 
+@pytest.mark.parametrize("command, taken", [
+    ("run", "ledger.csv"),
+    ("study", "totals.csv"),
+    ("spectra", "equivalence.csv"),
+    ("init", "init_state.vtk"),
+])
+def test_an_output_file_that_cannot_be_written_is_a_configuration_error(
+        tmp_path, capsys, command, taken):
+    cfg = _write_cfg(tmp_path / "run.cfg", **{"mesh.n": "2", "time.T": "0.02"})
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command in ("study", "spectra"):
+        argv += ["--levels", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot write" in err and taken in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "init"])
+def test_a_mesh_without_interior_velocity_dofs_is_a_configuration_error(
+        tmp_path, capsys, command):
+    cfg = _write_cfg(tmp_path / "run.cfg", **{"mesh.n": "1"})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "no interior dof" in err
+
+
 def test_nonconvergence_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.cfg",
                      **{"solver.picard_tol": "1e-15",

@@ -314,6 +314,24 @@ def test_table_csv_cells(tmp_path):
     assert lines[2] == "x,,2.0"
 
 
+# ---------------------------------------------------------------------------
+# files that cannot be written
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("write, what", [
+    (lambda path: write_energy_ledger([], path), "ledger"),
+    (lambda path: write_fields_vtk(_run_records(n=2, T=0.0).states[0], path),
+     "VTK file"),
+    (lambda path: write_table_csv(("a",), [(1,)], path), "table"),
+], ids=["ledger", "vtk", "table"])
+def test_writers_report_a_path_that_cannot_be_written_as_configuration(
+        tmp_path, write, what):
+    path = tmp_path / "taken"
+    path.mkdir()
+    with pytest.raises(ConfigurationError, match=f"cannot write {what} .*taken"):
+        write(path)
+
+
 def test_vtk_mesh_block_is_formatted_once_per_mesh(tmp_path):
     """Every snapshot of a run reuses its mesh's block, a write of another
     mesh formats that one's, and every file equals freshly formatted

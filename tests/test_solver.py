@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from vmsns import solver, subgrid
 from vmsns.config import ScenarioConfig
 from vmsns.diagnostics import energy_ledger_entry
-from vmsns.errors import SolverNonconvergence
+from vmsns.errors import ConfigurationError, SolverNonconvergence
 from vmsns.fe import advection_factor, assemble_load, l2_project, quad_norm
 from vmsns.mesh import build_structured
 from vmsns.solver import (
@@ -26,6 +26,13 @@ import oracles as orc
 
 def _disc(n=4):
     return build_discretization(build_structured(2, n))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_a_mesh_without_interior_velocity_dofs_is_a_configuration_error(dim):
+    # n = 1 passes the config rules, but every vertex is on the boundary
+    with pytest.raises(ConfigurationError, match="no interior dof"):
+        build_discretization(build_structured(dim, 1))
 
 
 def test_initialize_zero_field():

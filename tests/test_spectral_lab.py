@@ -7,6 +7,7 @@ regressions of the construction; the two-route agreements against
 oracles.py are the substantive checks.
 """
 
+import copy
 import dataclasses
 import json
 import math
@@ -37,24 +38,10 @@ from vmsns.spectral_lab import (
     leray_star_stability,
     run_equivalence_suite,
     spectral_decompose,
-    star_norm,
     wv_equivalence,
 )
 
 import oracles as orc
-
-
-@pytest.fixture(scope="module")
-def star():
-    """star(dim, n): the star space on the unit n-grid, built once per module."""
-    spaces = {}
-
-    def get(dim, n):
-        if (dim, n) not in spaces:
-            spaces[dim, n] = build_star_space(build_structured(dim, n))
-        return spaces[dim, n]
-
-    return get
 
 
 @pytest.fixture(scope="module")
@@ -267,9 +254,9 @@ def test_star_norm_block_structure(star4):
     v = rng.standard_normal(star4.n_star)
     fe, perp = star4.split(v)
     s = 0.75
-    only_fe = star_norm(fe, np.zeros(star4.m), s, star4.h, star4.velocity)
+    only_fe = composite_norm(star4, np.concatenate([fe, np.zeros(star4.m)]), s)
     assert abs(only_fe - fractional_norm(fe, s, star4.velocity)) < 1e-13
-    only_perp = star_norm(np.zeros(star4.n1), perp, s, star4.h, star4.velocity)
+    only_perp = composite_norm(star4, np.concatenate([np.zeros(star4.n1), perp]), s)
     assert abs(only_perp - star4.h ** (-s) * np.linalg.norm(perp)) < 1e-13
     both = composite_norm(star4, v, s)
     assert abs(both ** 2 - only_fe ** 2 - only_perp ** 2) < 1e-12 * both ** 2
@@ -303,10 +290,12 @@ def test_plain_equal_order_pairing_degenerates(star4):
     assert infsup_constant(star4, 1.0, include_complement=False) == 0.0
 
 
-def test_star_infsup_at_the_consistency_index(star4):
-    # at s = 1 the complement representation of ∇q is exact, so the
-    # constant is 1 up to solver roundoff
-    assert abs(infsup_constant(star4, 1.0) - 1.0) < 1e-9
+def test_star_infsup_at_the_consistency_index(star):
+    """At s = 1 the complement carries the orthogonal part of every ∇q,
+    so the form is the pressure stiffness against itself: the constant is
+    1 by construction, not up to the roundoff of a Schur product."""
+    for dim, n in ((2, 2), (2, 4), (2, 8), (2, 16), (3, 2)):
+        assert abs(infsup_constant(star(dim, n), 1.0) - 1.0) <= 1e-14, (dim, n)
 
 
 def test_star_infsup_pinned_values(star4):
@@ -368,11 +357,13 @@ def test_leray_contracts_the_composite_mass_norm(star4):
 
 
 def test_unpinned_singular_schur_complement_is_an_internal_error(star4):
-    # with no pairing and no pin, S + m_p m_pᵀ is exactly zero
-    blank = dataclasses.replace(star4, G1=np.zeros_like(star4.G1),
-                                T_pp=np.zeros_like(star4.T_pp),
-                                m_p=np.zeros_like(star4.m_p), _cache={})
-    with pytest.raises(InternalError):
+    # with a zero pressure stiffness and no pin, S + m_p m_pᵀ is exactly
+    # zero, so the Cholesky factorization fails at its first pivot
+    Q = copy.copy(star4.Q)
+    Q.stiffness = 0.0 * star4.Q.stiffness
+    blank = dataclasses.replace(star4, Q=Q, m_p=np.zeros_like(star4.m_p),
+                                _cache={})
+    with pytest.raises(InternalError, match="not positive definite"):
         leray_project(blank, np.ones(blank.n_star))
 
 
@@ -455,8 +446,8 @@ def test_inverse_inequality_bound_and_sharpness(star4):
     rng = np.random.default_rng(8)
 
     def h1_scale(v):
-        c = spec.fractional_coeffs(v, 0.0)
-        return float(np.sqrt(np.sum((1.0 + spec.eigenvalues) * c * c)))
+        return float(np.hypot(fractional_norm(v, 0.0, spec),
+                              fractional_norm(v, 1.0, spec)))
 
     for s in (0.0, 0.5, 1.0):
         C = inverse_inequality_constant(star4, s)
