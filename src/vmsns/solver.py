@@ -35,11 +35,16 @@ unknown, which gives the sparse augmented system (with β = 1/(1/dt + 1/τ))
     [                         m_pᵀ                     ] [λ]
 
 Its sparsity pattern depends only on the mesh, so
-:func:`build_discretization` builds it once, together with the data
-position of every term and a nested-dissection ordering of the grid's
-vertices (:func:`_dissect`), each with its unknowns together, and the mean
-multiplier last, since its row is dense.  Each Picard iteration fills
-the data of that pattern with one ``bincount``.  From one iterate to the
+:func:`build_discretization` builds it once, together with a
+nested-dissection ordering of the grid's vertices (:func:`_dissect`),
+each with its unknowns together, and the mean multiplier last, since its
+row is dense, and with one sparse assembly operator F.  Each Picard
+iteration lists every value of the matrix once, in a vector v: M/dt, M,
+νK, G, βG, βK_Q, m_p and per cell C + βNᵀWN, C, βC and βNᵀW𝒢.  F has a
+±1 entry for each slot and each value that goes into it, so the copies
+per velocity component and the signs live in F, and the pattern's data
+is the one product F v (the precomputed-index assembly of Cuvelier,
+Japhet & Scarella, BIT Numer. Math. 2016).  From one iterate to the
 next only the advection terms change, and from one step to the next only
 those and τ, so one SuperLU factor serves many steps.  Every solve is
 preconditioned defect correction with the factor in use (:func:`_solve`),
@@ -76,6 +81,7 @@ checked when it was made: ``step(state, load, cfg)`` and ``run(cfg)``.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -154,14 +160,17 @@ HISTORY_DEPTH = 4
 
 @dataclass
 class AugmentedPattern:
-    """Fixed CSC pattern of the augmented matrix, in solve order.
+    """Fixed CSC pattern of the augmented matrix, in solve order, and the
+    operator that fills its data.
 
     Unknowns are numbered [u, p, ζ, λ] and then permuted: solve-order row
     i is unknown ``perm[i]``, and unknown j is row ``where[j]``.
-    ``positions[e]`` is the data slot of term entry e, in the order
-    :func:`_system_matrix` lists its weights; entries on eliminated dofs
-    point at the spare slot ``nnz``.  ``values`` holds the CSR data of M,
-    K, G and K_Q and the pressure means m_p.
+    ``assembly`` is the sparse (nnz, n_values) operator F of
+    :func:`_system_matrix`: the CSC data is F v, where v lists each value
+    of the matrix once, and F's ±1 entries put every value into each of
+    its slots, copies per velocity component and signs included.
+    ``values`` holds the CSR data of M, K, G and K_Q and the pressure
+    means m_p.
     """
 
     n: int
@@ -170,7 +179,7 @@ class AugmentedPattern:
     indices: np.ndarray = field(repr=False)
     perm: np.ndarray = field(repr=False)
     where: np.ndarray = field(repr=False)
-    positions: np.ndarray = field(repr=False)
+    assembly: object = field(repr=False)
     values: tuple = field(repr=False)
 
 
@@ -213,7 +222,7 @@ def _dissect(grid, vertices):
 
 
 def _build_pattern(V, Q, G):
-    """Pattern, data positions and ordering of the augmented matrix."""
+    """Pattern, assembly operator and ordering of the augmented matrix."""
     n_u, n_p = V.n_dofs, Q.n_scalar
     p0, z0, lam = n_u, n_u + n_p, 2 * n_u + n_p
     n = lam + 1
@@ -224,34 +233,40 @@ def _build_pattern(V, Q, G):
     rQ, cQ = _csr_coords(KQ)
     pdofs = p0 + np.arange(n_p)
     lams = np.full(n_p, lam)
-    # constant terms, in the order _system_matrix lists their weights:
-    # M/dt, -M, νK, G, Gᵀ, G (ζ row), βGᵀ (ζ column), -βK_Q, m_p, m_pᵀ
-    const = [(rM, cM), (z0 + rM, z0 + cM), (rK, cK), (rG, p0 + cG),
-             (p0 + cG, rG), (z0 + rG, p0 + cG), (p0 + cG, z0 + rG),
-             (p0 + rQ, p0 + cQ), (pdofs, lams), (lams, pdofs)]
-
-    # cell-local terms: velocity/velocity blocks per component (C + βNᵀWN,
-    # C in the ζ rows, -βCᵀ in the ζ columns), then velocity/pressure
-    # blocks (βNᵀW𝒢 and its negated transpose); entries on eliminated dofs
-    # are masked before the block offsets are added, which would turn -1
-    # into a valid index
     d = V.components
     vd, qd = V.cell_vdofs, Q.cell_vdofs                      # (nc, nl, d|1)
-    v_ok = vd[:, :, :1] >= 0                                 # per node
-    vi, vj, vv_ok = np.broadcast_arrays(
-        vd[:, :, None, :], vd[:, None, :, :],
-        v_ok[:, :, None, :] & v_ok[:, None, :, :])
-    vq, qj, vq_ok = np.broadcast_arrays(
-        vd[:, :, None, :], p0 + qd[:, None, :, :],
-        v_ok[:, :, None, :] & (qd >= 0)[:, None, :, :])
-    cell = [(vi, vj, vv_ok), (z0 + vi, vj, vv_ok), (vj, z0 + vi, vv_ok),
-            (vq, qj, vq_ok), (qj, vq, vq_ok)]
+    nc, nl, nl_q = vd.shape[0], vd.shape[1], qd.shape[1]
 
-    rows = np.concatenate([r for r, _ in const] + [r.ravel() for r, _, _ in cell])
-    cols = np.concatenate([c for _, c in const] + [c.ravel() for _, c, _ in cell])
-    ok = np.concatenate([np.ones(sum(r.size for r, _ in const), dtype=bool)]
-                        + [m.ravel() for _, _, m in cell])
-    rows, cols = rows[ok], cols[ok]
+    # the value blocks of _system_matrix, each value once: M/dt, M, νK, G,
+    # βG, βK_Q, m_p, then per cell C + βNᵀWN, C, βC (nc, nl, nl) and
+    # βNᵀW𝒢 (nc, nl, nl_q, dim)
+    n_vv, n_vq = nc * nl * nl, nc * nl * nl_q * d
+    sizes = [M.nnz, M.nnz, K.nnz, G.nnz, G.nnz, KQ.nnz, n_p, n_vv, n_vv, n_vv, n_vq]
+    start = np.cumsum([0] + sizes)
+    vv_at = np.arange(n_vv).reshape(nc, nl, nl, 1)
+    vq_at = np.arange(n_vq).reshape(nc, nl, nl_q, d)
+
+    # the terms (rows, cols, value block, sign, mask, value of each entry),
+    # in the order each slot sums them: the constant blocks M/dt, -M, νK,
+    # G, Gᵀ, G (ζ rows), βGᵀ (ζ column), -βK_Q, m_p, m_pᵀ; the cell-local
+    # velocity/velocity blocks per component (C + βNᵀWN, C in the ζ rows,
+    # -βCᵀ in the ζ columns), then the velocity/pressure blocks (βNᵀW𝒢 and
+    # its negated transpose).  The masks drop entries on eliminated dofs;
+    # they are taken before the block offsets are added, which would turn
+    # -1 into a valid index
+    v_ok = vd[:, :, :1] >= 0                                 # per node
+    vi, vj = vd[:, :, None, :], vd[:, None, :, :]
+    vv_ok = np.broadcast_to(v_ok[:, :, None, :] & v_ok[:, None, :, :], (nc, nl, nl, d))
+    vq, qj = vd[:, :, None, :], p0 + qd[:, None, :, :]
+    vq_ok = np.broadcast_to(v_ok[:, :, None, :] & (qd >= 0)[:, None, :, :],
+                            (nc, nl, nl_q, d))
+    terms = [(rM, cM, 0, 1), (z0 + rM, z0 + cM, 1, -1), (rK, cK, 2, 1),
+             (rG, p0 + cG, 3, 1), (p0 + cG, rG, 3, 1), (z0 + rG, p0 + cG, 3, 1),
+             (p0 + cG, z0 + rG, 4, 1), (p0 + rQ, p0 + cQ, 5, -1),
+             (pdofs, lams, 6, 1), (lams, pdofs, 6, 1),
+             (vi, vj, 7, 1, vv_ok, vv_at), (z0 + vi, vj, 8, 1, vv_ok, vv_at),
+             (vj, z0 + vi, 9, -1, vv_ok, vv_at),
+             (vq, qj, 10, 1, vq_ok, vq_at), (qj, vq, 10, -1, vq_ok, vq_at)]
 
     # ordering: the unknowns stably by the nested-dissection rank of their
     # vertex (velocity dofs number the interior vertices in turn, pressure
@@ -264,16 +279,31 @@ def _build_pattern(V, Q, G):
     where = np.empty(n, dtype=np.int64)
     where[perm] = np.arange(n)
 
-    keys = where[cols] * n + where[rows]          # column-major: CSC order
-    uniq, slot = np.unique(keys, return_inverse=True)
+    keys, index, sign = [], [], []
+    for rows, cols, block, s, *cell in terms:
+        if cell:
+            ok, at = cell
+            rows, cols, at = (np.broadcast_to(x, ok.shape)[ok] for x in (rows, cols, at))
+        else:
+            at = np.arange(sizes[block])
+        keys.append(where[cols] * n + where[rows])    # column-major: CSC order
+        index.append((start[block] + at).astype(np.int32))
+        sign.append(np.full(at.size, float(s)))
+    keys = np.concatenate(keys)
+    # each slot's terms stay in the order above
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    uniq = keys[first]
     nnz = uniq.size
-    positions = np.full(ok.size, nnz, dtype=np.int64)
-    positions[ok] = slot
+    assembly = sp.csr_matrix(
+        (np.concatenate(sign)[order], np.concatenate(index)[order],
+         np.append(first, keys.size).astype(np.int32)), shape=(nnz, start[-1]))
     indptr = np.concatenate(
         [[0], np.cumsum(np.bincount(uniq // n, minlength=n))]).astype(np.int32)
     return AugmentedPattern(
         n=n, nnz=nnz, indptr=indptr, indices=(uniq % n).astype(np.int32),
-        perm=perm, where=where, positions=positions,
+        perm=perm, where=where, assembly=assembly,
         values=(M.data, K.data, G.data, KQ.data, Q.mean_vector))
 
 
@@ -333,6 +363,13 @@ class StarState:
     #: initialization
     history: History = field(default=None, repr=False, compare=False)
 
+    @cached_property
+    def tilde_pairing(self):
+        """(ũ, ∇ψ_j) over the pressure basis: computed once per state, by
+        the continuity check of the step that makes it and read again by
+        the step from it."""
+        return continuity_pairing(self.disc.Q, self.tilde)
+
     def copy(self):
         """A copy without the carried factor and history, so that
         snapshots hold neither."""
@@ -359,20 +396,19 @@ def _cell_blocks(V, Q, n_fac):
 
 def _system_matrix(disc, dt, nu, beta, n_fac):
     """The augmented matrix (module docstring) in the pattern's solve order,
-    for the advection factor ``n_fac`` of the frozen advection velocity."""
+    for the advection factor ``n_fac`` of the frozen advection velocity:
+    its data is the pattern's assembly operator applied to the values, in
+    the blocks :func:`_build_pattern` lists."""
     pat = disc.pattern
     m, k, g, kq, mp = pat.values
     conv, nn, ng = _cell_blocks(disc.V, disc.Q, n_fac)
-    # the velocity/velocity blocks are the same for every component
-    vv = np.stack([conv + beta * nn, conv, -beta * conv])
-    vv = np.broadcast_to(vv[..., None], vv.shape + (disc.V.components,))
-    weights = np.concatenate([
-        m / dt, -m, nu * k, g, g, g, beta * g, -beta * kq, mp, mp,
-        vv.ravel(),
-        (beta * ng).ravel(), (-beta * ng).ravel(),
+    values = np.concatenate([
+        m / dt, m, nu * k, g, beta * g, beta * kq, mp,
+        (conv + beta * nn).ravel(), conv.ravel(), (beta * conv).ravel(),
+        (beta * ng).ravel(),
     ])
-    data = np.bincount(pat.positions, weights, minlength=pat.nnz + 1)[:pat.nnz]
-    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(pat.n, pat.n))
+    return sp.csc_matrix((pat.assembly @ values, pat.indices, pat.indptr),
+                         shape=(pat.n, pat.n))
 
 
 def _factor(A, what):
@@ -398,50 +434,55 @@ def _factor(A, what):
     return lambda b: s * lu.solve(s * b)
 
 
-def _extrapolate(times, values, t):
-    """The Lagrange polynomial in time through (``times[i]``,
-    ``values[i]``), latest first, evaluated at ``t``: of degree
-    len(times) - 1, and ``values[0]`` where ``t`` lies further ahead of
-    the latest time than the times reach back, since a polynomial
-    extrapolated past the span of its data amplifies their curvature
-    (through the first step out of initialization, 50 times as long,
-    the linear start took one Picard iteration and one factor more)."""
+def _lagrange_weights(times, t):
+    """The weights at ``t`` of the Lagrange polynomial in time through
+    values at ``times``, latest first: of degree len(times) - 1, and None
+    where ``t`` lies further ahead of the latest time than the times reach
+    back, since a polynomial extrapolated past the span of its data
+    amplifies their curvature (through the first step out of
+    initialization, 50 times as long, the linear start took one Picard
+    iteration and one factor more); the latest value is then the
+    extrapolation."""
     if t - times[0] > times[0] - times[-1]:
-        return values[0]
-    weights = [math.prod((t - s) / (ti - s) for j, s in enumerate(times) if j != i)
-               for i, ti in enumerate(times)]
-    return np.asarray(weights) @ values
+        return None
+    return np.asarray([math.prod((t - s) / (ti - s) for j, s in enumerate(times) if j != i)
+                       for i, ti in enumerate(times)])
+
+
+def _extrapolate(times, values, t, weights=None):
+    """The Lagrange extrapolation to ``t`` through (``times[i]``,
+    ``values[i]``), latest first (:func:`_lagrange_weights`, which
+    ``weights`` holds when given)."""
+    if weights is None:
+        weights = _lagrange_weights(times, t)
+    return values[0] if weights is None else weights @ values
 
 
 def _step_start(state, t):
-    """The Picard start at ``t`` and the carried factor with its start:
-    extrapolations through ``state`` and its history of the velocities
-    and, when ``state`` carries a factor, of the solve-order solutions of
-    those states that have one."""
+    """The Picard start at ``t``, the carried factor with its start, and
+    the history of the state a step from ``state`` returns.
+
+    The starts are extrapolations through ``state`` and its history of
+    the velocities and, when ``state`` carries a factor, of the
+    solve-order solutions of those states that have one; the weights are
+    taken once when both run through the same times.  The new history is
+    the first ``HISTORY_DEPTH`` rows of the same stacks."""
     u, carried, h = state.u, state.factor, state.history
+    ys = [] if carried is None else [carried[1]]
     if h is None:
-        return u.copy(), carried
+        history = History(np.array([state.t]), np.array([u]), np.array(ys))
+        return u.copy(), carried, history
     times = np.concatenate([[state.t], h.times])
-    u = _extrapolate(times, np.vstack([u, h.velocities]), t)
+    velocities = np.vstack([u, h.velocities])
+    weights = _lagrange_weights(times, t)
+    u = _extrapolate(times, velocities, t, weights)
+    solutions = np.vstack([*ys, *h.solutions]) if ys else np.array([])
     if carried is not None:
-        solve, y = carried
-        j = len(h.solutions)
-        carried = solve, _extrapolate(times[:j + 1], np.vstack([y, *h.solutions]), t)
-    return u, carried
-
-
-def _history_after(state):
-    """The history of the state a step from ``state`` returns."""
-    keep = HISTORY_DEPTH - 1
-    h = state.history
-    times, velocities = [state.t], [state.u]
-    solutions = [] if state.factor is None else [state.factor[1]]
-    if h is not None:
-        times += list(h.times[:keep])
-        velocities += list(h.velocities[:keep])
-        if solutions:
-            solutions += list(h.solutions[:keep])
-    return History(np.array(times), np.array(velocities), np.array(solutions))
+        j = len(solutions)
+        carried = carried[0], _extrapolate(times[:j], solutions, t,
+                                           weights if j == len(times) else None)
+    return u, carried, History(times[:HISTORY_DEPTH], velocities[:HISTORY_DEPTH],
+                               solutions[:HISTORY_DEPTH])
 
 
 def _residual_ok(A, b, y, r, linear_tol):
@@ -543,7 +584,7 @@ def initialize(u0, disc):
 def continuity_residual(state):
     """max_j |(u_h, ∇psi_j) + (ũ_h, ∇psi_j)| over the pressure basis."""
     disc = state.disc
-    res = disc.GT @ state.u + continuity_pairing(disc.Q, state.tilde)
+    res = disc.GT @ state.u + state.tilde_pairing
     return float(np.abs(res).max(initial=0.0))
 
 
@@ -593,9 +634,9 @@ def step(state, load, cfg):
         load = np.zeros(n_u)
     base_rhs_u = load + V.mass @ state.u / dt
     # ũⁿ is fixed for the step: its continuity pairing is too
-    rhs_p = -(beta / dt) * continuity_pairing(Q, state.tilde)
+    rhs_p = -(beta / dt) * state.tilde_pairing
 
-    a, carried = _step_start(state, state.t + dt)
+    a, carried, history = _step_start(state, state.t + dt)
     if not cfg.convection:
         a = np.zeros(n_u)
     u_new = p_new = None
@@ -643,7 +684,7 @@ def step(state, load, cfg):
         u=u_new, p=p_new, tilde=tilde_new, t=state.t + dt, disc=disc,
         tau_used=tau, picard_iters=iterations,
         factorizations=factorizations, sweeps=sweeps, factor=carried,
-        history=_history_after(state),
+        history=history,
     )
     _check_state_invariants(new, cfg.linear_tol)
     return new

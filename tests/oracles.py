@@ -23,7 +23,11 @@ The structured mesh is rebuilt by a Python loop per grid cell, the edge
 numbering, the degree-2 boundary nodes and the degree-1 -> degree-2
 embedding by dictionary, set and entry loops, and the augmented system's
 nested-dissection order is compared with the reverse Cuthill-McKee band
-order.  A few helpers only the tests need (the zero subscale field, the
+order.  The augmented matrix is also filled by one weight per term,
+concatenated and summed into its slots by ``np.bincount``, where the
+solver applies its assembly operator to each value once, and the step
+start is taken by one Lagrange extrapolation each of the velocities and
+the solutions, with the history rebuilt from lists.  A few helpers only the tests need (the zero subscale field, the
 composite mass and form) live here too.
 """
 
@@ -882,6 +886,117 @@ def dense_schur_step(state, load, cfg):
                                             project_orthogonal(res, V), tau, dt),
                      t=state.t + dt, disc=disc, tau_used=tau,
                      picard_iters=iterations, history=history)
+
+
+# ---------------------------------------------------------------------------
+# the augmented fill and the step start by their earlier routes
+# ---------------------------------------------------------------------------
+
+def _augmented_terms(disc):
+    """Rows and columns, in unknown numbering, of the terms of the
+    augmented matrix in the order :func:`bincount_system_matrix` lists
+    their weights, and which of them lie on no eliminated dof."""
+    from vmsns.solver import _csr_coords
+
+    V, Q = disc.V, disc.Q
+    n_u, n_p = V.n_dofs, Q.n_scalar
+    p0, z0, lam = n_u, n_u + n_p, 2 * n_u + n_p
+    rM, cM = _csr_coords(V.mass)
+    rK, cK = _csr_coords(V.stiffness)
+    rG, cG = _csr_coords(disc.G)
+    rQ, cQ = _csr_coords(Q.stiffness)
+    pdofs, lams = p0 + np.arange(n_p), np.full(n_p, lam)
+    const = [(rM, cM), (z0 + rM, z0 + cM), (rK, cK), (rG, p0 + cG),
+             (p0 + cG, rG), (z0 + rG, p0 + cG), (p0 + cG, z0 + rG),
+             (p0 + rQ, p0 + cQ), (pdofs, lams), (lams, pdofs)]
+    vd, qd = V.cell_vdofs, Q.cell_vdofs
+    v_ok = vd[:, :, :1] >= 0
+    vi, vj, vv_ok = np.broadcast_arrays(
+        vd[:, :, None, :], vd[:, None, :, :],
+        v_ok[:, :, None, :] & v_ok[:, None, :, :])
+    vq, qj, vq_ok = np.broadcast_arrays(
+        vd[:, :, None, :], p0 + qd[:, None, :, :],
+        v_ok[:, :, None, :] & (qd >= 0)[:, None, :, :])
+    cell = [(vi, vj, vv_ok), (z0 + vi, vj, vv_ok), (vj, z0 + vi, vv_ok),
+            (vq, qj, vq_ok), (qj, vq, vq_ok)]
+    rows = np.concatenate([r for r, _ in const] + [r.ravel() for r, _, _ in cell])
+    cols = np.concatenate([c for _, c in const] + [c.ravel() for _, c, _ in cell])
+    ok = np.concatenate([np.ones(sum(r.size for r, _ in const), dtype=bool)]
+                        + [m.ravel() for _, _, m in cell])
+    return rows, cols, ok
+
+
+def augmented_term_count(disc):
+    """The number of terms of the augmented matrix on no eliminated dof."""
+    return int(np.count_nonzero(_augmented_terms(disc)[2]))
+
+
+def bincount_system_matrix(disc, dt, nu, beta, n_fac):
+    """The augmented matrix in the pattern's solve order, filled with one
+    weight per term: the constant and cell-local weights, the latter
+    broadcast over the velocity components, concatenated and summed into
+    their slots by ``np.bincount``.  Each term's slot is found by binary
+    search among the pattern's (column, row) keys."""
+    import scipy.sparse as sp
+    from vmsns.solver import _cell_blocks
+
+    pat = disc.pattern
+    rows, cols, ok = _augmented_terms(disc)
+    n = pat.n
+    cols_of = np.repeat(np.arange(n), np.diff(pat.indptr))
+    pattern_keys = cols_of * n + pat.indices
+    keys = pat.where[cols[ok]] * n + pat.where[rows[ok]]
+    slot = np.searchsorted(pattern_keys, keys)
+    assert np.array_equal(pattern_keys[slot], keys)
+    positions = np.full(ok.size, pat.nnz)
+    positions[ok] = slot
+
+    m, k, g, kq, mp = pat.values
+    conv, nn, ng = _cell_blocks(disc.V, disc.Q, n_fac)
+    vv = np.stack([conv + beta * nn, conv, -beta * conv])
+    vv = np.broadcast_to(vv[..., None], vv.shape + (disc.V.components,))
+    weights = np.concatenate([
+        m / dt, -m, nu * k, g, g, g, beta * g, -beta * kq, mp, mp,
+        vv.ravel(), (beta * ng).ravel(), (-beta * ng).ravel(),
+    ])
+    data = np.bincount(positions, weights, minlength=pat.nnz + 1)[:pat.nnz]
+    return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(n, n))
+
+
+def _lagrange_extrapolate(times, values, t):
+    if t - times[0] > times[0] - times[-1]:
+        return values[0]
+    weights = [math.prod((t - s) / (ti - s) for j, s in enumerate(times) if j != i)
+               for i, ti in enumerate(times)]
+    return np.asarray(weights) @ values
+
+
+def lagrange_step_start(state, t, depth):
+    """The Picard start at ``t``, the carried factor with its start and
+    the history after ``state``, by one Lagrange extrapolation each of
+    the velocities and the solutions, and the history rebuilt from lists
+    of the ``depth`` latest states."""
+    from vmsns.solver import History
+
+    u, carried, h = state.u, state.factor, state.history
+    times, velocities = [state.t], [state.u]
+    solutions = [] if carried is None else [carried[1]]
+    if h is not None:
+        times += list(h.times[:depth - 1])
+        velocities += list(h.velocities[:depth - 1])
+        if solutions:
+            solutions += list(h.solutions[:depth - 1])
+    history = History(np.array(times), np.array(velocities), np.array(solutions))
+    if h is None:
+        return u.copy(), carried, history
+    all_times = np.concatenate([[state.t], h.times])
+    u = _lagrange_extrapolate(all_times, np.vstack([u, h.velocities]), t)
+    if carried is not None:
+        solve, y = carried
+        j = len(h.solutions)
+        carried = solve, _lagrange_extrapolate(
+            all_times[:j + 1], np.vstack([y, *h.solutions]), t)
+    return u, carried, history
 
 
 # ---------------------------------------------------------------------------

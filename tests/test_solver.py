@@ -112,6 +112,32 @@ def test_augmented_pattern_fill_matches_explicit_blocks():
                    _explicit_augmented(disc, 0.05, 0.01, beta, a)) <= 1e-14
 
 
+@pytest.mark.parametrize("dim,n", [(2, 3), (2, 8), (3, 3)])
+def test_system_matrix_matches_the_bincount_fill(dim, n):
+    """The assembly operator's fill equals the concatenated-weight
+    ``bincount`` fill entry by entry, for random settings and advection
+    with convection on and off, and for the initialization's (1, 0, 1, 0).
+    The operator has one ±1 entry per term on no eliminated dof, and
+    int32 indices."""
+    disc = build_discretization(build_structured(dim, n))
+    F = disc.pattern.assembly
+    assert F.nnz == orc.augmented_term_count(disc)
+    assert F.shape[0] == disc.pattern.nnz
+    assert F.indices.dtype == F.indptr.dtype == np.int32
+    assert np.array_equal(np.unique(F.data), [-1.0, 1.0])
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal(disc.n_u)
+    dt, nu, beta = rng.uniform(0.005, 0.1), rng.uniform(1e-3, 0.1), rng.uniform(0.001, 0.05)
+    for dt, nu, beta, a in [(dt, nu, beta, a), (dt, nu, beta, np.zeros(disc.n_u)),
+                            (1.0, 0.0, 1.0, np.zeros(disc.n_u))]:
+        n_fac = advection_factor(disc.V, a)
+        got = solver._system_matrix(disc, dt, nu, beta, n_fac)
+        want = orc.bincount_system_matrix(disc, dt, nu, beta, n_fac)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.all(np.abs(got.data - want.data) <= 1e-14 * np.abs(want.data))
+
+
 def test_initialization_matrix_is_the_augmented_assembly(monkeypatch):
     disc = _disc(4)
     seen = []
@@ -329,6 +355,30 @@ def test_initialization_zeta_is_the_projection_of_the_pressure_gradient(
     grad_xi = Q.eval_grad_at_qp(x[n_u:n_u + n_p], V.quad_order)[:, :, 0, :]
     deviation = x[n_u + n_p:2 * n_u + n_p] - l2_project(grad_xi, V)
     assert np.abs(deviation).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_one_continuity_pairing_per_step(monkeypatch):
+    """A state's (ũ, ∇ψ) is computed once, by the continuity check of the
+    step that makes it, and the next step reads it for its right-hand
+    side; a state built by hand computes it when it steps."""
+    calls = []
+    pairing = solver.continuity_pairing
+
+    def counting(*args):
+        calls.append(args)
+        return pairing(*args)
+
+    monkeypatch.setattr(solver, "continuity_pairing", counting)
+    state, load, cfg = _n8_flow("manufactured_poly")
+    calls.clear()
+    for k in range(1, 4):
+        state = step(state, load, cfg)
+        assert len(calls) == k
+    by_hand = solver.StarState(u=state.u, p=state.p, tilde=state.tilde,
+                               t=state.t, disc=state.disc)
+    new = step(by_hand, load, cfg)
+    assert len(calls) == 5
+    assert np.array_equal(new.tilde_pairing, pairing(new.disc.Q, new.tilde))
 
 
 def test_l2_projections_per_step_and_initialization(monkeypatch):
@@ -663,6 +713,26 @@ def _mms_state(n=8):
     disc = build_discretization(build_structured(2, n))
     fields = scenarios.fields_for(cfg)
     return initialize(fields.initial, disc), assemble_load(disc.V, fields.forcing), cfg
+
+
+def test_step_start_is_bit_identical_to_the_lagrange_formula():
+    """The start, the carried start and the new history equal those of
+    one Lagrange extrapolation each and a history rebuilt from lists, bit
+    for bit: with the initial state in the history, without it, and
+    further ahead than the history reaches back."""
+    state, load, cfg = _mms_state(4)
+    for _ in range(solver.HISTORY_DEPTH + 3):
+        for t in (state.t + cfg.dt, state.t + 0.5 * cfg.dt, state.t + 50.0):
+            got = solver._step_start(state, t)
+            want = orc.lagrange_step_start(state, t, solver.HISTORY_DEPTH)
+            assert np.array_equal(got[0], want[0])
+            assert (got[1] is None) == (want[1] is None)
+            if got[1] is not None:
+                assert got[1][0] is want[1][0]
+                assert np.array_equal(got[1][1], want[1][1])
+            for a, b in zip(got[2], want[2]):
+                assert a.shape == b.shape and np.array_equal(a, b)
+        state = step(state, load, cfg)
 
 
 def test_history_holds_arrays_of_the_last_states_and_copies_drop_it():
