@@ -243,30 +243,36 @@ def _build_pattern(V, Q, G):
     n_vv, n_vq = nc * nl * nl, nc * nl * nl_q * d
     sizes = [M.nnz, M.nnz, K.nnz, G.nnz, G.nnz, KQ.nnz, n_p, n_vv, n_vv, n_vv, n_vq]
     start = np.cumsum([0] + sizes)
-    vv_at = np.arange(n_vv).reshape(nc, nl, nl, 1)
-    vq_at = np.arange(n_vq).reshape(nc, nl, nl_q, d)
 
-    # the terms (rows, cols, value block, sign, mask, value of each entry),
-    # in the order each slot sums them: the constant blocks M/dt, -M, νK,
-    # G, Gᵀ, G (ζ rows), βGᵀ (ζ column), -βK_Q, m_p, m_pᵀ; the cell-local
-    # velocity/velocity blocks per component (C + βNᵀWN, C in the ζ rows,
-    # -βCᵀ in the ζ columns), then the velocity/pressure blocks (βNᵀW𝒢 and
-    # its negated transpose).  The masks drop entries on eliminated dofs;
-    # they are taken before the block offsets are added, which would turn
-    # -1 into a valid index
+    # the cell-local entries on no eliminated dof, with their value in
+    # their block: velocity/velocity per component, then velocity/pressure.
+    # The masks are taken before the block offsets are added, which would
+    # turn -1 into a valid index
     v_ok = vd[:, :, :1] >= 0                                 # per node
-    vi, vj = vd[:, :, None, :], vd[:, None, :, :]
-    vv_ok = np.broadcast_to(v_ok[:, :, None, :] & v_ok[:, None, :, :], (nc, nl, nl, d))
-    vq, qj = vd[:, :, None, :], p0 + qd[:, None, :, :]
-    vq_ok = np.broadcast_to(v_ok[:, :, None, :] & (qd >= 0)[:, None, :, :],
-                            (nc, nl, nl_q, d))
-    terms = [(rM, cM, 0, 1), (z0 + rM, z0 + cM, 1, -1), (rK, cK, 2, 1),
-             (rG, p0 + cG, 3, 1), (p0 + cG, rG, 3, 1), (z0 + rG, p0 + cG, 3, 1),
-             (p0 + cG, z0 + rG, 4, 1), (p0 + rQ, p0 + cQ, 5, -1),
-             (pdofs, lams, 6, 1), (lams, pdofs, 6, 1),
-             (vi, vj, 7, 1, vv_ok, vv_at), (z0 + vi, vj, 8, 1, vv_ok, vv_at),
-             (vj, z0 + vi, 9, -1, vv_ok, vv_at),
-             (vq, qj, 10, 1, vq_ok, vq_at), (qj, vq, 10, -1, vq_ok, vq_at)]
+    *vv, ok = np.broadcast_arrays(vd[:, :, None, :], vd[:, None, :, :],
+                                  np.arange(n_vv).reshape(nc, nl, nl, 1),
+                                  v_ok[:, :, None, :] & v_ok[:, None, :, :])
+    vi, vj, vv_at = (x[ok] for x in vv)
+    *vq, ok = np.broadcast_arrays(vd[:, :, None, :], qd[:, None, :, :],
+                                  np.arange(n_vq).reshape(nc, nl, nl_q, d),
+                                  v_ok[:, :, None, :] & (qd >= 0)[:, None, :, :])
+    vq, qj, vq_at = (x[ok] for x in vq)
+    qj = p0 + qj
+
+    # the terms (rows, cols, value block, sign, value in the block of each
+    # entry; None: the whole block in order), in the order each slot sums
+    # them: the constant blocks M/dt, -M, νK, G, Gᵀ, G (ζ rows), βGᵀ (ζ
+    # column), -βK_Q, m_p, m_pᵀ; the velocity/velocity blocks (C + βNᵀWN,
+    # C in the ζ rows, -βCᵀ in the ζ columns), then the velocity/pressure
+    # blocks (βNᵀW𝒢 and its negated transpose)
+    terms = [(rM, cM, 0, 1, None), (z0 + rM, z0 + cM, 1, -1, None),
+             (rK, cK, 2, 1, None), (rG, p0 + cG, 3, 1, None),
+             (p0 + cG, rG, 3, 1, None), (z0 + rG, p0 + cG, 3, 1, None),
+             (p0 + cG, z0 + rG, 4, 1, None), (p0 + rQ, p0 + cQ, 5, -1, None),
+             (pdofs, lams, 6, 1, None), (lams, pdofs, 6, 1, None),
+             (vi, vj, 7, 1, vv_at), (z0 + vi, vj, 8, 1, vv_at),
+             (vj, z0 + vi, 9, -1, vv_at), (vq, qj, 10, 1, vq_at),
+             (qj, vq, 10, -1, vq_at)]
 
     # ordering: the unknowns stably by the nested-dissection rank of their
     # vertex (velocity dofs number the interior vertices in turn, pressure
@@ -280,11 +286,8 @@ def _build_pattern(V, Q, G):
     where[perm] = np.arange(n)
 
     keys, index, sign = [], [], []
-    for rows, cols, block, s, *cell in terms:
-        if cell:
-            ok, at = cell
-            rows, cols, at = (np.broadcast_to(x, ok.shape)[ok] for x in (rows, cols, at))
-        else:
+    for rows, cols, block, s, at in terms:
+        if at is None:
             at = np.arange(sizes[block])
         keys.append(where[cols] * n + where[rows])    # column-major: CSC order
         index.append((start[block] + at).astype(np.int32))
