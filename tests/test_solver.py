@@ -126,10 +126,10 @@ def test_system_matrix_matches_the_bincount_fill(dim, n):
     assert F.indices.dtype == F.indptr.dtype == np.int32
     assert np.array_equal(np.unique(F.data), [-1.0, 1.0])
     rng = np.random.default_rng(11)
-    a = rng.standard_normal(disc.n_u)
-    dt, nu, beta = rng.uniform(0.005, 0.1), rng.uniform(1e-3, 0.1), rng.uniform(0.001, 0.05)
-    for dt, nu, beta, a in [(dt, nu, beta, a), (dt, nu, beta, np.zeros(disc.n_u)),
-                            (1.0, 0.0, 1.0, np.zeros(disc.n_u))]:
+    drawn = rng.uniform(0.005, 0.1), rng.uniform(1e-3, 0.1), rng.uniform(0.001, 0.05)
+    zero = np.zeros(disc.n_u)
+    cases = [(*drawn, rng.standard_normal(disc.n_u)), (*drawn, zero), (1.0, 0.0, 1.0, zero)]
+    for dt, nu, beta, a in cases:
         n_fac = advection_factor(disc.V, a)
         got = solver._system_matrix(disc, dt, nu, beta, n_fac)
         want = orc.bincount_system_matrix(disc, dt, nu, beta, n_fac)
