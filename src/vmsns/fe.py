@@ -382,12 +382,11 @@ def advection_factor(V, a):
     """
     tab = V.tabulation()
     grad = tab["grad"]                               # (nc, nq, n_loc, dim)
-    nc, nq, n_loc, dim = grad.shape
     cell_a = V._cellwise(a)                          # (nc, n_loc, dim)
     a_qp = tab["phi"] @ cell_a                       # (nc, nq, dim)
-    # ∇·a = Σ_i a_i · ∇phi_i: one (nq, n_loc·dim) product per cell
-    div_a = grad.reshape(nc, nq, n_loc * dim) @ cell_a.reshape(nc, n_loc * dim, 1)
-    return (grad @ a_qp[:, :, :, None])[:, :, :, 0] + 0.5 * div_a * tab["phi"]
+    div_a = np.einsum("cqld,cld->cq", grad, cell_a)  # ∇·a = Σ_l a_l · ∇phi_l
+    return (np.einsum("cqld,cqd->cql", grad, a_qp)
+            + 0.5 * div_a[:, :, None] * tab["phi"])
 
 
 def as_qp_field(V, f, order=None):

@@ -805,9 +805,9 @@ def test_first_carried_solve_starts_from_the_extrapolated_solution(monkeypatch):
     starts = []
     correct = solver._correct
 
-    def record(A, b, solve, y):
+    def record(A, b, solve, y, *args):
         starts.append(y)
-        return correct(A, b, solve, y)
+        return correct(A, b, solve, y, *args)
 
     monkeypatch.setattr(solver, "_correct", record)
     for taken in (3, solver.HISTORY_DEPTH + 1):
