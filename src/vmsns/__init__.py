@@ -13,7 +13,7 @@ from .config import ScenarioConfig, parse_config
 from .errors import (ConfigurationError, InternalError, InvariantViolation,
                      SolverDivergence, SolverNonconvergence, UsageError,
                      VmsnsError)
-from .mesh import Mesh, build_structured, mesh_quality
+from .mesh import Mesh, build_structured
 from .solver import RunResult, StarState, build_discretization, initialize, \
     run, step
 from .subgrid import compute_tau
@@ -30,7 +30,6 @@ __all__ = [
     "InternalError",
     "Mesh",
     "build_structured",
-    "mesh_quality",
     "compute_tau",
     "StarState",
     "RunResult",

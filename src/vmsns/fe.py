@@ -3,12 +3,15 @@
 Everything is tabulated once per space: basis values and physical
 gradients at the quadrature points of every cell.  Assemblers contract
 these tables with quadrature weights (vectorized over cells) and scatter
-cell blocks into scipy CSR matrices (``_assemble``) or cell vectors into
-coefficient vectors (``_scatter_add``).  Vector spaces use interleaved
-component ordering -- global dof = scalar_dof * components + component.
-This numbering is formed in one place, ``FeSpace.vdofs``; every scatter and
-gather, here and in the solver's step pattern, goes through it or its
-per-cell table ``FeSpace.cell_vdofs``.
+cell blocks into scipy CSR matrices (``_assemble``).  Fields move between
+coefficients and quadrature points through sparse transfer operators
+(``FeSpace.transfer``), built once per space and quadrature order from the
+same tables: each evaluation, load and pairing is one sparse product.
+Vector spaces use interleaved component ordering -- global dof =
+scalar_dof * components + component.  This numbering is formed in one
+place, ``FeSpace.vdofs``; every scatter and gather, here and in the
+solver's step pattern, goes through it or its per-cell table
+``FeSpace.cell_vdofs``.
 
 Dirichlet (zero-trace) constraints are imposed by eliminating boundary
 nodes from the dof numbering.  Zero-mean pressure spaces keep all nodes;
@@ -170,6 +173,7 @@ class FeSpace:
         self.cell_vdofs = self.vdofs(self.cell_nodes)
 
         self._tabs = {}
+        self._ops = {}
 
     def vdofs(self, nodes):
         """Global dofs of the components of scalar nodes: shape
@@ -235,12 +239,15 @@ class FeSpace:
 
     def eval_at_qp(self, coeffs, order=None):
         """Field values at quadrature points: (nc, nq, components)."""
-        return self.tabulation(order)["phi"] @ self._cellwise(coeffs)
+        nc, nq = self.tabulation(order)["weights"].shape
+        return (self.transfer("eval", order) @ _flat(coeffs)).reshape(
+            nc, nq, self.components)
 
     def eval_grad_at_qp(self, coeffs, order=None):
         """Gradients at quadrature points: (nc, nq, components, dim)."""
-        cell_t = np.swapaxes(self._cellwise(coeffs), 1, 2)   # (nc, comp, n_loc)
-        return cell_t[:, None] @ self.tabulation(order)["grad"]
+        nc, nq = self.tabulation(order)["weights"].shape
+        return (self.transfer("grad", order) @ _flat(coeffs)).reshape(
+            nc, nq, self.components, self.mesh.dim)
 
     def load_from_qp(self, qp_field, order=None):
         """Adjoint of eval_at_qp with quadrature weights: the load vector.
@@ -248,10 +255,92 @@ class FeSpace:
         Entry (i, k) is the quadrature approximation of
         ∫ field_k phi_i, assembled over cells.
         """
+        return self.transfer("load", order) @ _flat(qp_field)
+
+    def grad_load_from_qp(self, qp_field, order=None):
+        """Adjoint of eval_grad_at_qp with quadrature weights: entry
+        (i, k) is the quadrature approximation of ∫ field_k · ∇phi_i for a
+        field of shape (nc, nq, components, dim) -- (nc, nq, dim) for a
+        scalar space -- assembled over cells."""
+        return self.transfer("grad_load", order) @ _flat(qp_field)
+
+    def scatter_cells(self, loc):
+        """Sum cell-local vectors (nc, n_loc, components) into a
+        coefficient vector; entries on eliminated dofs are dropped."""
+        return self.transfer("scatter") @ _flat(loc)
+
+    # -- transfer operators --------------------------------------------------
+
+    def transfer(self, kind, order=None):
+        """The sparse operator ``kind`` between coefficients and the
+        quadrature points of rule ``order``, built on first use and cached
+        per (kind, order):
+
+        - ``"eval"``: E, values, rows (cell, qp, component);
+        - ``"load"``: EᵀW, its adjoint weighted by the quadrature weights,
+          the CSC twin of E's index arrays with weighted data;
+        - ``"grad"``: D, gradients, rows (cell, qp, component, direction);
+        - ``"grad_load"``: DᵀW, likewise D's weighted CSC twin;
+        - ``"scatter"``: the sum of cell-local vectors, columns (cell,
+          local node, component), into coefficients, independent of
+          ``order``.
+
+        Every operator is built in its storage order from the per-cell
+        tables, with int32 indices and no sort; entries on eliminated
+        dofs are left out.
+        """
+        if kind == "scatter":
+            order = None
+        elif order is None:
+            order = self.quad_order
+        op = self._ops.get((kind, order))
+        if op is None:
+            op = self._ops[kind, order] = self._build_transfer(kind, order)
+        return op
+
+    def _build_transfer(self, kind, order):
+        kept = self.cell_vdofs >= 0                      # (nc, n_loc, comp)
+        if kind == "scatter":
+            indptr = np.zeros(kept.size + 1, dtype=np.int32)
+            np.cumsum(kept.reshape(-1), out=indptr[1:])
+            return sp.csc_matrix(
+                (np.ones(int(indptr[-1])), self.cell_vdofs[kept].astype(np.int32),
+                 indptr), shape=(self.n_dofs, kept.size))
         tab = self.tabulation(order)
-        qp_field = np.asarray(qp_field, dtype=float)
-        loc = tab["phi"].T @ (tab["weights"][:, :, None] * qp_field)
-        return _scatter_add(self, loc)
+        grad = kind.startswith("grad")
+        # one row per (cell, qp, component, direction) -- one direction for
+        # values -- and one entry per local node
+        if grad:
+            table = np.swapaxes(tab["grad"], 2, 3)[:, :, None]  # (nc, nq, 1, dim, n_loc)
+        else:
+            table = tab["phi"][None, :, None, None, :]
+        if kind.endswith("load"):
+            table = table * tab["weights"][:, :, None, None, None]
+        shape = tab["weights"].shape + (self.components, table.shape[3], kept.shape[1])
+        mask = np.broadcast_to(np.swapaxes(kept, 1, 2)[:, None, :, None, :], shape)
+        indices, indptr = self._transfer_pattern(order, grad, mask)
+        data = np.broadcast_to(table, shape)[mask]
+        if kind.endswith("load"):
+            return sp.csc_matrix((data, indices, indptr),
+                                 shape=(self.n_dofs, indptr.size - 1))
+        return sp.csr_matrix((data, indices, indptr),
+                             shape=(indptr.size - 1, self.n_dofs))
+
+    def _transfer_pattern(self, order, grad, mask):
+        """Index arrays of E (``grad`` false) or D at ``order``, shared by
+        the operator and its weighted adjoint: the columns of the entries
+        ``mask`` selects, in row-major order, and the row pointer."""
+        pattern = self._ops.get(("pattern", order, grad))
+        if pattern is None:
+            nc, nq, comp, ndir, _ = mask.shape
+            cols = np.swapaxes(self.cell_vdofs, 1, 2).astype(np.int32)
+            indices = np.broadcast_to(cols[:, None, :, None, :], mask.shape)[mask]
+            # the eliminated nodes are the same for every component
+            per_row = mask[:, 0, 0, 0, :].sum(axis=1, dtype=np.int32)
+            indptr = np.zeros(nc * nq * comp * ndir + 1, dtype=np.int32)
+            np.cumsum(np.repeat(per_row, nq * comp * ndir), out=indptr[1:])
+            pattern = self._ops["pattern", order, grad] = indices, indptr
+        return pattern
 
     def evaluate_callable(self, f, order=None):
         """Evaluate a callable field x -> (components,) at quadrature points."""
@@ -283,11 +372,13 @@ class FeSpace:
 
     @cached_property
     def mean_vector(self):
-        """Integrals of the basis functions (scalar spaces)."""
-        ones = np.ones((self.mesh.n_cells,
-                        self.tabulation()["weights"].shape[1],
-                        self.components))
-        return self.load_from_qp(ones)
+        """Integrals of the basis functions (scalar spaces), summed per
+        cell and then scattered: the lab's seeded Leray rows read these
+        bits, which a sum in the load operator's order moves in the last
+        place."""
+        tab = self.tabulation()
+        ones = np.ones(tab["weights"].shape + (self.components,))
+        return self.scatter_cells(tab["phi"].T @ (tab["weights"][:, :, None] * ones))
 
     @property
     def volume(self):
@@ -303,6 +394,12 @@ def build_space(m, degree=1, components=1, constraint="none"):
 # assembly
 # ---------------------------------------------------------------------------
 
+def _flat(field):
+    """A coefficient vector or a field at quadrature points as one flat
+    float vector, in the row order of the transfer operators."""
+    return np.asarray(field, dtype=float).reshape(-1)
+
+
 def _gather(coeffs, vdofs):
     """Coefficients at a table of dofs, zero where a dof is -1."""
     return np.append(np.asarray(coeffs, dtype=float), 0.0)[vdofs]
@@ -316,14 +413,6 @@ def _assemble(rows, cols, local, shape):
     keep = (rows >= 0) & (cols >= 0)
     return sp.coo_matrix((local[keep], (rows[keep], cols[keep])),
                          shape=shape).tocsr()
-
-
-def _scatter_add(space, loc):
-    """Sum cell-local vectors (nc, n_loc, components) into a coefficient
-    vector of ``space``; eliminated dofs are dropped."""
-    keep = space.cell_vdofs >= 0
-    return np.bincount(space.cell_vdofs[keep], weights=loc[keep],
-                       minlength=space.n_dofs)
 
 
 def _component_diagonal(V, local):

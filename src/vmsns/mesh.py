@@ -22,9 +22,7 @@ from .errors import ConfigurationError, InvariantViolation
 
 __all__ = [
     "Mesh",
-    "QualityReport",
     "build_structured",
-    "mesh_quality",
     "extract_edges",
 ]
 
@@ -264,75 +262,3 @@ def build_structured(dim, n, domain=None):
     return _finish(dim, vertices, cells, boundary,
                    _boundary_tags(vertices, boundary, box), (facets, counts),
                    grid)
-
-
-# ---------------------------------------------------------------------------
-# quality report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QualityReport:
-    """Shape and uniformity summary of a mesh.
-
-    ``min_inradius_ratio`` is min over cells of (inradius / diameter) --
-    the shape-regularity measure; ``uniformity_ratio`` is h_max / h_min.
-    """
-
-    h_max: float
-    h_min: float
-    min_inradius_ratio: float
-    uniformity_ratio: float
-
-
-def _facet_measures(x):
-    """Measures of the d+1 facets of each simplex in the batch ``x``.
-
-    x has shape (nc, d+1, d).  Returns (nc, d+1) facet lengths (2D) or
-    areas (3D).
-    """
-    nc, nloc, d = x.shape
-    out = np.zeros((nc, nloc))
-    for drop in range(nloc):
-        keep = [q for q in range(nloc) if q != drop]
-        f = x[:, keep, :]
-        if d == 2:                       # opposite edge length
-            out[:, drop] = np.linalg.norm(f[:, 1, :] - f[:, 0, :], axis=1)
-        else:                            # opposite triangle area
-            u = f[:, 1, :] - f[:, 0, :]
-            v = f[:, 2, :] - f[:, 0, :]
-            out[:, drop] = 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
-    return out
-
-
-def mesh_quality(m, uniformity_bound=4.0):
-    """Recompute shape and size ratios from scratch.
-
-    Raises
-    ------
-    InvariantViolation
-        If any cell has non-positive volume (degenerate mesh) or the
-        quasi-uniformity ratio exceeds ``uniformity_bound``.
-    """
-    vols = signed_volumes(m.vertices, m.cells)
-    diam = cell_diameters(m.vertices, m.cells)
-    scale = float(np.max(diam)) ** m.dim
-    if np.any(vols <= 1e-14 * scale):
-        bad = int(np.argmin(vols))
-        raise InvariantViolation(
-            f"cell {bad} is degenerate (signed volume {vols[bad]:.3e})"
-        )
-    x = m.vertices[m.cells]
-    surf = _facet_measures(x).sum(axis=1)
-    inradius = m.dim * vols / surf           # rho = d |K| / |boundary of K|
-    ratio = float(diam.max() / diam.min())
-    report = QualityReport(
-        h_max=float(diam.max()),
-        h_min=float(diam.min()),
-        min_inradius_ratio=float(np.min(inradius / diam)),
-        uniformity_ratio=ratio,
-    )
-    if ratio > uniformity_bound:
-        raise InvariantViolation(
-            f"quasi-uniformity ratio {ratio:.3f} exceeds bound {uniformity_bound}"
-        )
-    return report

@@ -535,11 +535,12 @@ def _step_start(state, t):
                                solutions[:HISTORY_DEPTH])
 
 
-def _residual_ok(A, b, y, r, linear_tol):
+def _residual_ok(a_max, b, y, r, linear_tol):
     """The residual gate on r = b - Ay: max|r| within ``linear_tol`` of
-    the size of the terms that make it up.  Returns (passed, max|r|)."""
+    the size of the terms that make it up, where ``a_max`` is max|A|, the
+    largest entry of A.  Returns (passed, max|r|)."""
     r = np.abs(r).max()
-    scale = np.abs(A.data).max() * max(np.abs(y).max(), 1e-300) + np.abs(b).max()
+    scale = a_max * max(np.abs(y).max(), 1e-300) + np.abs(b).max()
     return bool(r <= linear_tol * max(scale, 1e-300)), r
 
 
@@ -584,24 +585,26 @@ def _solve(A, b, carried, linear_tol, what, last=None):
     sweeps with the carried factor and whether ``A`` was factored.
     """
     sweeps = 0
+    # max|A| for the residual gate, once for every solve with A
+    a_max = max(A.data.max(initial=0.0), -A.data.min(initial=0.0))
     if carried is not None:
         solve, y = carried
         rtol = SWEEP_RTOL if last is None else LOOSE_RTOL
         y, r, sweeps, converged = _correct(A, b, solve, y, rtol)
         if converged and last is not None:
-            if not last(y) and _residual_ok(A, b, y, r, linear_tol)[0]:
+            if not last(y) and _residual_ok(a_max, b, y, r, linear_tol)[0]:
                 return y, (solve, y), sweeps, False
             # the last iterate, or one the gate fails: on to SWEEP_RTOL
             y, r, more, converged = _correct(A, b, solve, y, SWEEP_RTOL, r)
             sweeps += more
         # a finite residual implies a finite solution
-        if converged and _residual_ok(A, b, y, r, linear_tol)[0]:
+        if converged and _residual_ok(a_max, b, y, r, linear_tol)[0]:
             return y, (solve, y), sweeps, False
     solve = _factor(A, what)
     y, r, _, _ = _correct(A, b, solve, np.zeros_like(b), SWEEP_RTOL)
     if not np.all(np.isfinite(y)):
         raise SolverDivergence(f"{what}: non-finite solution")
-    passed, r = _residual_ok(A, b, y, r, linear_tol)
+    passed, r = _residual_ok(a_max, b, y, r, linear_tol)
     if not passed:
         raise InternalError(f"{what}: residual {r:.3e} above tolerance")
     return y, (solve, y), sweeps, True

@@ -26,7 +26,7 @@ run's ScenarioConfig; C_s = 4 and C_c = 2 are its defaults.
 import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
-from .fe import _scatter_add, as_qp_field, l2_project, quad_norm
+from .fe import as_qp_field, l2_project, quad_norm
 
 __all__ = [
     "compute_tau",
@@ -119,13 +119,7 @@ def advance_subscale(V, tilde, res_perp, tau, dt):
 def continuity_pairing(Q, qp_field):
     """Vector with entries (field, ∇psi_j) over the pressure basis,
     assembled by quadrature; ``qp_field`` has shape (nc, nq, dim)."""
-    tab = Q.tabulation()
-    grad = tab["grad"]                               # (nc, nq, nloc, dim)
-    nc, nq, nloc, dim = grad.shape
-    # per cell, the (nloc, nq·dim) gradient table times the weighted field
-    grad_t = np.swapaxes(grad, 1, 2).reshape(nc, nloc, nq * dim)
-    wf = (tab["weights"][:, :, None] * qp_field).reshape(nc, nq * dim, 1)
-    return _scatter_add(Q, grad_t @ wf)
+    return Q.grad_load_from_qp(qp_field)
 
 
 def transport_pairing(V, n_fac, qp_field):
@@ -134,4 +128,4 @@ def transport_pairing(V, n_fac, qp_field):
     factor ``fe.advection_factor(V, a)`` of the advecting velocity a,
     shape (nc, nq, nloc), and ``qp_field`` has shape (nc, nq, dim)."""
     w = V.tabulation()["weights"]
-    return _scatter_add(V, np.swapaxes(n_fac, 1, 2) @ (w[:, :, None] * qp_field))
+    return V.scatter_cells(np.swapaxes(n_fac, 1, 2) @ (w[:, :, None] * qp_field))

@@ -27,11 +27,13 @@ order.  The augmented matrix is also filled by one weight per term,
 concatenated and summed into its slots by ``np.bincount``, where the
 solver applies its assembly operator to each value once, and the step
 start is taken by one Lagrange extrapolation each of the velocities and
-the solutions, with the history rebuilt from lists.  A few helpers only the tests need (the zero subscale field, the
-composite mass and form) live here too.
+the solutions, with the history rebuilt from lists.  A few helpers only
+the tests need (the zero subscale field, the composite mass and form, and
+the mesh quality report) live here too.
 """
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -414,9 +416,18 @@ def dense_subscale_pairings(V, Q, u, tilde_vals, rule_n=None):
 # einsum kernels (criterion: the per-cell contractions written as einsum)
 # ---------------------------------------------------------------------------
 #
-# The package evaluates fields and pairs them with the basis by batched
-# matmul over cells; these are the same contractions of the same tables
-# written index by index.
+# The package evaluates fields and pairs them with the basis by sparse
+# transfer operators built from the per-cell tables; these are the same
+# contractions of the same tables written index by index, gathered per
+# cell and summed into coefficients by ``np.bincount``.
+
+def scatter_add(space, loc):
+    """Sum cell-local vectors (nc, n_loc, components) into a coefficient
+    vector of ``space`` by ``np.bincount``; eliminated dofs are dropped."""
+    keep = space.cell_vdofs >= 0
+    return np.bincount(space.cell_vdofs[keep], weights=loc[keep],
+                       minlength=space.n_dofs)
+
 
 def einsum_eval_at_qp(V, coeffs, order=None):
     tab = V.tabulation(order)
@@ -429,11 +440,9 @@ def einsum_eval_grad_at_qp(V, coeffs, order=None):
 
 
 def einsum_load_from_qp(V, qp_field, order=None):
-    from vmsns.fe import _scatter_add
-
     tab = V.tabulation(order)
     loc = np.einsum("cq,qi,cqk->cik", tab["weights"], tab["phi"], qp_field)
-    return _scatter_add(V, loc)
+    return scatter_add(V, loc)
 
 
 def einsum_advection_factor(V, a, order=None):
@@ -454,18 +463,14 @@ def einsum_cell_blocks(V, Q, n_fac):
 
 
 def einsum_continuity_pairing(Q, qp_field, order=None):
-    from vmsns.fe import _scatter_add
-
     tab = Q.tabulation(order)
     loc = np.einsum("cq,cqjd,cqd->cj", tab["weights"], tab["grad"], qp_field)
-    return _scatter_add(Q, loc[:, :, None])
+    return scatter_add(Q, loc[:, :, None])
 
 
 def einsum_transport_pairing(V, n_fac, tilde_vals, order=None):
-    from vmsns.fe import _scatter_add
-
     w = V.tabulation(order)["weights"]
-    return _scatter_add(V, np.einsum("cq,cqi,cqk->cik", w, n_fac, tilde_vals))
+    return scatter_add(V, np.einsum("cq,cqi,cqk->cik", w, n_fac, tilde_vals))
 
 
 def einsum_residual_field(V, Q, u, p, order=None, advection=None):
@@ -1128,3 +1133,79 @@ def dense_hminus1_surrogate(V, load):
     """sqrt(loadᵀ K⁻¹ load) by a dense Cholesky solve with the stiffness."""
     z = sla.solve(V.stiffness.toarray(), load, assume_a="pos")
     return float(np.sqrt(max(load @ z, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# mesh quality report (only the tests check it; the lab's inverse-inequality
+# rows assume what it measures)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class QualityReport:
+    """Shape and uniformity summary of a mesh.
+
+    ``min_inradius_ratio`` is min over cells of (inradius / diameter) --
+    the shape-regularity measure; ``uniformity_ratio`` is h_max / h_min.
+    """
+
+    h_max: float
+    h_min: float
+    min_inradius_ratio: float
+    uniformity_ratio: float
+
+
+def _facet_measures(x):
+    """Measures of the d+1 facets of each simplex in the batch ``x``.
+
+    x has shape (nc, d+1, d).  Returns (nc, d+1) facet lengths (2D) or
+    areas (3D).
+    """
+    nc, nloc, d = x.shape
+    out = np.zeros((nc, nloc))
+    for drop in range(nloc):
+        keep = [q for q in range(nloc) if q != drop]
+        f = x[:, keep, :]
+        if d == 2:                       # opposite edge length
+            out[:, drop] = np.linalg.norm(f[:, 1, :] - f[:, 0, :], axis=1)
+        else:                            # opposite triangle area
+            u = f[:, 1, :] - f[:, 0, :]
+            v = f[:, 2, :] - f[:, 0, :]
+            out[:, drop] = 0.5 * np.linalg.norm(np.cross(u, v), axis=1)
+    return out
+
+
+def mesh_quality(m, uniformity_bound=4.0):
+    """Recompute shape and size ratios from scratch.
+
+    Raises
+    ------
+    InvariantViolation
+        If any cell has non-positive volume (degenerate mesh) or the
+        quasi-uniformity ratio exceeds ``uniformity_bound``.
+    """
+    from vmsns.errors import InvariantViolation
+    from vmsns.mesh import cell_diameters, signed_volumes
+
+    vols = signed_volumes(m.vertices, m.cells)
+    diam = cell_diameters(m.vertices, m.cells)
+    scale = float(np.max(diam)) ** m.dim
+    if np.any(vols <= 1e-14 * scale):
+        bad = int(np.argmin(vols))
+        raise InvariantViolation(
+            f"cell {bad} is degenerate (signed volume {vols[bad]:.3e})"
+        )
+    x = m.vertices[m.cells]
+    surf = _facet_measures(x).sum(axis=1)
+    inradius = m.dim * vols / surf           # rho = d |K| / |boundary of K|
+    ratio = float(diam.max() / diam.min())
+    report = QualityReport(
+        h_max=float(diam.max()),
+        h_min=float(diam.min()),
+        min_inradius_ratio=float(np.min(inradius / diam)),
+        uniformity_ratio=ratio,
+    )
+    if ratio > uniformity_bound:
+        raise InvariantViolation(
+            f"quasi-uniformity ratio {ratio:.3f} exceeds bound {uniformity_bound}"
+        )
+    return report

@@ -1,5 +1,6 @@
-"""Every name the package and its modules export resolves, the entry
-points the benchmark times or wraps stay public functions, the calls
+"""Every name the package and its modules export resolves, code that
+only tests call lives in the test oracles, the entry points the benchmark
+times or wraps stay public functions, the calls
 that read run settings take one ScenarioConfig, the modules import each
 other without cycles, and a run imports neither graph routines nor the
 lab."""
@@ -25,6 +26,18 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names undefined {missing}"
+
+
+#: product code that only tests called, now in tests/oracles.py
+MOVED_TO_ORACLES = ["mesh.mesh_quality", "mesh.QualityReport", "mesh._facet_measures",
+                    "fe._scatter_add"]
+
+
+@pytest.mark.parametrize("name", MOVED_TO_ORACLES)
+def test_test_only_code_is_not_in_the_package(name):
+    module, _, attr = name.partition(".")
+    assert not hasattr(importlib.import_module(f"vmsns.{module}"), attr)
+    assert not hasattr(vmsns, attr)
 
 
 #: functions the benchmark harness times or wraps, found by the public

@@ -11,7 +11,6 @@ from vmsns.mesh import (
     build_structured,
     cell_diameters,
     extract_edges,
-    mesh_quality,
     signed_volumes,
 )
 
@@ -74,7 +73,7 @@ def test_boundary_tags_partition_box_sides():
 
 
 def test_structured_mesh_is_uniform():
-    q = mesh_quality(build_structured(2, 5))
+    q = orc.mesh_quality(build_structured(2, 5))
     assert abs(q.uniformity_ratio - 1.0) < 1e-12
     assert abs(q.h_max - q.h_min) < 1e-14
 
@@ -92,7 +91,7 @@ def test_equilateral_inradius_ratio():
         h_max=1.0,
         h_min=1.0,
     )
-    q = mesh_quality(m)
+    q = orc.mesh_quality(m)
     assert abs(q.min_inradius_ratio - 1.0 / (2.0 * math.sqrt(3.0))) < 1e-13
 
 
@@ -109,7 +108,7 @@ def test_degenerate_cell_rejected():
         h_min=2.0,
     )
     with pytest.raises(InvariantViolation):
-        mesh_quality(m)
+        orc.mesh_quality(m)
 
 
 def test_nonuniform_mesh_rejected():
@@ -126,7 +125,7 @@ def test_nonuniform_mesh_rejected():
         h_min=0.1,
     )
     with pytest.raises(InvariantViolation):
-        mesh_quality(m, uniformity_bound=4.0)
+        orc.mesh_quality(m, uniformity_bound=4.0)
 
 
 def test_edges_of_single_triangle_pair():
