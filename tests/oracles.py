@@ -6,9 +6,10 @@ barycentric solves instead of the vectorized einsum tabulation, a
 Legendre-based collapsed-coordinate quadrature instead of the Jacobi
 conical rule, and closed-form simplex monomial integrals.  Slow on
 purpose; only run on tiny meshes.  The einsum kernels are the same
-contractions as the package's batched-matmul kernels, written index by
-index.  The dense Schur step is an exception too:
-it keeps the package's loads and subscale update and differs from the
+contractions as the package's sparse transfer operators and
+batched-matmul cell kernels, written index by index, and sum cell
+vectors into coefficients by ``np.bincount``.  The dense Schur step is
+an exception too: it keeps the package's loads and subscale update and differs from the
 solver in its linear algebra (projection eliminated, dense LU) and in
 the residual that drives the update (the einsum kernel).  The lab
 oracles likewise take the package's composite-space operators and differ

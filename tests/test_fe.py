@@ -89,6 +89,10 @@ def test_space_without_dofs_gathers_and_scatters_zeros():
     assert np.all(V.nodal_values(np.zeros(0)) == 0.0)
     assert V.eval_at_qp(np.zeros(0)).shape[1:] == (V.tabulation()["weights"].shape[1], 2)
     assert V.mean_vector.shape == (0,)
+    # the transfer operators have no column
+    assert V.transfer("eval").shape[1] == V.transfer("grad").shape[1] == 0
+    assert not V.eval_grad_at_qp(np.zeros(0)).any()
+    assert V.load_from_qp(np.ones(V.tabulation()["weights"].shape + (2,))).shape == (0,)
 
 
 #: unit boxes and one non-unit box per dimension

@@ -1,10 +1,11 @@
-"""Batched-matmul cell kernels against their einsum definitions, on P1 and
-P2 spaces in 2-D and 3-D."""
+"""Cell kernels and the sparse transfer operators against their einsum
+definitions, on P1 and P2 spaces in 2-D and 3-D, at the assembly rule and
+at the finer rule of the error norms."""
 
 import numpy as np
 import pytest
 
-from vmsns.fe import advection_factor, build_space
+from vmsns.fe import FeSpace, advection_factor, build_space
 from vmsns.mesh import build_structured
 from vmsns.solver import _cell_blocks
 from vmsns.subgrid import continuity_pairing, residual_field, transport_pairing
@@ -79,3 +80,85 @@ def test_residual_field(spaces, frozen):
     a = spaces["a"] if frozen else u
     assert orc.rel(residual_field(V, Q, u, p, advection_factor(V, a)),
                    orc.einsum_residual_field(V, Q, u, p, advection=a)) <= TOL
+
+
+def test_finer_rule_matches_the_einsum_oracles(spaces):
+    # diagnostics.error_norms integrates with quad_order + 2
+    V, Q, u, p = spaces["V"], spaces["Q"], spaces["u"], spaces["p"]
+    order = V.quad_order + 2
+    rng = np.random.default_rng(order)
+    field = rng.standard_normal(V.tabulation(order)["weights"].shape + (V.components,))
+    assert orc.rel(V.eval_at_qp(u, order), orc.einsum_eval_at_qp(V, u, order)) <= TOL
+    assert orc.rel(Q.eval_at_qp(p, order), orc.einsum_eval_at_qp(Q, p, order)) <= TOL
+    assert orc.rel(V.eval_grad_at_qp(u, order),
+                   orc.einsum_eval_grad_at_qp(V, u, order)) <= TOL
+    assert orc.rel(Q.eval_grad_at_qp(p, order),
+                   orc.einsum_eval_grad_at_qp(Q, p, order)) <= TOL
+    assert orc.rel(V.load_from_qp(field, order),
+                   orc.einsum_load_from_qp(V, field, order)) <= TOL
+    assert orc.rel(Q.grad_load_from_qp(field, order),
+                   orc.einsum_continuity_pairing(Q, field, order)) <= TOL
+
+
+def test_transfer_operators_are_built_once_per_space_and_order(monkeypatch):
+    V = build_space(build_structured(2, 3), components=2, constraint="zero_trace")
+    built = []
+    build = FeSpace._build_transfer
+
+    def counting(space, kind, order):
+        built.append((kind, order))
+        return build(space, kind, order)
+
+    monkeypatch.setattr(FeSpace, "_build_transfer", counting)
+    u = np.ones(V.n_dofs)
+    fine = V.quad_order + 2
+    for _ in range(3):
+        V.eval_at_qp(u)
+        field = V.eval_at_qp(u, fine)
+        V.load_from_qp(field, fine)
+    # only the kinds used, each once per order
+    assert built == [("eval", V.quad_order), ("eval", fine), ("load", fine)]
+    assert V.transfer("eval") is V.transfer("eval", V.quad_order)
+    assert V.transfer("scatter") is V.transfer("scatter", fine)
+    # the weighted adjoint shares E's int32 index arrays
+    E, L = V.transfer("eval", fine), V.transfer("load", fine)
+    assert np.shares_memory(E.indices, L.indices)
+    assert np.shares_memory(E.indptr, L.indptr)
+    assert E.indices.dtype == E.indptr.dtype == np.int32
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_transfer_operators_hold_no_entry_on_an_eliminated_dof(degree):
+    V = build_space(build_structured(2, 3), degree=degree, components=2,
+                    constraint="zero_trace")
+    kept = V.cell_vdofs >= 0
+    nc, nq = V.tabulation()["weights"].shape
+    # every row of a cell lists the cell's kept nodes, and only those
+    per_cell = kept[:, :, 0].sum(axis=1)
+    for kind, rows_per_cell in (("eval", nq * 2), ("grad", nq * 2 * 2)):
+        op = V.transfer(kind)
+        assert op.nnz == rows_per_cell * per_cell.sum()
+        np.testing.assert_array_equal(np.diff(op.indptr).reshape(nc, -1),
+                                      np.repeat(per_cell[:, None], rows_per_cell, axis=1))
+    assert V.transfer("scatter").nnz == kept.sum()
+    loc = np.random.default_rng(degree).standard_normal(kept.shape)
+    # the bincount oracle drops eliminated dofs; the scatter matches it bit for bit
+    np.testing.assert_array_equal(V.scatter_cells(loc), orc.scatter_add(V, loc))
+
+
+def test_cells_on_eliminated_corners_transfer_nothing():
+    # n = 3, P1: the corner cells of the diagonal split have every vertex
+    # on the boundary, so every dof they touch is eliminated
+    V = build_space(build_structured(2, 3), components=2, constraint="zero_trace")
+    corner = ~(V.cell_vdofs >= 0).any(axis=(1, 2))
+    assert corner.any() and not corner.all()
+    nc, nq = V.tabulation()["weights"].shape
+    rng = np.random.default_rng(3)
+    on_corners = corner[:, None, None]
+    assert not V.load_from_qp(rng.standard_normal((nc, nq, 2)) * on_corners).any()
+    assert not V.grad_load_from_qp(rng.standard_normal((nc, nq, 2, 2))
+                                   * on_corners[..., None]).any()
+    assert not V.scatter_cells(rng.standard_normal(V.cell_vdofs.shape) * on_corners).any()
+    u = rng.standard_normal(V.n_dofs)
+    assert not V.eval_at_qp(u)[corner].any()
+    assert not V.eval_grad_at_qp(u)[corner].any()
