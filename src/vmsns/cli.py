@@ -7,6 +7,7 @@ linear-residual gate that failed).
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -15,7 +16,8 @@ from dataclasses import replace
 from . import io as io_mod
 from .config import parse_config_file
 from .errors import (ConfigurationError, InternalError, InvariantViolation,
-                     SolverDivergence, SolverNonconvergence, UsageError)
+                     SolverDivergence, SolverNonconvergence, UsageError,
+                     VmsnsError)
 
 __all__ = ["main", "build_parser"]
 
@@ -63,23 +65,34 @@ def _load_config(args):
     return cfg
 
 
-def _write_run_outputs(result, out_dir):
-    ledger_path = os.path.join(out_dir, io_mod.LEDGER_NAME)
+def _run_and_write(cfg):
+    """Run ``cfg`` and write its ledger, and its VTK snapshots when asked
+    for, into ``cfg.out_dir``; returns the RunResult and the ledger path.
+    A failed run still writes the ledger of the steps it took, and its own
+    error propagates even when that write fails."""
+    from . import solver
+
+    io_mod.ensure_dir(cfg.out_dir)
+    ledger_path = os.path.join(cfg.out_dir, io_mod.LEDGER_NAME)
+    try:
+        result = solver.run(cfg)
+    except VmsnsError as exc:
+        records = getattr(exc, "records", None)
+        if records is not None:
+            with contextlib.suppress(ConfigurationError):
+                io_mod.write_energy_ledger(records, ledger_path)
+        raise
     io_mod.write_energy_ledger(result.records, ledger_path)
-    if "vtk" in result.config.formats:
+    if "vtk" in cfg.formats:
         for k, state in enumerate(result.states):
             io_mod.write_fields_vtk(
-                state, os.path.join(out_dir, f"fields_{k:04d}.vtk"))
-    return ledger_path
+                state, os.path.join(cfg.out_dir, f"fields_{k:04d}.vtk"))
+    return result, ledger_path
 
 
 def _cmd_run(args):
-    from . import solver
-
     cfg = _load_config(args)
-    io_mod.ensure_dir(cfg.out_dir)
-    result = solver.run(cfg)
-    ledger_path = _write_run_outputs(result, cfg.out_dir)
+    result, ledger_path = _run_and_write(cfg)
     worst = max((abs(r.imbalance) / r.relative_scale(cfg.dt)
                  for r in result.records), default=0.0)
     steps = len(result.records)
@@ -97,13 +110,11 @@ def _cmd_run(args):
 
 
 def _run_level(cfg, n, out_dir):
-    from . import scenarios, solver
+    from . import scenarios
     from .diagnostics import a_priori_bound, energy_totals, error_norms
 
-    io_mod.ensure_dir(out_dir)
     level_cfg = replace(cfg, n=n, out_dir=out_dir)
-    result = solver.run(level_cfg)
-    _write_run_outputs(result, out_dir)
+    result, _ = _run_and_write(level_cfg)
     fields = scenarios.fields_for(level_cfg)
     row = {
         "n": n,

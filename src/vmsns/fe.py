@@ -1,7 +1,7 @@
 """Continuous Lagrange spaces and operator assembly.
 
-Everything is tabulated once per space: basis values and physical
-gradients at the quadrature points of every cell.  Assemblers contract
+Everything is tabulated once per mesh, degree and quadrature order: basis
+values and physical gradients at the quadrature points of every cell.  Assemblers contract
 these tables with quadrature weights (vectorized over cells) and scatter
 cell blocks into scipy CSR matrices (``_assemble``).  Fields move between
 coefficients and quadrature points through sparse transfer operators
@@ -100,8 +100,9 @@ class FeSpace:
     """A (possibly vector-valued) continuous Lagrange space on a mesh.
 
     Parameters are normally supplied through :func:`build_space`.  The
-    heavy per-cell tables are computed lazily and cached per quadrature
-    order, keyed so error norms can use a finer rule than assembly.
+    heavy per-cell tables are computed lazily and cached on the mesh per
+    degree and quadrature order, keyed so error norms can use a finer
+    rule than assembly.
 
     Attributes
     ----------
@@ -172,7 +173,6 @@ class FeSpace:
 
         self.cell_vdofs = self.vdofs(self.cell_nodes)
 
-        self._tabs = {}
         self._ops = {}
 
     def vdofs(self, nodes):
@@ -190,15 +190,17 @@ class FeSpace:
         return 2 * self.degree + 1
 
     def tabulation(self, order=None):
-        """Per-cell tables (rule, phi, grad, qp coords, physical weights).
+        """Per-cell tables (phi, grad, qp coords, physical weights).
 
-        Cached per quadrature order.  ``grad`` has shape
+        Cached on the mesh per degree and quadrature order, so spaces of
+        one degree on one mesh share them.  ``grad`` has shape
         (n_cells, n_qp, n_loc, dim); ``weights`` (n_cells, n_qp) already
         include the cell measure, so plain contractions integrate.
         """
         if order is None:
             order = self.quad_order
-        tab = self._tabs.get(order)
+        key = (self.degree, order)
+        tab = self.mesh.tabulations.get(key)
         if tab is not None:
             return tab
         mesh = self.mesh
@@ -217,9 +219,8 @@ class FeSpace:
         qp_x = np.einsum("qm,cmd->cqd", rule.points, x)
         vols = signed_volumes(mesh.vertices, mesh.cells)
         weights = np.multiply.outer(vols, rule.weights)  # (nc, nq)
-        tab = {"rule": rule, "phi": phi, "grad": grad,
-               "points": qp_x, "weights": weights}
-        self._tabs[order] = tab
+        tab = {"phi": phi, "grad": grad, "points": qp_x, "weights": weights}
+        self.mesh.tabulations[key] = tab
         return tab
 
     # -- evaluation / pairing ----------------------------------------------

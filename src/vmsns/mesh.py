@@ -126,6 +126,10 @@ class Mesh:
         Largest / smallest cell diameter.
     grid : ndarray, shape (n_vertices, dim), or None
         Integer grid index (i, j[, k]) of each vertex of a structured mesh.
+    tabulations : dict
+        Per-cell finite element tables keyed by (degree, quadrature
+        order), filled by ``FeSpace.tabulation`` and shared by every
+        space on the mesh.
     """
 
     dim: int
@@ -136,6 +140,7 @@ class Mesh:
     h_max: float = 0.0
     h_min: float = 0.0
     grid: np.ndarray = field(default=None, repr=False)
+    tabulations: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vertices(self):

@@ -53,10 +53,6 @@ class QuadratureRule:
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    @property
-    def n_points(self):
-        return self.weights.shape[0]
-
 
 def _gauss_01(n):
     """Gauss-Legendre nodes/weights for integrating over [0, 1]."""

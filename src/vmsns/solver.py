@@ -109,6 +109,7 @@ from .errors import (
     InvariantViolation,
     SolverDivergence,
     SolverNonconvergence,
+    VmsnsError,
 )
 from .fe import (
     advection_factor,
@@ -804,8 +805,9 @@ class RunResult:
 def run(cfg):
     """Execute a ScenarioConfig: initialize, then ceil(T/dt) steps.
 
-    Returns a RunResult; solver failures propagate with the time of the
-    step that failed.
+    Returns a RunResult.  A failure of a step propagates with the time of
+    that step, and with the energy records of the steps before it as the
+    error's ``records``, so the caller can still write their ledger.
     """
     mesh = build_structured(cfg.dim, cfg.n, cfg.box)
     disc = build_discretization(mesh)
@@ -821,7 +823,11 @@ def run(cfg):
     most = 0
     for k in range(1, n_steps + 1):
         prev = state
-        state = step(prev, load, cfg)
+        try:
+            state = step(prev, load, cfg)
+        except VmsnsError as exc:
+            exc.records = records
+            raise
         records.append(energy_ledger_entry(prev, state, load, cfg.dt,
                                            state.tau_used, cfg.nu))
         for key in totals:

@@ -13,12 +13,12 @@ import time
 
 import numpy as np
 import oracles as orc
+from oracles import BumpTest, local_energy_residual
 import pytest
 import scipy.linalg
 
 from vmsns.config import ScenarioConfig
-from vmsns.diagnostics import (BumpTest, a_priori_bound, energy_totals,
-                               error_norms, local_energy_residual)
+from vmsns.diagnostics import a_priori_bound, energy_totals, error_norms
 from vmsns.fe import linf_norm, quad_norm
 from vmsns.mesh import build_structured
 from vmsns.scenarios import fields_for

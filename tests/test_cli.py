@@ -144,6 +144,39 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+#: 2-D n = 8 manufactured flow from rest whose Picard loop fails in the
+#: step to t = 0.4
+_FAILING_RUN = {"mesh.n": "8", "physics.nu": "5e-4", "physics.initial": "zero",
+                "physics.forcing": "manufactured_poly", "time.dt": "0.1",
+                "time.T": "1", "solver.picard_max": "7"}
+
+
+@pytest.mark.parametrize("command", ["run", "study"])
+def test_a_failed_run_leaves_the_ledger_of_the_steps_it_took(tmp_path, capsys, command):
+    cfg = _write_cfg(tmp_path / "run.cfg", **_FAILING_RUN)
+    out = tmp_path / "flow"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "study":
+        argv += ["--levels", "1"]
+        out = out / "level_0"
+    assert main(argv) == 3
+    assert "did not converge in the step to t = 0.4" in capsys.readouterr().err
+    assert [r.t for r in read_energy_ledger(out / "ledger.csv")] == \
+        pytest.approx([0.1, 0.2, 0.3])
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+    assert "3 rows, energy identity holds" in capsys.readouterr().out
+
+
+def test_a_failed_run_reports_its_own_error_when_the_ledger_cannot_be_written(
+        tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "run.cfg", **_FAILING_RUN)
+    out = tmp_path / "flow"
+    (out / "ledger.csv").mkdir(parents=True)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "cannot write" not in err
+
+
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     from vmsns import solver
     from vmsns.errors import InternalError

@@ -6,15 +6,12 @@ import pytest
 
 from vmsns.config import ScenarioConfig
 from vmsns.diagnostics import (
-    MIN_SNAPSHOTS_IN_WINDOW,
-    BumpTest,
     EnergyRecord,
     a_priori_bound,
     energy_ledger_entry,
     energy_totals,
     error_norms,
     hminus1_surrogate,
-    local_energy_residual,
 )
 from vmsns.errors import ConfigurationError
 from vmsns.fe import assemble_load, quad_norm
@@ -24,6 +21,7 @@ from vmsns.solver import (RunResult, StarState, build_discretization,
 from vmsns import scenarios
 
 import oracles as orc
+from oracles import MIN_SNAPSHOTS_IN_WINDOW, BumpTest, local_energy_residual
 
 
 def _disc(n=4):

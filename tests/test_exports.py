@@ -30,7 +30,9 @@ def test_every_exported_name_resolves(module):
 
 #: product code that only tests called, now in tests/oracles.py
 MOVED_TO_ORACLES = ["mesh.mesh_quality", "mesh.QualityReport", "mesh._facet_measures",
-                    "fe._scatter_add"]
+                    "fe._scatter_add", "diagnostics.BumpTest",
+                    "diagnostics.local_energy_residual",
+                    "diagnostics.MIN_SNAPSHOTS_IN_WINDOW"]
 
 
 @pytest.mark.parametrize("name", MOVED_TO_ORACLES)

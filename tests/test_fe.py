@@ -67,6 +67,21 @@ def test_invalid_space_arguments():
         build_space(m, constraint="periodic")
 
 
+def test_spaces_of_one_degree_on_one_mesh_share_their_tables():
+    disc = build_discretization(_mesh(4))
+    V, Q = disc.V, disc.Q
+    for order in (V.quad_order, V.quad_order + 2):
+        assert V.tabulation(order) is Q.tabulation(order)
+    # another degree, or the same degree on another mesh, has its own
+    V2 = build_space(disc.mesh, degree=2)
+    assert V2.tabulation() is not V.tabulation(V2.quad_order)
+    assert V2.tabulation()["phi"].shape[1] == 6
+    other = build_space(_mesh(4), components=2, constraint="zero_trace")
+    assert other.tabulation() is not V.tabulation()
+    for name, table in V.tabulation().items():
+        assert np.array_equal(other.tabulation()[name], table)
+
+
 def test_volume_and_mean_vector():
     V = build_space(_mesh(3))
     assert abs(V.volume - 1.0) < 1e-13

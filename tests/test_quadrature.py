@@ -29,7 +29,7 @@ def test_weights_positive_and_normalized(dim, order):
     assert np.all(rule.weights > 0.0)
     assert abs(rule.weights.sum() - 1.0) < 1e-14
     # barycentric rows sum to one and lie inside the simplex
-    assert rule.points.shape == (rule.n_points, dim + 1)
+    assert rule.points.shape == (rule.weights.shape[0], dim + 1)
     assert np.allclose(rule.points.sum(axis=1), 1.0, atol=1e-14)
     assert np.all(rule.points > -1e-14)
 
