@@ -1,12 +1,13 @@
 """Continuous Lagrange spaces and operator assembly.
 
 Everything is tabulated once per mesh, degree and quadrature order: basis
-values and physical gradients at the quadrature points of every cell.  Assemblers contract
-these tables with quadrature weights (vectorized over cells) and scatter
-cell blocks into scipy CSR matrices (``_assemble``).  Fields move between
-coefficients and quadrature points through sparse transfer operators
-(``FeSpace.transfer``), built once per space and quadrature order from the
-same tables: each evaluation, load and pairing is one sparse product.
+values and physical gradients at the quadrature points of every cell.
+Assemblers contract these tables with quadrature weights (vectorized over
+cells) and scatter cell blocks into scipy CSR matrices (``_assemble``).
+Fields move between coefficients and quadrature points through sparse
+transfer operators (``FeSpace.transfer``), built once per space and
+quadrature order from the same tables: each evaluation, load and pairing
+is one sparse product.
 Vector spaces use interleaved component ordering -- global dof =
 scalar_dof * components + component.  This numbering is formed in one
 place, ``FeSpace.vdofs``; every scatter and gather, here and in the

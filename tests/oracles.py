@@ -29,8 +29,9 @@ concatenated and summed into its slots by ``np.bincount``, where the
 solver applies its assembly operator to each value once, and the step
 start is taken by one Lagrange extrapolation each of the velocities and
 the solutions, with the history rebuilt from lists.  A few helpers only
-the tests need (the zero subscale field, the composite mass and form, and
-the mesh quality report) live here too.
+the tests need (the zero subscale field, the composite mass and form, the
+mesh quality report, and the local energy estimator of gate 11 with its
+space-time bump) live here too.
 """
 
 import math
