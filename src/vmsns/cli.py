@@ -78,7 +78,7 @@ def _run_and_write(cfg):
         result = solver.run(cfg)
     except VmsnsError as exc:
         records = getattr(exc, "records", None)
-        if records is not None:
+        if records:
             with contextlib.suppress(ConfigurationError):
                 io_mod.write_energy_ledger(records, ledger_path)
         raise

@@ -84,6 +84,11 @@ def energy_ledger_entry(prev, new, load, dt, tau, nu):
                         jump_terms=jump, imbalance=imbalance)
 
 
+def _forcing_of(result):
+    """The forcing field of a run, or None."""
+    return scenarios.fields_for(result.config).forcing
+
+
 def error_norms(state, fields, order=None):
     """Quadrature error norms of a state against a scenario's exact
     fields: velocity L², velocity H¹ seminorm, pressure L².  The rule
@@ -134,11 +139,6 @@ def hminus1_surrogate(V, load):
     """Dual-norm surrogate sqrt(loadᵀ K⁻¹ load) on the zero-trace space."""
     z = spla.splu(V.stiffness.tocsc()).solve(load)
     return float(np.sqrt(max(load @ z, 0.0)))
-
-
-def _forcing_of(result):
-    """The forcing field of a run, or None."""
-    return scenarios.fields_for(result.config).forcing
 
 
 def a_priori_bound(result):

@@ -140,7 +140,8 @@ class Mesh:
     h_max: float = 0.0
     h_min: float = 0.0
     grid: np.ndarray = field(default=None, repr=False)
-    tabulations: dict = field(default_factory=dict, repr=False, compare=False)
+    tabulations: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def n_vertices(self):

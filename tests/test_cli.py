@@ -140,8 +140,12 @@ def test_nonconvergence_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.cfg",
                      **{"solver.picard_tol": "1e-15",
                         "solver.picard_max": "1"})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
     assert "solver failure" in capsys.readouterr().err
+    # no step finished, so there is no ledger for the audit to pass
+    assert not (out / "ledger.csv").exists()
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 2
 
 
 #: 2-D n = 8 manufactured flow from rest whose Picard loop fails in the

@@ -8,6 +8,8 @@ boundary rule and degree-1 -> degree-2 embedding must equal their loop
 oracles exactly: the lab's seeded Leray rows depend on them bit for bit.
 """
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from vmsns.fe import (
     linf_norm,
     quad_norm,
 )
-from vmsns.mesh import build_structured, extract_edges
+from vmsns.mesh import Mesh, build_structured, extract_edges
 from vmsns.solver import build_discretization
 
 import oracles as orc
@@ -80,6 +82,14 @@ def test_spaces_of_one_degree_on_one_mesh_share_their_tables():
     assert other.tabulation() is not V.tabulation()
     for name, table in V.tabulation().items():
         assert np.array_equal(other.tabulation()[name], table)
+    # the cache is no constructor argument, and a moved copy of the mesh
+    # tabulates its own geometry
+    with pytest.raises(TypeError):
+        Mesh(**{f.name: getattr(disc.mesh, f.name) for f in fields(Mesh)})
+    moved = replace(disc.mesh, vertices=2.0 * disc.mesh.vertices)
+    assert moved.tabulations == {}
+    W = build_space(moved, components=2, constraint="zero_trace")
+    assert np.allclose(W.tabulation()["weights"], 4.0 * V.tabulation()["weights"])
 
 
 def test_volume_and_mean_vector():
