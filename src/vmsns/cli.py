@@ -42,7 +42,7 @@ def build_parser():
         p.add_argument("--config", required=needs_config,
                        help="path to a run configuration file")
         p.add_argument("--out", default=None,
-                       help="output directory (overrides output.dir)")
+                       help="output directory (overrides the configured one)")
         if levels:
             p.add_argument("--levels", type=int, default=3,
                            help="number of refinement levels (default 3)")

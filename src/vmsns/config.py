@@ -1,9 +1,17 @@
 """The run configuration: one ScenarioConfig, read from flat dotted keys.
 
+Each setting is declared once, as a field of ScenarioConfig: its name,
+default, file key, value parser and its own range rule.  The key table
+(``KEY_TABLE``), the single-setting range rules of ``RULES`` and the
+template (``default_config_text``) are read off those fields; only the
+two rules that tie two settings together, box/dim and dt/T, are written
+out in ``RULES``.  Every numeric setting must be finite, and the step
+count T/dt too.
+
 A ScenarioConfig holds every setting of a run, and every part of the
-package reads its settings from it.  It is checked when it is made,
-against one table of range rules (``RULES``), and every broken rule is
-reported in a single ConfigurationError.
+package reads its settings from it.  It is checked against ``RULES``
+when it is made, and every broken rule is reported in a single
+ConfigurationError.
 
 Files are line-oriented: ``section.key = value`` with ``#`` comments and
 blank lines ignored.  Parsing is strict but helpful — every problem in
@@ -14,7 +22,8 @@ of ``RULES``, reported at the line that set it.
 """
 
 import difflib
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 from .scenarios import FORCING_CHOICES, INITIAL_CHOICES
@@ -24,102 +33,17 @@ __all__ = ["ScenarioConfig", "parse_config", "parse_config_file",
 
 FORMAT_CHOICES = ("csv", "vtk")
 
-
-def _positive(v):
-    return v > 0
-
-
-def _nonnegative(v):
-    return v >= 0
-
-
-def _unit_interval(v):
-    return 0 < v < 1
+# the range rule of one setting: (test, message).  A rule is broken when
+# its test is false or cannot be evaluated on the value.
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
+_FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf,
+                       "must be finite and nonnegative")
+_UNIT_INTERVAL = (lambda v: 0 < v < 1, "must lie strictly between 0 and 1")
 
 
-#: the range rules of a run: (fields, test, message).  A rule is broken
-#: when its test, called with the values of its fields, is false or
-#: cannot be evaluated on them.
-RULES = (
-    (("dim",), lambda dim: dim in (2, 3), "must be 2 or 3"),
-    (("n",), _positive, "must be positive"),
-    (("box",), lambda box: box is None or all(hi > lo for lo, hi in box),
-     "axis bounds must increase"),
-    (("box", "dim"), lambda box, dim: box is None or len(box) == dim,
-     "box must give as many axis ranges as the mesh has dimensions"),
-    (("nu",), _positive, "must be positive"),
-    (("initial",), lambda v: v in INITIAL_CHOICES,
-     f"must be one of {', '.join(INITIAL_CHOICES)}"),
-    (("forcing",), lambda v: v in FORCING_CHOICES,
-     f"must be one of {', '.join(FORCING_CHOICES)}"),
-    (("C_s",), _positive, "must be positive"),
-    (("C_c",), _nonnegative, "must be nonnegative"),
-    (("tau_floor",), _nonnegative, "must be nonnegative"),
-    (("dt",), _positive, "must be positive"),
-    (("T",), _nonnegative, "must be nonnegative"),
-    (("dt", "T"), lambda dt, T: not T > 0 or dt <= T,
-     "dt exceeds the time horizon T; only T = 0 allows that"),
-    (("snapshot_every",), _positive, "must be positive"),
-    (("picard_tol",), _unit_interval, "must lie strictly between 0 and 1"),
-    (("picard_max",), _positive, "must be positive"),
-    (("linear_tol",), _unit_interval, "must lie strictly between 0 and 1"),
-    (("formats",), lambda formats: all(f in FORMAT_CHOICES for f in formats),
-     f"entries must be among {', '.join(FORMAT_CHOICES)}"),
-)
-
-
-def _broken_rules(settings):
-    """The rules of ``RULES`` that ``settings`` (field name -> value)
-    breaks, as (fields, message) pairs in table order."""
-    broken = []
-    for names, test, message in RULES:
-        try:
-            holds = test(*(settings[name] for name in names))
-        except (TypeError, ValueError):
-            holds = False
-        if not holds:
-            broken.append((names, message))
-    return broken
-
-
-def _values(names, settings):
-    return ", ".join(f"{name} = {settings[name]!r}" for name in names)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything a run needs, with working defaults (a small decaying
-    vortex on the unit square).
-
-    Making one checks every setting against ``RULES`` and raises one
-    ConfigurationError that lists each broken rule."""
-
-    dim: int = 2
-    n: int = 8
-    box: tuple = None          # per-axis (lo, hi) pairs; None = unit box
-    nu: float = 0.01
-    initial: str = "decaying_vortex"
-    forcing: str = "none"
-    convection: bool = True
-    C_s: float = 4.0
-    C_c: float = 2.0
-    tau_floor: float = 0.0
-    dt: float = 0.01
-    T: float = 0.1
-    snapshot_every: int = 1
-    picard_tol: float = 1e-8
-    picard_max: int = 30
-    linear_tol: float = 1e-10
-    out_dir: str = "out"
-    formats: tuple = ("csv",)
-
-    def __post_init__(self):
-        settings = vars(self)
-        broken = _broken_rules(settings)
-        if broken:
-            raise ConfigurationError(
-                [f"{_values(names, settings)}: {message}"
-                 for names, message in broken])
+def _one_of(choices):
+    return (lambda v: v in choices, f"must be one of {', '.join(choices)}")
 
 
 def _parse_bool_switch(raw):
@@ -143,29 +67,101 @@ def _parse_formats(raw):
     return tuple(p.strip() for p in raw.split(",") if p.strip()) or ("csv",)
 
 
+def _setting(key, default, parse, rule=None, show=str, note="", example=None):
+    """A ScenarioConfig field: the setting's file ``key``, ``default``,
+    value parser and range ``rule``.  The template writes the default as
+    ``show(default)``, or comments the line out with ``example`` when
+    the default is None, and ends it with ``note``."""
+    return field(default=default, metadata=dict(
+        key=key, parse=parse, rule=rule, show=show, note=note, example=example))
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    """Everything a run needs, with working defaults (a small decaying
+    vortex on the unit square).
+
+    Making one checks every setting against ``RULES`` and raises one
+    ConfigurationError that lists each broken rule."""
+
+    dim: int = _setting("mesh.dim", 2, int, (lambda d: d in (2, 3), "must be 2 or 3"))
+    n: int = _setting("mesh.n", 8, int, _POSITIVE)
+    box: tuple = _setting(
+        "mesh.box", None, _parse_box,
+        (lambda box: box is None
+         or all(-math.inf < lo < hi < math.inf for lo, hi in box),
+         "axis bounds must be finite and increase"),
+        note="per-axis lo,hi pairs (default: unit box)", example="0,1, 0,1")
+    nu: float = _setting("physics.nu", 0.01, float, _FINITE_POSITIVE)
+    initial: str = _setting("physics.initial", "decaying_vortex", str,
+                            _one_of(INITIAL_CHOICES),
+                            note=" | ".join(INITIAL_CHOICES))
+    forcing: str = _setting("physics.forcing", "none", str,
+                            _one_of(FORCING_CHOICES),
+                            note=" | ".join(FORCING_CHOICES))
+    convection: bool = _setting("physics.convection", True, _parse_bool_switch,
+                                show=lambda on: "on" if on else "off")
+    C_s: float = _setting("stab.C_s", 4.0, float, _FINITE_POSITIVE)
+    C_c: float = _setting("stab.C_c", 2.0, float, _FINITE_NONNEGATIVE)
+    tau_floor: float = _setting("stab.tau_floor", 0.0, float, _FINITE_NONNEGATIVE)
+    dt: float = _setting("time.dt", 0.01, float, _FINITE_POSITIVE)
+    T: float = _setting("time.T", 0.1, float, _FINITE_NONNEGATIVE)
+    snapshot_every: int = _setting("time.snapshot_every", 1, int, _POSITIVE)
+    picard_tol: float = _setting("solver.picard_tol", 1e-8, float, _UNIT_INTERVAL)
+    picard_max: int = _setting("solver.picard_max", 30, int, _POSITIVE)
+    linear_tol: float = _setting("solver.linear_tol", 1e-10, float, _UNIT_INTERVAL)
+    out_dir: str = _setting("output.dir", "out", str)
+    formats: tuple = _setting(
+        "output.formats", ("csv",), _parse_formats,
+        (lambda formats: all(f in FORMAT_CHOICES for f in formats),
+         f"entries must be among {', '.join(FORMAT_CHOICES)}"),
+        show=",".join, note=" and/or ".join(FORMAT_CHOICES))
+
+    def __post_init__(self):
+        settings = vars(self)
+        broken = _broken_rules(settings)
+        if broken:
+            raise ConfigurationError(
+                [f"{_values(names, settings)}: {message}"
+                 for names, message in broken])
+
+
 #: file key -> (dataclass field, value parser)
-KEY_TABLE = {
-    "mesh.dim": ("dim", int),
-    "mesh.n": ("n", int),
-    "mesh.box": ("box", _parse_box),
-    "physics.nu": ("nu", float),
-    "physics.initial": ("initial", str),
-    "physics.forcing": ("forcing", str),
-    "physics.convection": ("convection", _parse_bool_switch),
-    "stab.C_s": ("C_s", float),
-    "stab.C_c": ("C_c", float),
-    "stab.tau_floor": ("tau_floor", float),
-    "time.dt": ("dt", float),
-    "time.T": ("T", float),
-    "time.snapshot_every": ("snapshot_every", int),
-    "solver.picard_tol": ("picard_tol", float),
-    "solver.picard_max": ("picard_max", int),
-    "solver.linear_tol": ("linear_tol", float),
-    "output.dir": ("out_dir", str),
-    "output.formats": ("formats", _parse_formats),
-}
+KEY_TABLE = {f.metadata["key"]: (f.name, f.metadata["parse"])
+             for f in fields(ScenarioConfig)}
 
 _KEY_OF = {field_name: key for key, (field_name, _) in KEY_TABLE.items()}
+
+#: the range rules of a run: (fields, test, message), each setting's own
+#: rule and then the two that tie two settings together
+RULES = tuple(((f.name,), *f.metadata["rule"]) for f in fields(ScenarioConfig)
+              if f.metadata["rule"]) + (
+    (("box", "dim"), lambda box, dim: box is None or len(box) == dim,
+     "box must give as many axis ranges as the mesh has dimensions"),
+    # checked only where dt and T keep their own rules
+    (("dt", "T"), lambda dt, T: not (0 < dt < math.inf and 0 < T < math.inf)
+     or dt <= T and T / dt < math.inf,
+     "dt exceeds the time horizon T (only T = 0 allows that) "
+     "or the step count T/dt overflows"),
+)
+
+
+def _broken_rules(settings):
+    """The rules of ``RULES`` that ``settings`` (field name -> value)
+    breaks, as (fields, message) pairs in table order."""
+    broken = []
+    for names, test, message in RULES:
+        try:
+            holds = test(*(settings[name] for name in names))
+        except (TypeError, ValueError):
+            holds = False
+        if not holds:
+            broken.append((names, message))
+    return broken
+
+
+def _values(names, settings):
+    return ", ".join(f"{name} = {settings[name]!r}" for name in names)
 
 
 def parse_config(text, source="<config>"):
@@ -224,39 +220,15 @@ def default_config_text():
     """Commented configuration file showing every key at its default; it
     parses back to ``ScenarioConfig()`` and is the starting point for a
     config file (README *Quickstart* prints it)."""
-    cfg = ScenarioConfig()
-    lines = [
-        "# run configuration: flat dotted keys, '#' starts a comment",
-        "",
-        f"mesh.dim = {cfg.dim}",
-        f"mesh.n = {cfg.n}",
-        "# mesh.box = 0,1, 0,1        # per-axis lo,hi pairs (default: unit box)",
-        "",
-        f"physics.nu = {cfg.nu!r}",
-        f"physics.initial = {cfg.initial}    # {' | '.join(INITIAL_CHOICES)}",
-        f"physics.forcing = {cfg.forcing}    # {' | '.join(FORCING_CHOICES)}",
-        f"physics.convection = {'on' if cfg.convection else 'off'}",
-        "",
-        f"stab.C_s = {cfg.C_s!r}",
-        f"stab.C_c = {cfg.C_c!r}",
-        f"stab.tau_floor = {cfg.tau_floor!r}",
-        "",
-        f"time.dt = {cfg.dt!r}",
-        f"time.T = {cfg.T!r}",
-        f"time.snapshot_every = {cfg.snapshot_every}",
-        "",
-        f"solver.picard_tol = {cfg.picard_tol!r}",
-        f"solver.picard_max = {cfg.picard_max}",
-        f"solver.linear_tol = {cfg.linear_tol!r}",
-        "",
-        f"output.dir = {cfg.out_dir}",
-        f"output.formats = {','.join(cfg.formats)}   # {' and/or '.join(FORMAT_CHOICES)}",
-    ]
+    lines = ["# run configuration: flat dotted keys, '#' starts a comment"]
+    section = None
+    for f in fields(ScenarioConfig):
+        key, show, note, example = (f.metadata[k] for k in
+                                    ("key", "show", "note", "example"))
+        if key.split(".")[0] != section:
+            section = key.split(".")[0]
+            lines.append("")
+        line = (f"{key} = {show(f.default)}" if f.default is not None
+                else f"# {key} = {example}")
+        lines.append(f"{line}    # {note}" if note else line)
     return "\n".join(lines) + "\n"
-
-
-# keep the dataclass and table in sync (import-time self-check)
-_FIELD_NAMES = {f.name for f in fields(ScenarioConfig)}
-for _key, (_field, _) in KEY_TABLE.items():
-    if _field not in _FIELD_NAMES:
-        raise ImportError(f"config key {_key} maps to unknown field {_field}")

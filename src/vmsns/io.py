@@ -113,8 +113,7 @@ def read_energy_ledger(path):
     return records
 
 
-def check_energy_ledger(records, imbalance_tol=IMBALANCE_TOL,
-                        consistency_tol=CONSISTENCY_TOL):
+def check_energy_ledger(records):
     """Audit a ledger: every field must be finite, every row's imbalance
     must sit inside the invariant band, and from the second row on it must
     be re-derivable from the neighbouring rows' energies (the first row's
@@ -133,15 +132,15 @@ def check_energy_ledger(records, imbalance_tol=IMBALANCE_TOL,
             problems.append(f"row {i + 1}: nonpositive step size {dt!r}")
             continue
         scale = r.relative_scale(dt)
-        if abs(r.imbalance) > imbalance_tol * scale:
+        if abs(r.imbalance) > IMBALANCE_TOL * scale:
             problems.append(
                 f"row {i + 1} (t={r.t!r}): imbalance {r.imbalance!r} exceeds "
-                f"{imbalance_tol} x scale {scale!r}")
+                f"{IMBALANCE_TOL} x scale {scale!r}")
         if prev is not None:
             recomputed = ((r.ke_fe - prev.ke_fe) + (r.ke_sub - prev.ke_sub)
                           + r.jump_terms + dt * r.visc_diss + dt * r.sub_diss
                           - dt * r.power_in)
-            if abs(recomputed - r.imbalance) > consistency_tol * scale:
+            if abs(recomputed - r.imbalance) > CONSISTENCY_TOL * scale:
                 problems.append(
                     f"row {i + 1} (t={r.t!r}): stored imbalance {r.imbalance!r} "
                     f"disagrees with recomputed {recomputed!r}")
@@ -181,7 +180,7 @@ def _mesh_block(mesh):
     return block
 
 
-def write_fields_vtk(state, path, title="flow fields"):
+def write_fields_vtk(state, path):
     """Velocity (point vectors), pressure (point scalars), and the
     quadrature-averaged subscale magnitude (cell scalars)."""
     disc = state.disc
@@ -197,7 +196,7 @@ def write_fields_vtk(state, path, title="flow fields"):
     vel3 = np.zeros((mesh.n_vertices, 3))
     vel3[:, :mesh.dim] = vel
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "flow fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID", _mesh_block(mesh),
              f"POINT_DATA {mesh.n_vertices}", "VECTORS velocity double"]
     lines += [" ".join(map(repr, v)) for v in vel3.tolist()]

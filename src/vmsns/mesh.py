@@ -119,11 +119,8 @@ class Mesh:
     boundary_facets : ndarray, shape (n_bfacets, dim)
         Vertex indices of each boundary facet (edges in 2D, triangles in
         3D), sorted ascending within a row.
-    boundary_tags : ndarray, shape (n_bfacets,)
-        Integer tag per boundary facet; the structured builder tags box
-        sides 0..2*dim-1 in (xmin, xmax, ymin, ymax, zmin, zmax) order.
-    h_max, h_min : float
-        Largest / smallest cell diameter.
+    h_max : float
+        Largest cell diameter.
     grid : ndarray, shape (n_vertices, dim), or None
         Integer grid index (i, j[, k]) of each vertex of a structured mesh.
     tabulations : dict
@@ -136,9 +133,7 @@ class Mesh:
     vertices: np.ndarray = field(repr=False)
     cells: np.ndarray = field(repr=False)
     boundary_facets: np.ndarray = field(repr=False)
-    boundary_tags: np.ndarray = field(repr=False)
     h_max: float = 0.0
-    h_min: float = 0.0
     grid: np.ndarray = field(default=None, repr=False)
     tabulations: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
@@ -177,17 +172,14 @@ class Mesh:
         return self
 
 
-def _finish(dim, vertices, cells, boundary_facets, boundary_tags,
-            facet_count=None, grid=None):
-    diam = cell_diameters(vertices, cells)
+def _finish(dim, vertices, cells, boundary_facets, facet_count=None,
+            grid=None):
     m = Mesh(
         dim=dim,
         vertices=np.ascontiguousarray(vertices, dtype=float),
         cells=np.ascontiguousarray(cells, dtype=np.int64),
         boundary_facets=np.ascontiguousarray(boundary_facets, dtype=np.int64),
-        boundary_tags=np.ascontiguousarray(boundary_tags, dtype=np.int64),
-        h_max=float(diam.max()),
-        h_min=float(diam.min()),
+        h_max=float(cell_diameters(vertices, cells).max()),
         grid=grid,
     )
     return m.validate(facet_count)
@@ -196,18 +188,6 @@ def _finish(dim, vertices, cells, boundary_facets, boundary_tags,
 # ---------------------------------------------------------------------------
 # structured builders
 # ---------------------------------------------------------------------------
-
-def _boundary_tags(vertices, facets, box):
-    """Tag each boundary facet by the first box side, in (xmin, xmax,
-    ymin, ...) order, that holds all its vertices."""
-    tol = 1e-12 * max(hi - lo for lo, hi in box)
-    xs = vertices[facets]                            # (nf, dim, dim)
-    on = np.stack([np.all(np.abs(xs[:, :, axis] - side) <= tol, axis=1)
-                   for axis in range(len(box)) for side in box[axis]])
-    if not np.all(on.any(axis=0)):
-        raise InvariantViolation("boundary facet not on any box side")
-    return np.argmax(on, axis=0).astype(np.int64)
-
 
 def build_structured(dim, n, domain=None):
     """Regular simplicial subdivision of an axis-aligned box.
@@ -264,7 +244,5 @@ def build_structured(dim, n, domain=None):
     cells[np.ix_(flip, [-2, -1])] = cells[np.ix_(flip, [-1, -2])]
 
     facets, counts = _facet_count(cells)
-    boundary = facets[counts == 1]
-    return _finish(dim, vertices, cells, boundary,
-                   _boundary_tags(vertices, boundary, box), (facets, counts),
+    return _finish(dim, vertices, cells, facets[counts == 1], (facets, counts),
                    grid)

@@ -45,6 +45,9 @@ EPS_NORM = 1e-300
 def compute_tau(cfg, h, u_linf):
     """Global subscale relaxation time, held at least at ``cfg.tau_floor``.
 
+    Raises ConfigurationError when it is not positive: a huge nu or
+    C_s drives it to 0, and the step divides by it.
+
     Parameters
     ----------
     cfg : ScenarioConfig
@@ -58,8 +61,13 @@ def compute_tau(cfg, h, u_linf):
         raise ConfigurationError(f"mesh size must be positive, got {h}")
     if u_linf < 0:
         raise ConfigurationError(f"u_linf must be nonnegative, got {u_linf}")
-    tau = h * h / (cfg.C_s * cfg.nu + cfg.C_c * h * u_linf)
-    return max(tau, cfg.tau_floor)
+    tau = max(h * h / (cfg.C_s * cfg.nu + cfg.C_c * h * u_linf), cfg.tau_floor)
+    if not tau > 0:
+        raise ConfigurationError(
+            f"relaxation time tau = {tau!r} is not positive (nu = {cfg.nu!r}, "
+            f"C_s = {cfg.C_s!r}, C_c = {cfg.C_c!r}, h = {h!r}, "
+            f"|u|_inf = {u_linf!r})")
+    return tau
 
 
 def residual_field(V, Q, u, p, n_fac):

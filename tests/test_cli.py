@@ -136,6 +136,22 @@ def test_a_mesh_without_interior_velocity_dofs_is_a_configuration_error(
     assert "configuration error" in err and "no interior dof" in err
 
 
+@pytest.mark.parametrize("setting,named", [
+    ({"time.T": "inf"}, "bad value for time.T: must be finite"),
+    ({"time.dt": "1e-320", "time.T": "1"}, "bad value for time.dt and time.T"),
+    ({"mesh.box": "0,inf, 0,1"}, "bad value for mesh.box: axis bounds must be finite"),
+    ({"physics.nu": "1e308"}, "tau = 0.0 is not positive (nu = 1e+308"),
+])
+def test_a_setting_that_is_not_finite_or_drives_tau_to_zero_exits_2(
+        tmp_path, capsys, setting, named):
+    cfg = _write_cfg(tmp_path / "run.cfg", **setting)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert not (out / "ledger.csv").exists()
+
+
 def test_nonconvergence_exit_code(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "run.cfg",
                      **{"solver.picard_tol": "1e-15",

@@ -1,10 +1,18 @@
 """Config grammar: strict parsing, collected errors, template round-trip."""
 
+import math
+import os
+import re
+import runpy
+from collections import Counter
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmsns.config import ScenarioConfig, default_config_text, parse_config, parse_config_file
+from vmsns.config import (KEY_TABLE, ScenarioConfig, default_config_text, parse_config,
+                          parse_config_file)
 from vmsns.errors import ConfigurationError
 
 
@@ -30,6 +38,93 @@ def test_comments_and_blank_lines_ignored():
 
 def test_template_parses_back_to_defaults():
     assert parse_config(default_config_text()) == ScenarioConfig()
+
+
+def test_each_setting_has_one_key_and_one_template_line():
+    names = Counter(name for name, _ in KEY_TABLE.values())
+    assert names == Counter(f.name for f in fields(ScenarioConfig))
+    text = default_config_text()
+    for key in KEY_TABLE:
+        lines = re.findall(rf"^(?:# )?{re.escape(key)} = .*$", text, flags=re.M)
+        assert len(lines) == 1, key
+    # the unset box is shown commented out, and the choice lists are noted
+    assert re.search(r"^# mesh\.box = 0,1, 0,1 +# per-axis lo,hi pairs", text, flags=re.M)
+    assert "zero | decaying_vortex | manufactured_poly" in text
+    assert "none | manufactured_poly" in text and "csv and/or vtk" in text
+
+
+#: the benchmark's config generator, read here and never written
+WORKLOADS_PY = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            os.pardir, "benchmark", "workloads.py")
+
+#: the settings the benchmark's stepping configs set, as pinned values
+_BENCHMARK_SETTINGS = {
+    ("vortex_n24", 0): dict(
+        n=24, box=((0.0, 1.0349549048693267), (0.0, 1.0200151269318407)),
+        nu=0.009542690155668384, initial="decaying_vortex", forcing="none",
+        T=0.04, formats=("csv",)),
+    ("vortex_n24", 11): dict(
+        n=24, box=((0.0, 1.0041064582211279), (0.0, 0.9828237032025465)),
+        nu=0.010238134217270028, initial="decaying_vortex", forcing="none",
+        T=0.04, formats=("csv",)),
+    ("mms_n8_io", 0): dict(
+        n=8, box=((0.0, 0.979058416906829), (0.0, 0.9933817441607699)),
+        nu=0.010331790139226036, initial="manufactured_poly",
+        forcing="manufactured_poly", T=3.0, formats=("csv", "vtk")),
+    ("mms_n8_io", 11): dict(
+        n=8, box=((0.0, 0.9715831369314379), (0.0, 1.0286924285442955)),
+        nu=0.009624963175983351, initial="manufactured_poly",
+        forcing="manufactured_poly", T=3.0, formats=("csv", "vtk")),
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(_BENCHMARK_SETTINGS))
+def test_benchmark_stepping_configs_parse_to_their_pinned_settings(workload, seed):
+    config_text = runpy.run_path(WORKLOADS_PY)["config_text"]
+    cfg = parse_config(config_text(workload, seed, "out"))
+    want = ScenarioConfig(dim=2, dt=0.01, snapshot_every=1, convection=True,
+                          out_dir="out", **_BENCHMARK_SETTINGS[workload, seed])
+    assert cfg == want and repr(cfg) == repr(want)
+
+
+#: settings that are not finite, or whose step count T/dt is not: the
+#: config text, the ScenarioConfig arguments and the key the error names
+_NON_FINITE = [
+    ("time.T = inf", dict(T=math.inf), "time.T"),
+    ("time.dt = 1e-320\ntime.T = 1", dict(dt=1e-320, T=1.0), "time.dt and time.T"),
+    ("time.T = 1\ntime.dt = inf", dict(dt=math.inf, T=1.0), "time.dt"),
+    ("physics.nu = inf", dict(nu=math.inf), "physics.nu"),
+    ("physics.nu = nan", dict(nu=math.nan), "physics.nu"),
+    ("stab.C_s = inf", dict(C_s=math.inf), "stab.C_s"),
+    ("stab.C_c = inf", dict(C_c=math.inf), "stab.C_c"),
+    ("stab.tau_floor = inf", dict(tau_floor=math.inf), "stab.tau_floor"),
+    ("mesh.box = 0,inf, 0,1", dict(box=((0.0, math.inf), (0.0, 1.0))), "mesh.box"),
+    ("mesh.box = -inf,0, 0,1", dict(box=((-math.inf, 0.0), (0.0, 1.0))), "mesh.box"),
+]
+
+
+@pytest.mark.parametrize("text,kwargs,key", _NON_FINITE)
+def test_non_finite_settings_are_refused(text, kwargs, key):
+    with pytest.raises(ConfigurationError) as info:
+        parse_config(text + "\n", source="run.cfg")
+    # one broken rule, reported at the line that set its key
+    [message] = info.value.messages
+    lineno = text.count("\n") + 1
+    assert message.startswith(f"run.cfg:{lineno}: bad value for {key}: ")
+    assert "finite" in message or "overflows" in message
+    with pytest.raises(ConfigurationError):
+        ScenarioConfig(**kwargs)
+
+
+def test_the_step_count_rule_leaves_dt_and_T_to_their_own_rules():
+    for kwargs, own in ((dict(dt=0.0), "dt"), (dict(dt=-1.0), "dt"),
+                        (dict(T=math.inf), "T"), (dict(dt=math.inf), "dt")):
+        with pytest.raises(ConfigurationError) as info:
+            ScenarioConfig(**kwargs)
+        assert [m.split(" = ")[0] for m in info.value.messages] == [own]
+    with pytest.raises(ConfigurationError, match="overflows"):
+        ScenarioConfig(dt=1e-300, T=1e10)
+    assert ScenarioConfig(dt=1e-300, T=1e-10).T == 1e-10
 
 
 def test_bad_value_names_the_key_and_line():

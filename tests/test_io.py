@@ -149,7 +149,7 @@ def test_vtk_rest_state(tmp_path):
     assert np.all(data["subscale_magnitude"] == 0.0)
 
 
-def _fmt_built_vtk(state, title):
+def _fmt_built_vtk(state):
     """The VTK text built value by value with ``io._fmt``."""
     disc = state.disc
     mesh = disc.mesh
@@ -162,7 +162,7 @@ def _fmt_built_vtk(state, title):
     w = disc.V.tabulation()["weights"]
     mag = np.sqrt(np.einsum("cqk,cqk->cq", state.tilde, state.tilde))
     sub_mag = np.einsum("cq,cq->c", w, mag) / w.sum(axis=1)
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "flow fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID", f"POINTS {nv} double"]
     lines += [" ".join(io._fmt(c) for c in p) for p in pts3]
     lines.append(f"CELLS {nc} {nc * (npc + 1)}")
@@ -189,8 +189,8 @@ def test_vtk_text_is_the_value_by_value_text(tmp_path):
               initialize(_vortex_3d, build_discretization(build_structured(3, 2)))]
     for k, state in enumerate(states):
         path = tmp_path / f"fields{k}.vtk"
-        write_fields_vtk(state, path, title="t")
-        assert path.read_bytes() == _fmt_built_vtk(state, "t").encode("utf-8")
+        write_fields_vtk(state, path)
+        assert path.read_bytes() == _fmt_built_vtk(state).encode("utf-8")
 
 
 def test_vtk_reader_rejects_foreign_files(tmp_path):
@@ -342,5 +342,5 @@ def test_vtk_mesh_block_is_formatted_once_per_mesh(tmp_path):
     assert io._mesh_block(mesh) is io._mesh_block(mesh)
     for k, state in enumerate(states_2d + [state_3d, states_2d[-1]]):
         path = tmp_path / f"fields{k}.vtk"
-        write_fields_vtk(state, path, title="t")
-        assert path.read_bytes() == _fmt_built_vtk(state, "t").encode("utf-8")
+        write_fields_vtk(state, path)
+        assert path.read_bytes() == _fmt_built_vtk(state).encode("utf-8")

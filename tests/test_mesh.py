@@ -62,16 +62,6 @@ def test_build_matches_a_loop_over_grid_cells(dim, n):
                               np.linspace(lo, hi, n + 1)[m.grid[:, a]])
 
 
-def test_boundary_tags_partition_box_sides():
-    m = build_structured(2, 2, ((0.0, 2.0), (-1.0, 1.0)))
-    assert set(np.unique(m.boundary_tags)) == {0, 1, 2, 3}
-    mids = m.vertices[m.boundary_facets].mean(axis=1)
-    for f, tag in enumerate(m.boundary_tags):
-        side, lohi = divmod(int(tag), 2)
-        want = (0.0, 2.0, -1.0, 1.0)[tag]
-        assert abs(mids[f, side] - want) < 1e-14
-
-
 def test_structured_mesh_is_uniform():
     q = orc.mesh_quality(build_structured(2, 5))
     assert abs(q.uniformity_ratio - 1.0) < 1e-12
@@ -87,9 +77,7 @@ def test_equilateral_inradius_ratio():
         vertices=verts,
         cells=cells,
         boundary_facets=np.array([[0, 1], [0, 2], [1, 2]]),
-        boundary_tags=np.zeros(3, dtype=int),
         h_max=1.0,
-        h_min=1.0,
     )
     q = orc.mesh_quality(m)
     assert abs(q.min_inradius_ratio - 1.0 / (2.0 * math.sqrt(3.0))) < 1e-13
@@ -103,9 +91,7 @@ def test_degenerate_cell_rejected():
         vertices=verts,
         cells=cells,
         boundary_facets=np.array([[0, 1]]),
-        boundary_tags=np.zeros(1, dtype=int),
         h_max=2.0,
-        h_min=2.0,
     )
     with pytest.raises(InvariantViolation):
         orc.mesh_quality(m)
@@ -120,9 +106,7 @@ def test_nonuniform_mesh_rejected():
         vertices=verts,
         cells=cells,
         boundary_facets=np.array([[0, 1]]),
-        boundary_tags=np.zeros(1, dtype=int),
         h_max=15.0,
-        h_min=0.1,
     )
     with pytest.raises(InvariantViolation):
         orc.mesh_quality(m, uniformity_bound=4.0)
@@ -143,7 +127,6 @@ def test_diameters_match_h_bounds():
     m = build_structured(2, 3, ((0.0, 3.0), (0.0, 3.0)))
     diam = cell_diameters(m.vertices, m.cells)
     assert abs(diam.max() - m.h_max) < 1e-14
-    assert abs(diam.min() - m.h_min) < 1e-14
 
 
 def test_bad_arguments():
@@ -166,29 +149,21 @@ def test_validate_catches_flipped_cell():
         vertices=m.vertices,
         cells=cells,
         boundary_facets=m.boundary_facets,
-        boundary_tags=m.boundary_tags,
         h_max=m.h_max,
-        h_min=m.h_min,
     )
     with pytest.raises(InvariantViolation):
         bad.validate()
 
 
-def _loop_boundary(vertices, cells, box):
-    """Boundary facets and tags by a per-cell loop over facet tuples."""
+def _loop_boundary(cells):
+    """Boundary facets by a per-cell loop over facet tuples."""
     counts = {}
     for cell in cells.tolist():
         for drop in range(len(cell)):
             facet = tuple(sorted(cell[:drop] + cell[drop + 1:]))
             counts[facet] = counts.get(facet, 0) + 1
     facets = sorted(f for f, c in counts.items() if c == 1)
-    tags = []
-    for f in facets:
-        xs = vertices[list(f)]
-        tags.append(next(2 * axis + side for axis in range(len(box))
-                         for side in (0, 1)
-                         if np.all(np.abs(xs[:, axis] - box[axis][side]) <= 1e-12)))
-    return np.array(facets), np.array(tags), max(counts.values())
+    return np.array(facets), max(counts.values())
 
 
 @pytest.mark.parametrize("dim,n,box", [
@@ -196,17 +171,13 @@ def _loop_boundary(vertices, cells, box):
     (3, 3, [(-1.0, 2.0), (0.0, 1.0), (0.5, 1.5)])])
 def test_boundary_and_conformity_match_a_per_cell_count(dim, n, box):
     m = build_structured(dim, n, box)
-    facets, tags, most = _loop_boundary(m.vertices, m.cells,
-                                        box or [(0.0, 1.0)] * dim)
+    facets, most = _loop_boundary(m.cells)
     assert most == 2
     assert np.array_equal(m.boundary_facets, facets)
-    assert np.array_equal(m.boundary_tags, tags)
 
     def rebuilt(**changes):
         fields = dict(dim=dim, vertices=m.vertices, cells=m.cells,
-                      boundary_facets=m.boundary_facets,
-                      boundary_tags=m.boundary_tags, h_max=m.h_max,
-                      h_min=m.h_min)
+                      boundary_facets=m.boundary_facets, h_max=m.h_max)
         return Mesh(**{**fields, **changes})
 
     rebuilt(boundary_facets=m.boundary_facets[::-1, ::-1]).validate()

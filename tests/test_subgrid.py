@@ -61,6 +61,13 @@ def test_tau_argument_validation():
         compute_tau(p, 1.0, -1.0)
 
 
+def test_tau_that_is_not_positive_is_a_configuration_error():
+    # C_s nu overflows to inf, so h^2 / (C_s nu + ...) is 0
+    with pytest.raises(ConfigurationError, match="tau = 0.0 is not positive"):
+        compute_tau(ScenarioConfig(nu=1e308), 0.5, 1.0)
+    assert compute_tau(ScenarioConfig(nu=1e308, tau_floor=1e-3), 0.5, 1.0) == 1e-3
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     nu=st.floats(1e-6, 1e3),
