@@ -138,8 +138,7 @@ def test_a_mesh_without_interior_velocity_dofs_is_a_configuration_error(
 
 @pytest.mark.parametrize("setting,named", [
     ({"time.T": "inf"}, "bad value for time.T: must be finite"),
-    ({"time.dt": "1e-320", "time.T": "1"}, "bad value for time.dt and time.T"),
-    ({"mesh.box": "0,inf, 0,1"}, "bad value for mesh.box: axis bounds must be finite"),
+    # finite, but C_s nu overflows and tau underflows to 0 in the first step
     ({"physics.nu": "1e308"}, "tau = 0.0 is not positive (nu = 1e+308"),
 ])
 def test_a_setting_that_is_not_finite_or_drives_tau_to_zero_exits_2(
