@@ -37,9 +37,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{run,study,spectra,check,init}")
 
-    def add(name, help_text, needs_config=True, levels=False):
+    def add(name, help_text, levels=False):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=needs_config,
+        p.add_argument("--config", required=True,
                        help="path to a run configuration file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides the configured one)")
@@ -129,8 +129,6 @@ def _run_level(cfg, n, out_dir):
 
 def _cmd_study(args):
     cfg = _load_config(args)
-    if args.levels < 1:
-        raise UsageError("--levels must be >= 1")
     out_root = io_mod.ensure_dir(cfg.out_dir)
     rows = [_run_level(cfg, cfg.n * 2 ** k, os.path.join(out_root, f"level_{k}"))
             for k in range(args.levels)]
@@ -173,8 +171,6 @@ def _cmd_spectra(args):
     from .spectral_lab import run_equivalence_suite
 
     cfg = _load_config(args)
-    if args.levels < 1:
-        raise UsageError("--levels must be >= 1")
     out_root = io_mod.ensure_dir(cfg.out_dir)
     ns = tuple(cfg.n * 2 ** k for k in range(args.levels))
     report = run_equivalence_suite(levels=ns, dim=cfg.dim)
@@ -234,6 +230,8 @@ _COMMANDS = {
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "levels", 1) < 1:
+            raise UsageError("--levels must be >= 1")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

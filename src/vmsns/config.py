@@ -6,7 +6,7 @@ default, file key, value parser and its own range rule.  The key table
 template (``default_config_text``) are read off those fields; only the
 two rules that tie two settings together, box/dim and dt/T, are written
 out in ``RULES``.  Every numeric setting must be finite, and the step
-count T/dt too.
+count T/dt too; the integer settings must be integers, not bools.
 
 A ScenarioConfig holds every setting of a run, and every part of the
 package reads its settings from it.  It is checked against ``RULES``
@@ -23,6 +23,7 @@ of ``RULES``, reported at the line that set it.
 
 import difflib
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
@@ -35,11 +36,18 @@ FORMAT_CHOICES = ("csv", "vtk")
 
 # the range rule of one setting: (test, message).  A rule is broken when
 # its test is false or cannot be evaluated on the value.
-_POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE_INTEGER = (lambda v: _is_integer(v) and v > 0,
+                     "must be a positive integer")
 _FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be finite and positive")
 _FINITE_NONNEGATIVE = (lambda v: 0 <= v < math.inf,
                        "must be finite and nonnegative")
 _UNIT_INTERVAL = (lambda v: 0 < v < 1, "must lie strictly between 0 and 1")
+
+
+def _is_integer(v):
+    """An integral number that is not a bool: float and bool settings
+    compare like integers but break the mesh and loop counts."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _one_of(choices):
@@ -84,8 +92,10 @@ class ScenarioConfig:
     Making one checks every setting against ``RULES`` and raises one
     ConfigurationError that lists each broken rule."""
 
-    dim: int = _setting("mesh.dim", 2, int, (lambda d: d in (2, 3), "must be 2 or 3"))
-    n: int = _setting("mesh.n", 8, int, _POSITIVE)
+    dim: int = _setting("mesh.dim", 2, int,
+                        (lambda d: _is_integer(d) and d in (2, 3),
+                         "must be the integer 2 or 3"))
+    n: int = _setting("mesh.n", 8, int, _POSITIVE_INTEGER)
     box: tuple = _setting(
         "mesh.box", None, _parse_box,
         (lambda box: box is None
@@ -106,9 +116,10 @@ class ScenarioConfig:
     tau_floor: float = _setting("stab.tau_floor", 0.0, float, _FINITE_NONNEGATIVE)
     dt: float = _setting("time.dt", 0.01, float, _FINITE_POSITIVE)
     T: float = _setting("time.T", 0.1, float, _FINITE_NONNEGATIVE)
-    snapshot_every: int = _setting("time.snapshot_every", 1, int, _POSITIVE)
+    snapshot_every: int = _setting("time.snapshot_every", 1, int,
+                                   _POSITIVE_INTEGER)
     picard_tol: float = _setting("solver.picard_tol", 1e-8, float, _UNIT_INTERVAL)
-    picard_max: int = _setting("solver.picard_max", 30, int, _POSITIVE)
+    picard_max: int = _setting("solver.picard_max", 30, int, _POSITIVE_INTEGER)
     linear_tol: float = _setting("solver.linear_tol", 1e-10, float, _UNIT_INTERVAL)
     out_dir: str = _setting("output.dir", "out", str)
     formats: tuple = _setting(

@@ -89,27 +89,26 @@ def _forcing_of(result):
     return scenarios.fields_for(result.config).forcing
 
 
-def error_norms(state, fields, order=None):
+def error_norms(state, fields):
     """Quadrature error norms of a state against a scenario's exact
-    fields: velocity L², velocity H¹ seminorm, pressure L².  The rule
-    order defaults to two above the assembly order so the error integrand
-    is resolved."""
+    fields: velocity L², velocity H¹ seminorm, pressure L².  The rule is
+    two orders above the assembly rule so the error integrand is
+    resolved; the fields are evaluated from its tables."""
     if fields.exact_velocity is None:
         raise ConfigurationError("scenario has no exact solution to compare against")
     disc = state.disc
     V, Q = disc.V, disc.Q
-    if order is None:
-        order = V.quad_order + 2
-    tab = V.tabulation(order)
+    order = V.quad_order + 2
+    tab, tab_q = V.tabulation(order), Q.tabulation(order)
     w = tab["weights"]
     pts = tab["points"].reshape(-1, disc.mesh.dim)
     nc, nq = w.shape
 
-    u_err = V.eval_at_qp(state.u, order) - \
-        fields.exact_velocity(pts).reshape(nc, nq, -1)
-    gu_err = V.eval_grad_at_qp(state.u, order) - \
+    cell_u = V._cellwise(state.u)                      # (nc, n_loc, comp)
+    u_err = tab["phi"] @ cell_u - fields.exact_velocity(pts).reshape(nc, nq, -1)
+    gu_err = np.einsum("cqld,clk->cqkd", tab["grad"], cell_u) - \
         fields.exact_velocity_gradient(pts).reshape(nc, nq, V.components, -1)
-    p_err = Q.eval_at_qp(state.p, order)[:, :, 0] - \
+    p_err = (tab_q["phi"] @ Q._cellwise(state.p))[:, :, 0] - \
         fields.exact_pressure(pts).reshape(nc, nq)
     return {
         "err_vel_l2": float(np.sqrt(np.einsum("cq,cqk,cqk->", w, u_err, u_err))),

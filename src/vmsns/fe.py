@@ -1,13 +1,16 @@
 """Continuous Lagrange spaces and operator assembly.
 
-Everything is tabulated once per mesh, degree and quadrature order: basis
-values and physical gradients at the quadrature points of every cell.
-Assemblers contract these tables with quadrature weights (vectorized over
-cells) and scatter cell blocks into scipy CSR matrices (``_assemble``).
-Fields move between coefficients and quadrature points through sparse
-transfer operators (``FeSpace.transfer``), built once per space and
-quadrature order from the same tables: each evaluation, load and pairing
-is one sparse product.
+Each space has one quadrature rule, of order ``quad_order``.  Basis values
+and physical gradients at its points in every cell are tabulated once per
+mesh, degree and order (``FeSpace.tabulation``, which also serves the
+finer tables of the gradient coupling and the error norms).  Assemblers
+contract these tables with quadrature weights (vectorized over cells) and
+scatter cell blocks into scipy CSR matrices (``_assemble``).
+Fields move between coefficients and the space's quadrature points
+through sparse transfer operators (``FeSpace.transfer``), built once per
+space and kind: E evaluates values, D gradients, and the loads are their
+weighted twins EᵀW and DᵀW, which share their index arrays.  Each
+evaluation, load and pairing is one sparse product.
 Vector spaces use interleaved component ordering -- global dof =
 scalar_dof * components + component.  This numbering is formed in one
 place, ``FeSpace.vdofs``; every scatter and gather, here and in the
@@ -16,8 +19,7 @@ solver's step pattern, goes through it or its per-cell table
 
 Dirichlet (zero-trace) constraints are imposed by eliminating boundary
 nodes from the dof numbering.  Zero-mean pressure spaces keep all nodes;
-the mean constraint is enforced downstream by a scalar multiplier, and
-projections subtract the mean explicitly.
+the mean constraint is enforced downstream by a scalar multiplier.
 """
 
 from functools import cached_property
@@ -102,8 +104,8 @@ class FeSpace:
 
     Parameters are normally supplied through :func:`build_space`.  The
     heavy per-cell tables are computed lazily and cached on the mesh per
-    degree and quadrature order, keyed so error norms can use a finer
-    rule than assembly.
+    degree and quadrature order; the space's own rule has order
+    ``quad_order``, and its transfer operators all act at that rule.
 
     Attributes
     ----------
@@ -191,7 +193,8 @@ class FeSpace:
         return 2 * self.degree + 1
 
     def tabulation(self, order=None):
-        """Per-cell tables (phi, grad, qp coords, physical weights).
+        """Per-cell tables (phi, grad, qp coords, physical weights) at the
+        rule of order ``order``, the space's own rule by default.
 
         Cached on the mesh per degree and quadrature order, so spaces of
         one degree on one mesh share them.  ``grad`` has shape
@@ -239,32 +242,32 @@ class FeSpace:
         """Coefficients gathered per cell: (nc, n_loc, components)."""
         return _gather(coeffs, self.cell_vdofs)
 
-    def eval_at_qp(self, coeffs, order=None):
+    def eval_at_qp(self, coeffs):
         """Field values at quadrature points: (nc, nq, components)."""
-        nc, nq = self.tabulation(order)["weights"].shape
-        return (self.transfer("eval", order) @ _flat(coeffs)).reshape(
+        nc, nq = self.tabulation()["weights"].shape
+        return (self.transfer("eval") @ _flat(coeffs)).reshape(
             nc, nq, self.components)
 
-    def eval_grad_at_qp(self, coeffs, order=None):
+    def eval_grad_at_qp(self, coeffs):
         """Gradients at quadrature points: (nc, nq, components, dim)."""
-        nc, nq = self.tabulation(order)["weights"].shape
-        return (self.transfer("grad", order) @ _flat(coeffs)).reshape(
+        nc, nq = self.tabulation()["weights"].shape
+        return (self.transfer("grad") @ _flat(coeffs)).reshape(
             nc, nq, self.components, self.mesh.dim)
 
-    def load_from_qp(self, qp_field, order=None):
+    def load_from_qp(self, qp_field):
         """Adjoint of eval_at_qp with quadrature weights: the load vector.
 
         Entry (i, k) is the quadrature approximation of
         ∫ field_k phi_i, assembled over cells.
         """
-        return self.transfer("load", order) @ _flat(qp_field)
+        return self.transfer("load") @ _flat(qp_field)
 
-    def grad_load_from_qp(self, qp_field, order=None):
+    def grad_load_from_qp(self, qp_field):
         """Adjoint of eval_grad_at_qp with quadrature weights: entry
         (i, k) is the quadrature approximation of ∫ field_k · ∇phi_i for a
         field of shape (nc, nq, components, dim) -- (nc, nq, dim) for a
         scalar space -- assembled over cells."""
-        return self.transfer("grad_load", order) @ _flat(qp_field)
+        return self.transfer("grad_load") @ _flat(qp_field)
 
     def scatter_cells(self, loc):
         """Sum cell-local vectors (nc, n_loc, components) into a
@@ -273,34 +276,36 @@ class FeSpace:
 
     # -- transfer operators --------------------------------------------------
 
-    def transfer(self, kind, order=None):
+    def transfer(self, kind):
         """The sparse operator ``kind`` between coefficients and the
-        quadrature points of rule ``order``, built on first use and cached
-        per (kind, order):
+        quadrature points of the space's rule, built on first use and
+        cached per kind:
 
         - ``"eval"``: E, values, rows (cell, qp, component);
-        - ``"load"``: EᵀW, its adjoint weighted by the quadrature weights,
-          the CSC twin of E's index arrays with weighted data;
         - ``"grad"``: D, gradients, rows (cell, qp, component, direction);
-        - ``"grad_load"``: DᵀW, likewise D's weighted CSC twin;
+        - ``"load"``: EᵀW, E's adjoint weighted by the quadrature weights:
+          the CSC twin of E's index arrays, each entry E's times the
+          weight of its row;
+        - ``"grad_load"``: DᵀW, likewise D's weighted twin;
         - ``"scatter"``: the sum of cell-local vectors, columns (cell,
-          local node, component), into coefficients, independent of
-          ``order``.
+          local node, component), into coefficients.
 
-        Every operator is built in its storage order from the per-cell
-        tables, with int32 indices and no sort; entries on eliminated
-        dofs are left out.
+        E, D and the scatter are built in their storage order from the
+        per-cell tables, with int32 indices and no sort; entries on
+        eliminated dofs are left out.
         """
-        if kind == "scatter":
-            order = None
-        elif order is None:
-            order = self.quad_order
-        op = self._ops.get((kind, order))
+        op = self._ops.get(kind)
         if op is None:
-            op = self._ops[kind, order] = self._build_transfer(kind, order)
+            op = self._ops[kind] = self._build_transfer(kind)
         return op
 
-    def _build_transfer(self, kind, order):
+    def _build_transfer(self, kind):
+        if kind in ("load", "grad_load"):
+            op = self.transfer("eval" if kind == "load" else "grad")
+            weights = self.tabulation()["weights"].reshape(-1)
+            row_weights = np.repeat(weights, op.shape[0] // weights.size)
+            data = op.data * np.repeat(row_weights, np.diff(op.indptr))
+            return sp.csc_matrix((data, op.indices, op.indptr), shape=op.shape[::-1])
         kept = self.cell_vdofs >= 0                      # (nc, n_loc, comp)
         if kind == "scatter":
             indptr = np.zeros(kept.size + 1, dtype=np.int32)
@@ -308,48 +313,24 @@ class FeSpace:
             return sp.csc_matrix(
                 (np.ones(int(indptr[-1])), self.cell_vdofs[kept].astype(np.int32),
                  indptr), shape=(self.n_dofs, kept.size))
-        tab = self.tabulation(order)
-        grad = kind.startswith("grad")
+        tab = self.tabulation()
         # one row per (cell, qp, component, direction) -- one direction for
         # values -- and one entry per local node
-        if grad:
+        if kind == "grad":
             table = np.swapaxes(tab["grad"], 2, 3)[:, :, None]  # (nc, nq, 1, dim, n_loc)
         else:
             table = tab["phi"][None, :, None, None, :]
-        if kind.endswith("load"):
-            table = table * tab["weights"][:, :, None, None, None]
         shape = tab["weights"].shape + (self.components, table.shape[3], kept.shape[1])
         mask = np.broadcast_to(np.swapaxes(kept, 1, 2)[:, None, :, None, :], shape)
-        indices, indptr = self._transfer_pattern(order, grad, mask)
-        data = np.broadcast_to(table, shape)[mask]
-        if kind.endswith("load"):
-            return sp.csc_matrix((data, indices, indptr),
-                                 shape=(self.n_dofs, indptr.size - 1))
-        return sp.csr_matrix((data, indices, indptr),
+        cols = np.swapaxes(self.cell_vdofs, 1, 2).astype(np.int32)
+        indices = np.broadcast_to(cols[:, None, :, None, :], shape)[mask]
+        # the eliminated nodes are the same for every component
+        per_row = kept[:, :, 0].sum(axis=1, dtype=np.int32)
+        nc, nq, comp, ndir, _ = shape
+        indptr = np.zeros(nc * nq * comp * ndir + 1, dtype=np.int32)
+        np.cumsum(np.repeat(per_row, nq * comp * ndir), out=indptr[1:])
+        return sp.csr_matrix((np.broadcast_to(table, shape)[mask], indices, indptr),
                              shape=(indptr.size - 1, self.n_dofs))
-
-    def _transfer_pattern(self, order, grad, mask):
-        """Index arrays of E (``grad`` false) or D at ``order``, shared by
-        the operator and its weighted adjoint: the columns of the entries
-        ``mask`` selects, in row-major order, and the row pointer."""
-        pattern = self._ops.get(("pattern", order, grad))
-        if pattern is None:
-            nc, nq, comp, ndir, _ = mask.shape
-            cols = np.swapaxes(self.cell_vdofs, 1, 2).astype(np.int32)
-            indices = np.broadcast_to(cols[:, None, :, None, :], mask.shape)[mask]
-            # the eliminated nodes are the same for every component
-            per_row = mask[:, 0, 0, 0, :].sum(axis=1, dtype=np.int32)
-            indptr = np.zeros(nc * nq * comp * ndir + 1, dtype=np.int32)
-            np.cumsum(np.repeat(per_row, nq * comp * ndir), out=indptr[1:])
-            pattern = self._ops["pattern", order, grad] = indices, indptr
-        return pattern
-
-    def evaluate_callable(self, f, order=None):
-        """Evaluate a callable field x -> (components,) at quadrature points."""
-        tab = self.tabulation(order)
-        vals = np.asarray(f(tab["points"].reshape(-1, self.mesh.dim)), dtype=float)
-        vals = vals.reshape(self.mesh.n_cells, tab["weights"].shape[1], self.components)
-        return vals
 
     # -- cached operators ----------------------------------------------------
 
@@ -381,10 +362,6 @@ class FeSpace:
         tab = self.tabulation()
         ones = np.ones(tab["weights"].shape + (self.components,))
         return self.scatter_cells(tab["phi"].T @ (tab["weights"][:, :, None] * ones))
-
-    @property
-    def volume(self):
-        return float(self.mean_vector.sum()) / self.components
 
 
 def build_space(m, degree=1, components=1, constraint="none"):
@@ -480,56 +457,44 @@ def advection_factor(V, a):
             + 0.5 * div_a[:, :, None] * tab["phi"])
 
 
-def as_qp_field(V, f, order=None):
-    """Coerce a field spec (callable, qp array, or coefficients) to qp values."""
+def as_qp_field(V, f):
+    """A field at V's quadrature points, (nc, nq, components), from a
+    callable x -> (components,) or an array of that shape."""
+    tab = V.tabulation()
+    shape = tab["weights"].shape + (V.components,)
     if callable(f):
-        return V.evaluate_callable(f, order)
+        vals = f(tab["points"].reshape(-1, V.mesh.dim))
+        return np.asarray(vals, dtype=float).reshape(shape)
     f = np.asarray(f, dtype=float)
-    if f.shape == (V.n_dofs,):
-        return V.eval_at_qp(f, order)
-    tab = V.tabulation(order)
-    want = (V.mesh.n_cells, tab["weights"].shape[1], V.components)
-    if f.shape == want:
-        return f
-    if f.shape == want[:2] and V.components == 1:
-        return f[:, :, None]
-    raise ConfigurationError(
-        f"cannot interpret field of shape {f.shape} for this space")
+    if f.shape != shape:
+        raise ConfigurationError(
+            f"field of shape {f.shape} is not at this space's quadrature "
+            f"points {shape}")
+    return f
 
 
 def assemble_load(V, f):
     """Load vector with entries ∫ f · phi_i (quadrature realization of the
-    duality pairing).  ``f`` may be a callable, a quadrature-point array,
-    or a coefficient vector of V."""
+    duality pairing).  ``f`` may be a callable or a quadrature-point
+    array."""
     return V.load_from_qp(as_qp_field(V, f))
 
 
 def l2_project(field, V):
-    """L² projection onto V: solve M c = load(field).
-
-    For zero-mean spaces the projection is followed by subtraction of the
-    mean, which keeps the result in the constrained subspace (Lagrange
-    bases reproduce constants node-by-node).
-    """
-    rhs = V.load_from_qp(as_qp_field(V, field))
-    c = V.mass_solve(rhs)
-    if V.constraint == "zero_mean":
-        m = V.mean_vector
-        c = c - (m @ c) / V.volume
-    return c
+    """L² projection onto V: solve M c = load(field)."""
+    return V.mass_solve(V.load_from_qp(as_qp_field(V, field)))
 
 
-def quad_norm(V, qp_field, order=None):
+def quad_norm(V, qp_field):
     """L² norm of a quadrature-point field via the space's quadrature."""
-    tab = V.tabulation(order)
     f = np.asarray(qp_field, dtype=float)
-    return float(np.sqrt(np.einsum("cq,cqk->", tab["weights"], f * f)))
+    return float(np.sqrt(np.einsum("cq,cqk->", V.tabulation()["weights"], f * f)))
 
 
 def linf_norm(V, u):
     """Max-norm of a degree-1 finite element function: the max over nodes
-    of |value| (scalar) or of the Euclidean magnitude (vector), which is
-    exact because piecewise-linear fields attain their maximum at nodes."""
+    of the Euclidean magnitude, which is exact because piecewise-linear
+    fields attain their maximum at nodes."""
     if V.degree != 1:
         raise ConfigurationError(
             f"linf_norm supports degree-1 spaces only, got degree {V.degree}")
@@ -538,6 +503,4 @@ def linf_norm(V, u):
         raise ConfigurationError(
             f"coefficient vector has shape {u.shape}, expected ({V.n_dofs},)")
     vals = u.reshape(V.n_scalar, V.components)
-    if V.components == 1:
-        return float(np.max(np.abs(vals), initial=0.0))
     return float(np.max(np.linalg.norm(vals, axis=1), initial=0.0))

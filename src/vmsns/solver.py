@@ -426,7 +426,7 @@ def _cell_blocks(V, Q, n_fac):
     advection velocity a: (nc, nl, nl), (nc, nl, nl) and (nc, nl, nl_q, dim)."""
     tab = V.tabulation()
     wn_t = np.swapaxes(tab["weights"][:, :, None] * n_fac, 1, 2)   # (nc, nl, nq)
-    grad_q = Q.tabulation(V.quad_order)["grad"]                  # (nc, nq, nl_q, dim)
+    grad_q = Q.tabulation()["grad"]                              # (nc, nq, nl_q, dim)
     nc, nq, nl_q, dim = grad_q.shape
     conv = np.swapaxes(wn_t @ tab["phi"], 1, 2)
     nn = wn_t @ n_fac
@@ -642,7 +642,7 @@ def initialize(u0, disc):
     pat = disc.pattern
     y = _solve(A, rhs[pat.perm], None, 1e-10, "initialization solve")[0]
     u_h, xi, zeta = np.split(y[pat.where][:-1], [n_u, n_u + n_p])
-    grad_xi = Q.eval_grad_at_qp(xi, V.quad_order)[:, :, 0, :]
+    grad_xi = Q.eval_grad_at_qp(xi)[:, :, 0, :]
     # projected once more: when u0 is itself resolvable the difference is
     # pure roundoff whose resolved FRACTION is O(1), and the state
     # invariant below checks the fraction, not the size

@@ -77,9 +77,10 @@ def residual_field(V, Q, u, p, n_fac):
     ``n_fac``, the advection factor ``fe.advection_factor(V, a)`` of the
     advection velocity a: Σ_i n_i u_i.  The solver passes the factor of
     its last frozen Picard iterate, so the subscale update matches the
-    system it eliminated.  Returns an array of shape (n_cells, n_qp, dim).
+    system it eliminated.  V and Q are of one degree, so ∇p_h is taken at
+    V's rule.  Returns an array of shape (n_cells, n_qp, dim).
     """
-    grad_p = Q.eval_grad_at_qp(p, V.quad_order)      # (nc, nq, 1, d)
+    grad_p = Q.eval_grad_at_qp(p)                    # (nc, nq, 1, d)
     return n_fac @ V._cellwise(u) + grad_p[:, :, 0, :]
 
 

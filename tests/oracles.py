@@ -44,7 +44,6 @@ from scipy.special import roots_legendre
 
 from vmsns import scenarios
 from vmsns.errors import ConfigurationError
-from vmsns.fe import as_qp_field
 
 
 def rel(a, b, floor=1e-30):
@@ -327,26 +326,6 @@ def dense_load(V, f, rule_n=8):
             for k in range(comp):
                 load[gi * comp + k] += np.sum(wts * vals[:, i] * fv[:, k]) * volfac
     return load
-
-
-def grad_pair_oracle(Q, f, rule_n=8):
-    """Vector with entries ∫ f . grad psi_j for a callable f."""
-    mesh = Q.mesh
-    out = np.zeros(Q.n_dofs)
-    ref, wts = simplex_rule_cartesian(mesh.dim, rule_n)
-    _, grads_ref = p1_basis(ref)
-    for c in range(mesh.n_cells):
-        x0, A, det = cell_geometry(mesh, c)
-        gphys = np.linalg.solve(A.T, grads_ref.T).T
-        pts = x0 + ref @ A.T
-        fv = np.array([np.asarray(f(p), dtype=float) for p in pts])
-        volfac = abs(det)
-        dofs = Q.node_dof[Q.cell_nodes[c]]
-        for j, gj in enumerate(dofs):
-            if gj < 0:
-                continue
-            out[gj] += np.sum(wts * (fv @ gphys[j])) * volfac
-    return out
 
 
 def zero_subscale(V):
@@ -1367,16 +1346,17 @@ def local_energy_residual(history, bump):
         lap += c_w * l_b
 
     f = scenarios.fields_for(history.config).forcing
-    f_qp = None if f is None else as_qp_field(V, f, order)
+    f_qp = None if f is None else np.asarray(
+        f(x.reshape(-1, mesh.dim)), dtype=float).reshape(x.shape)
     nu = history.config.nu
 
     # integrand pieces per snapshot: split by their time factor
     coef_dwdt = np.empty(len(states))   # multiplies dφ/dt
     coef_w = np.empty(len(states))      # multiplies φ's window value
     for i, s in enumerate(states):
-        u_qp = V.eval_at_qp(s.u, order)
-        grad_u = V.eval_grad_at_qp(s.u, order)
-        p_qp = Q.eval_at_qp(s.p, order)[:, :, 0]
+        u_qp = einsum_eval_at_qp(V, s.u, order)
+        grad_u = einsum_eval_grad_at_qp(V, s.u, order)
+        p_qp = einsum_eval_at_qp(Q, s.p, order)[:, :, 0]
         half_u2 = 0.5 * np.einsum("cqk,cqk->cq", u_qp, u_qp)
         gradsq = np.einsum("cqkd,cqkd->cq", grad_u, grad_u)
         fu = 0.0 if f_qp is None else np.einsum("cqk,cqk->cq", f_qp, u_qp)

@@ -76,8 +76,10 @@ def test_usage_errors(tmp_path, capsys):
     assert main([]) == 1
     cfg = _write_cfg(tmp_path / "run.cfg")
     assert main(["study", "--config", cfg, "--levels", "0"]) == 1
+    assert main(["spectra", "--config", cfg, "--levels", "-1"]) == 1
     err = capsys.readouterr().err
-    assert err.count("usage error") == 3
+    assert err.count("usage error") == 4
+    assert err.count("--levels must be >= 1") == 2
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -245,6 +245,17 @@ def test_scenario_names_are_checked_when_made():
         ScenarioConfig(nu=1.0, initial="zero", forcing="bogus")
 
 
+@pytest.mark.parametrize("name,value", [("dim", 2.0), ("picard_max", 2.5),
+                                        ("snapshot_every", 0.5), ("n", 3.0),
+                                        ("n", True)])
+def test_integer_settings_must_be_integers(name, value):
+    # refused when made, not later by the mesh or the step loop
+    with pytest.raises(ConfigurationError) as info:
+        ScenarioConfig(**dict(dict(n=3, T=0.02), **{name: value}))
+    [message] = info.value.messages
+    assert message.startswith(f"{name} = {value!r}: must be ")
+
+
 def test_every_broken_rule_is_reported_at_once():
     with pytest.raises(ConfigurationError) as info:
         ScenarioConfig(dt=0.0, nu=-1.0, picard_tol=2.0)

@@ -1,9 +1,9 @@
 """Every name the package and its modules export resolves, code that
 only tests call lives in the test oracles, the entry points the benchmark
 times or wraps stay public functions, the calls
-that read run settings take one ScenarioConfig, the modules import each
-other without cycles, and a run imports neither graph routines nor the
-lab."""
+that read run settings take one ScenarioConfig, only the table cache
+takes a quadrature order, the modules import each other without cycles,
+and a run imports neither graph routines nor the lab."""
 
 import ast
 import importlib
@@ -126,3 +126,33 @@ def test_a_run_imports_neither_csgraph_nor_the_lab():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def _functions_and_methods(module):
+    """Every function a module defines, and every method of its classes."""
+    mod = importlib.import_module(f"vmsns.{module}")
+    for name, obj in vars(mod).items():
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield f"{module}.{name}", obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if inspect.isfunction(member):
+                    yield f"{module}.{name}.{attr}", member
+
+
+@pytest.mark.parametrize("module", ["fe", "subgrid", "solver", "diagnostics"])
+def test_only_the_table_cache_takes_a_quadrature_order(module):
+    """Each space has one quadrature rule: its fields, transfer operators
+    and norms live there, and only the mesh-level table cache is asked for
+    another order."""
+    takes_order = [name for name, fn in _functions_and_methods(module)
+                   if "order" in inspect.signature(fn).parameters]
+    assert takes_order == (["fe.FeSpace.tabulation"] if module == "fe" else [])
+
+
+@pytest.mark.parametrize("name", ["evaluate_callable", "volume"])
+def test_fe_space_has_no_test_only_member(name):
+    from vmsns.fe import FeSpace
+    assert not hasattr(FeSpace, name)

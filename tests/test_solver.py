@@ -352,7 +352,7 @@ def test_initialization_zeta_is_the_projection_of_the_pressure_gradient(
     solutions = _capture_solutions(monkeypatch)
     initialize(scenarios.fields_for(ScenarioConfig(initial=initial)).initial, disc)
     x = solutions[-1][disc.pattern.where]
-    grad_xi = Q.eval_grad_at_qp(x[n_u:n_u + n_p], V.quad_order)[:, :, 0, :]
+    grad_xi = Q.eval_grad_at_qp(x[n_u:n_u + n_p])[:, :, 0, :]
     deviation = x[n_u + n_p:2 * n_u + n_p] - l2_project(grad_xi, V)
     assert np.abs(deviation).max() <= 1e-14 * np.abs(x).max()
 
