@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 configuration error (an output
 file that cannot be written among them), 3 solver nonconvergence/divergence,
-4 invariant or ledger-audit failure, 5 internal error (a factorization or
-linear-residual gate that failed).
+4 invariant or ledger-audit failure (a partial ledger among them),
+5 internal error (a failed factorization or residual gate, or no memory).
 """
 
 import argparse
@@ -194,6 +194,11 @@ def _cmd_check(args):
     path = os.path.join(cfg.out_dir, io_mod.LEDGER_NAME)
     records = io_mod.read_energy_ledger(path)
     io_mod.check_energy_ledger(records)
+    if len(records) != cfg.n_steps:
+        end = f" (last t={records[-1].t!r})" if records else ""
+        raise InvariantViolation(
+            f"{path}: {len(records)} rows{end} hold the energy identity, "
+            f"but the configuration takes {cfg.n_steps} steps")
     print(f"{path}: {len(records)} rows, energy identity holds at every step")
     return 0
 
@@ -247,6 +252,9 @@ def main(argv=None):
         return 4
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 5
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 5
 
 

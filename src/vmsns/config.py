@@ -136,6 +136,12 @@ class ScenarioConfig:
                 [f"{_values(names, settings)}: {message}"
                  for names, message in broken])
 
+    @property
+    def n_steps(self):
+        """Steps of a run: ceil(T/dt), with T/dt shrunk by 1e-12 so that a
+        whole number of steps up to roundoff takes that number."""
+        return 0 if self.T == 0 else math.ceil(self.T / self.dt * (1.0 - 1e-12))
+
 
 #: file key -> (dataclass field, value parser)
 KEY_TABLE = {f.metadata["key"]: (f.name, f.metadata["parse"])

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from . import scenarios
 from .errors import ConfigurationError
-from .fe import assemble_load, quad_norm
+from .fe import quad_norm
 
 __all__ = [
     "EnergyRecord",
@@ -84,11 +83,6 @@ def energy_ledger_entry(prev, new, load, dt, tau, nu):
                         jump_terms=jump, imbalance=imbalance)
 
 
-def _forcing_of(result):
-    """The forcing field of a run, or None."""
-    return scenarios.fields_for(result.config).forcing
-
-
 def error_norms(state, fields):
     """Quadrature error norms of a state against a scenario's exact
     fields: velocity L², velocity H¹ seminorm, pressure L².  The rule is
@@ -145,16 +139,16 @@ def a_priori_bound(result):
 
         ½‖u_0h‖² + ½‖ũ_0h‖² + nu⁻¹ Σ dt ‖f‖²_{dual surrogate}.
 
-    The initial composite energy plus the forcing contribution; with zero
+    The initial composite energy plus the forcing contribution, from the
+    load vector the run's steps applied (``RunResult.load``); with zero
     forcing the exact step identities make the ledger totals equal the
     first two terms.
     """
     V = result.disc.V
     first = result.states[0]
     total = sum(kinetic_energy(V, first.u, first.tilde))
-    f = _forcing_of(result)
-    if f is None:
+    if result.load is None:
         return total
-    dual = hminus1_surrogate(V, assemble_load(V, f))
+    dual = hminus1_surrogate(V, result.load)
     T = len(result.records) * result.config.dt
     return total + T * dual ** 2 / result.config.nu

@@ -346,8 +346,9 @@ class FeSpace:
     def _mass_lu(self):
         try:
             return spla.factorized(self.mass.tocsc())
-        except RuntimeError as exc:  # pragma: no cover - SPD by construction
-            raise InternalError(f"mass factorization failed: {exc}")
+        except (RuntimeError, SystemError, MemoryError) as exc:
+            raise InternalError(f"mass factorization failed: "
+                                f"{type(exc).__name__}: {exc}")
 
     def mass_solve(self, rhs):
         """Solve M x = rhs with a cached sparse LU factorization."""

@@ -1,12 +1,12 @@
 """Conforming simplicial meshes on axis-aligned boxes.
 
-Only two families are supported, both shape-regular and quasi-uniform by
-construction:
-
-* 2D: the regular diagonal split of an n-by-n grid of rectangles into two
-  triangles each (all cells congruent);
-* 3D: the Kuhn subdivision of an n-by-n-by-n grid of boxes into six
-  tetrahedra each (cells fall into a fixed set of congruence classes).
+One family for d = 2 and 3, shape-regular and quasi-uniform by
+construction: the Kuhn subdivision (H. W. Kuhn, 1960) of an n-by-n(-by-n)
+grid of boxes into d! simplices each, one per ordering of the axes, each
+walking from the low corner of its box to the high corner.  In 2D that is
+the split of every rectangle along its low--high diagonal into two
+congruent triangles; in 3D the six tetrahedra fall into a fixed set of
+congruence classes.
 
 A refinement family is the same box at n, 2n, 4n, ...: cell shapes -- and
 hence all quality ratios -- are the same on every level, and the mesh size
@@ -47,13 +47,8 @@ def signed_volumes(vertices, cells):
 def cell_diameters(vertices, cells):
     """Diameter (longest edge) of every cell."""
     x = vertices[cells]                      # (nc, d+1, d)
-    nloc = cells.shape[1]
-    diam = np.zeros(cells.shape[0])
-    for a in range(nloc):
-        for b in range(a + 1, nloc):
-            e = np.linalg.norm(x[:, a, :] - x[:, b, :], axis=1)
-            diam = np.maximum(diam, e)
-    return diam
+    i, j = np.triu_indices(cells.shape[1], k=1)
+    return np.linalg.norm(x[:, i, :] - x[:, j, :], axis=2).max(axis=1)
 
 
 def _facet_count(cells):
@@ -197,7 +192,7 @@ def build_structured(dim, n, domain=None):
     dim : {2, 3}
     n : int
         Cells per side of the underlying grid (n >= 1).  The simplicial
-        mesh has 2 n^2 triangles (2D) or 6 n^3 tetrahedra (3D).
+        mesh has d! n^d cells: 2 n^2 triangles or 6 n^3 tetrahedra.
     domain : sequence of (lo, hi) pairs, optional
         One pair per axis; defaults to the unit box.
 
@@ -226,15 +221,11 @@ def build_structured(dim, n, domain=None):
     axes = [np.linspace(lo, hi, n + 1) for lo, hi in box]
     vertices = np.column_stack([axes[a][grid[:, a]] for a in range(dim)])
 
-    if dim == 2:
-        # split along the low--high diagonal, same direction everywhere
-        walks = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
-    else:
-        # Kuhn subdivision: one tet per permutation of the axes, walking
-        # from the low corner to the high corner of each grid cube
-        eye = np.eye(3, dtype=np.int64)
-        walks = np.array([np.cumsum([[0, 0, 0], *eye[list(perm)]], axis=0)
-                          for perm in permutations(range(3))])
+    # Kuhn subdivision: one simplex per permutation of the axes, walking
+    # from the low corner to the high corner of each grid box
+    eye = np.eye(dim, dtype=np.int64)
+    walks = np.array([np.cumsum([[0] * dim, *eye[list(perm)]], axis=0)
+                      for perm in permutations(range(dim))])
     # cells of each grid cell (its low corner, in vertex order) in turn
     corners = grid[np.all(grid < n, axis=1)]
     cells = ((corners[:, None, None, :] + walks) @ stride).reshape(-1, dim + 1)

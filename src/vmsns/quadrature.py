@@ -1,23 +1,24 @@
 """Quadrature rules on reference simplices.
 
 Rules are built as conical products of one-dimensional Gauss rules (a
-Duffy-type collapse of the unit cube onto the simplex).  The collapse maps
+Duffy-type collapse of the unit cube onto the simplex), one construction in
+every dimension d.  The collapse maps
 
-    2D:  x = s,  y = t (1 - s)            with Jacobian (1 - s)
-    3D:  x = s,  y = t (1 - s),  z = u (1 - s)(1 - t)
-                                          with Jacobian (1 - s)^2 (1 - t)
+    x_k = s_k (1 - s_0) ... (1 - s_{k-1}),    k = 0, ..., d - 1,
 
-so the Jacobian factors are absorbed exactly by Gauss-Jacobi weights and the
-product rule integrates any polynomial of total degree <= 2 n - 1 exactly,
-with n points per direction.  All weights are strictly positive, which keeps
-the induced discrete inner product on quadrature-point fields positive
-definite -- several projection operators downstream rely on that.
+with Jacobian prod_k (1 - s_k)^(d-1-k), so direction k absorbs its factor
+exactly by Gauss-Jacobi weights (the last, with none, takes Gauss-Legendre)
+and the product rule integrates any polynomial of total degree <= 2 n - 1
+exactly, with n points per direction.  All weights are strictly positive,
+which keeps the induced discrete inner product on quadrature-point fields
+positive definite -- several projection operators downstream rely on that.
 
 Points are stored in barycentric coordinates (dim + 1 entries per point,
 summing to one); weights are stored as fractions of the reference volume and
 sum to one.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,24 +96,16 @@ def simplex_quadrature(dim, order):
     n = max(1, math.ceil((order + 1) / 2))
     achieved = 2 * n - 1
 
-    if dim == 2:
-        s, ws = _gauss_jacobi_01(n, 1.0)   # absorbs (1-s)
-        t, wt = _gauss_01(n)
-        S, T = np.meshgrid(s, t, indexing="ij")
-        x = S.ravel()
-        y = (T * (1.0 - S)).ravel()
-        w = np.outer(ws, wt).ravel()
-        bary = np.column_stack([1.0 - x - y, x, y])
-    else:
-        s, ws = _gauss_jacobi_01(n, 2.0)   # absorbs (1-s)^2
-        t, wt = _gauss_jacobi_01(n, 1.0)   # absorbs (1-t)
-        u, wu = _gauss_01(n)
-        S, T, U = np.meshgrid(s, t, u, indexing="ij")
-        x = S.ravel()
-        y = (T * (1.0 - S)).ravel()
-        z = (U * (1.0 - S) * (1.0 - T)).ravel()
-        w = np.einsum("i,j,k->ijk", ws, wt, wu).ravel()
-        bary = np.column_stack([1.0 - x - y - z, x, y, z])
+    # direction k absorbs (1 - s_k)^(dim-1-k); the last absorbs nothing
+    rules = [*(_gauss_jacobi_01(n, float(dim - 1 - k)) for k in range(dim - 1)),
+             _gauss_01(n)]
+    grids = np.meshgrid(*(s for s, _ in rules), indexing="ij")
+    # x_k = s_k (1 - s_0) ... (1 - s_{k-1}), multiplied left to right
+    x = [functools.reduce(lambda x_k, s: x_k * (1.0 - s), grids[:k], s_k).ravel()
+         for k, s_k in enumerate(grids)]
+    w = functools.reduce(np.multiply.outer, (w for _, w in rules)).ravel()
+    # the first barycentric coordinate, 1 - x_0 - ... - x_{d-1}
+    bary = np.column_stack([functools.reduce(np.subtract, x, 1.0), *x])
 
     w = w / REFERENCE_VOLUME[dim]          # store as volume fractions
     # tidy up: the construction is exact, but renormalize the last few ulps

@@ -480,8 +480,9 @@ def _factor(A, what):
                             A.indptr), shape=A.shape)
     try:
         lu = spla.splu(scaled, **SUPERLU_OPTIONS)
-    except RuntimeError as exc:
-        raise InternalError(f"{what}: factorization failed: {exc}")
+    except (RuntimeError, SystemError, MemoryError) as exc:
+        raise InternalError(f"{what}: factorization failed: "
+                            f"{type(exc).__name__}: {exc}")
     return lambda b: s * lu.solve(s * b)
 
 
@@ -513,16 +514,15 @@ def _step_start(state, t):
     """The Picard start at ``t``, the carried factor with its start, and
     the history of the state a step from ``state`` returns.
 
-    The starts are extrapolations through ``state`` and its history of
+    The starts are extrapolations through ``state`` and its history (an
+    empty one after initialization, so that the start is ``state``) of
     the velocities and, when ``state`` carries a factor, of the
     solve-order solutions of those states that have one; the weights are
     taken once when both run through the same times.  The new history is
     the first ``HISTORY_DEPTH`` rows of the same stacks."""
-    u, carried, h = state.u, state.factor, state.history
+    u, carried = state.u, state.factor
+    h = state.history or History(np.empty(0), np.empty((0, u.size)), ())
     ys = [] if carried is None else [carried[1]]
-    if h is None:
-        history = History(np.array([state.t]), np.array([u]), np.array(ys))
-        return u.copy(), carried, history
     times = np.concatenate([[state.t], h.times])
     velocities = np.vstack([u, h.velocities])
     weights = _lagrange_weights(times, t)
@@ -789,8 +789,9 @@ class RunResult:
     per step, the discretization and the ScenarioConfig of the run, the
     Picard iterations, factorizations and correction sweeps with an
     earlier factor summed over every step (snapshot or not; the
-    initialization's factor is not counted), and the most Picard
-    iterations of one step."""
+    initialization's factor is not counted), the most Picard iterations
+    of one step, and ``load``, the load vector (f, phi_i) every step
+    applied: None without forcing or without steps (T = 0)."""
 
     states: list
     records: list
@@ -800,10 +801,11 @@ class RunResult:
     factorizations: int = 0
     sweeps: int = 0
     max_picard_iters: int = 0
+    load: np.ndarray = field(default=None, repr=False)
 
 
 def run(cfg):
-    """Execute a ScenarioConfig: initialize, then ceil(T/dt) steps.
+    """Execute a ScenarioConfig: initialize, then ``cfg.n_steps`` steps.
 
     Returns a RunResult.  A failure of a step propagates with the time of
     that step, and with the energy records of the steps before it as the
@@ -812,8 +814,7 @@ def run(cfg):
     mesh = build_structured(cfg.dim, cfg.n, cfg.box)
     disc = build_discretization(mesh)
     fields = scenarios.fields_for(cfg)
-    n_steps = 0 if cfg.T == 0 else int(math.ceil(cfg.T / cfg.dt * (1.0 - 1e-12)))
-    load = (None if fields.forcing is None or n_steps == 0
+    load = (None if fields.forcing is None or cfg.n_steps == 0
             else assemble_load(disc.V, fields.forcing))
 
     state = initialize(fields.initial, disc)
@@ -821,7 +822,7 @@ def run(cfg):
     records = []
     totals = dict(picard_iters=0, factorizations=0, sweeps=0)
     most = 0
-    for k in range(1, n_steps + 1):
+    for k in range(1, cfg.n_steps + 1):
         prev = state
         try:
             state = step(prev, load, cfg)
@@ -833,7 +834,7 @@ def run(cfg):
         for key in totals:
             totals[key] += getattr(state, key)
         most = max(most, state.picard_iters)
-        if k % cfg.snapshot_every == 0 or k == n_steps:
+        if k % cfg.snapshot_every == 0 or k == cfg.n_steps:
             states.append(state.copy())
     return RunResult(states=states, records=records, disc=disc, config=cfg,
-                     max_picard_iters=most, **totals)
+                     max_picard_iters=most, load=load, **totals)

@@ -191,7 +191,8 @@ class StarSpace:
     h: float
     velocity: Spectrum     # pencil (K1, M1)
     pressure: Spectrum     # pencil (K_p, M_p), constant mode dropped
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def n1(self):

@@ -184,8 +184,23 @@ def test_a_failed_run_leaves_the_ledger_of_the_steps_it_took(tmp_path, capsys, c
     assert "did not converge in the step to t = 0.4" in capsys.readouterr().err
     assert [r.t for r in read_energy_ledger(out / "ledger.csv")] == \
         pytest.approx([0.1, 0.2, 0.3])
-    assert main(["check", "--config", cfg, "--out", str(out)]) == 0
-    assert "3 rows, energy identity holds" in capsys.readouterr().out
+    # the audit passes the rows it has but tells them from a finished run's
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 4
+    assert re.search(r"3 rows \(last t=0\.3\d*\) hold the energy identity, "
+                     r"but the configuration takes 10 steps",
+                     capsys.readouterr().err)
+
+
+def test_check_flags_a_ledger_that_lost_its_last_row(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "run.cfg")
+    out = tmp_path / "flow"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    ledger = out / "ledger.csv"
+    ledger.write_text("\n".join(ledger.read_text().splitlines()[:-1]) + "\n")
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 4
+    assert "2 rows (last t=0.04) hold the energy identity, but the " \
+        "configuration takes 3 steps" in capsys.readouterr().err
 
 
 def test_a_failed_run_reports_its_own_error_when_the_ledger_cannot_be_written(
@@ -209,6 +224,36 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     cfg = _write_cfg(tmp_path / "run.cfg")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "flow")]) == 5
     assert "internal error: step solve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [SystemError, MemoryError])
+def test_a_factorization_out_of_memory_is_an_internal_error(
+        tmp_path, capsys, monkeypatch, exc):
+    # SuperLU raises SystemError when it cannot expand its work space, and
+    # numpy MemoryError when it cannot allocate the factor's arrays
+    import scipy.sparse.linalg as spla
+
+    def failing(*args, **kwargs):
+        raise exc("out of memory")
+
+    monkeypatch.setattr(spla, "splu", failing)
+    cfg = _write_cfg(tmp_path / "run.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "flow")]) == 5
+    assert ("internal error: initialization solve: factorization failed: "
+            f"{exc.__name__}") in capsys.readouterr().err
+
+
+def test_running_out_of_memory_elsewhere_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    from vmsns import solver
+
+    def failing(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "build_discretization", failing)
+    cfg = _write_cfg(tmp_path / "run.cfg")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "flow")]) == 5
+    assert capsys.readouterr().err == "internal error: out of memory\n"
 
 
 def test_study_writes_totals_and_rates(tmp_path, capsys):

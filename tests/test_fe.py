@@ -12,10 +12,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmsns.errors import ConfigurationError
+from vmsns.errors import ConfigurationError, InternalError
 from vmsns.fe import (
     as_qp_field,
     assemble_gradient_coupling,
@@ -186,6 +187,20 @@ def test_mass_solve_roundtrip():
     b = rng.standard_normal(V.n_dofs)
     x = V.mass_solve(b)
     assert orc.rel(assemble_mass(V) @ x, b) < 1e-11
+
+
+@pytest.mark.parametrize("exc", [SystemError, MemoryError])
+def test_a_mass_factorization_out_of_memory_is_an_internal_error(monkeypatch, exc):
+    # SuperLU raises SystemError when it cannot expand its work space, and
+    # numpy MemoryError when it cannot allocate the factor's arrays
+    def failing(*args, **kwargs):
+        raise exc("out of memory")
+
+    monkeypatch.setattr(spla, "factorized", failing)
+    V = build_space(_mesh(2), components=2)
+    with pytest.raises(InternalError,
+                       match=f"mass factorization failed: {exc.__name__}"):
+        V.mass_solve(np.zeros(V.n_dofs))
 
 
 # ---------------------------------------------------------------------------

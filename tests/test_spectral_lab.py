@@ -16,6 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +40,7 @@ from vmsns.spectral_lab import (
     run_equivalence_suite,
     spectral_decompose,
     wv_equivalence,
+    _schur,
 )
 
 import oracles as orc
@@ -361,10 +363,19 @@ def test_unpinned_singular_schur_complement_is_an_internal_error(star4):
     # zero, so the Cholesky factorization fails at its first pivot
     Q = copy.copy(star4.Q)
     Q.stiffness = 0.0 * star4.Q.stiffness
-    blank = dataclasses.replace(star4, Q=Q, m_p=np.zeros_like(star4.m_p),
-                                _cache={})
+    blank = dataclasses.replace(star4, Q=Q, m_p=np.zeros_like(star4.m_p))
     with pytest.raises(InternalError, match="not positive definite"):
         leray_project(blank, np.ones(blank.n_star))
+
+
+def test_a_replaced_star_space_computes_its_own_schur_factor(star4):
+    # dataclasses.replace gives the new space an empty cache, so a space
+    # with another pressure pin is not served the factor of the first
+    _schur(star4)
+    pinned = dataclasses.replace(star4, m_p=2.0 * star4.m_p)
+    K = star4.Q.stiffness.toarray() + np.outer(pinned.m_p, pinned.m_p)
+    b = np.ones(len(K))
+    assert orc.rel(K @ sla.cho_solve(_schur(pinned)[2], b), b) < 1e-10
 
 
 def test_leray_stability_rejects_zero_probe(star4):
