@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InternalError
 from .fe import quad_norm
 
 __all__ = [
@@ -130,7 +130,8 @@ def energy_totals(result):
 
 def hminus1_surrogate(V, load):
     """Dual-norm surrogate sqrt(loadᵀ K⁻¹ load) on the zero-trace space."""
-    z = spla.splu(V.stiffness.tocsc()).solve(load)
+    with InternalError.from_factorization("H^-1 surrogate factorization failed"):
+        z = spla.splu(V.stiffness.tocsc()).solve(load)
     return float(np.sqrt(max(load @ z, 0.0)))
 
 

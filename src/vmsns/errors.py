@@ -4,6 +4,8 @@ Every failure mode that callers are expected to react to gets its own class,
 so the CLI can map them onto distinct exit codes.
 """
 
+from contextlib import contextmanager
+
 
 class VmsnsError(Exception):
     """Base class for all package-specific errors."""
@@ -58,3 +60,15 @@ class InvariantViolation(VmsnsError):
 
 class InternalError(VmsnsError):
     """A linear solve or factorization that must succeed did not."""
+
+    @staticmethod
+    @contextmanager
+    def from_factorization(message):
+        """An InternalError reading ``message`` and the exception, for a
+        sparse factorization in the block that meets a singular matrix
+        (RuntimeError) or runs out of SuperLU's work space (SystemError)
+        or of memory."""
+        try:
+            yield
+        except (RuntimeError, SystemError, MemoryError) as exc:
+            raise InternalError(f"{message}: {type(exc).__name__}: {exc}") from exc

@@ -344,11 +344,8 @@ class FeSpace:
 
     @cached_property
     def _mass_lu(self):
-        try:
+        with InternalError.from_factorization("mass factorization failed"):
             return spla.factorized(self.mass.tocsc())
-        except (RuntimeError, SystemError, MemoryError) as exc:
-            raise InternalError(f"mass factorization failed: "
-                                f"{type(exc).__name__}: {exc}")
 
     def mass_solve(self, rhs):
         """Solve M x = rhs with a cached sparse LU factorization."""

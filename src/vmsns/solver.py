@@ -37,8 +37,10 @@ unknown, which gives the sparse augmented system (with β = 1/(1/dt + 1/τ))
 Its sparsity pattern depends only on the mesh, so
 :func:`build_discretization` builds it once, together with a
 nested-dissection ordering of the grid's vertices (:func:`_dissect`),
-each with its unknowns together, and the mean multiplier last, since its
-row is dense, and with one sparse assembly operator F.  Each Picard
+each with its unknowns together, and with one sparse assembly operator
+F.  The mean multiplier λ comes just before the last pressure dof, so no
+pivot is zero (with λ last, the pressure constant would make the last
+pressure pivot zero) and SuperLU factors without pivoting.  Each Picard
 iteration lists every value of the matrix once, in a vector v: M/dt, M,
 νK, G, βG, βK_Q, m_p and per cell C + βNᵀWN, C, βC and βNᵀW𝒢.  F has a
 ±1 entry for each slot and each value that goes into it, so the copies
@@ -49,10 +51,10 @@ next only the advection terms change, and from one step to the next only
 those and τ, so one SuperLU factor serves many steps.  Every solve is
 preconditioned defect correction with the factor in use (:func:`_solve`),
 y ← y + solve(b − Ay), until the residual falls to a tolerance relative
-to the right-hand side in the 2-norm.  A factor is taken (after a
-symmetric diagonal scaling) only when there is none to use -- at the
-first step after initialization -- or when a solve with the one in use
-fails; its sweeps start from zero and run to ``SWEEP_RTOL``.  Every
+to the right-hand side in the 2-norm.  A factor is taken only when there
+is none to use -- at the first step after initialization -- or when a
+solve with the one in use fails; its sweeps start from zero and run to
+``SWEEP_RTOL``.  Every
 other solve starts from the previous solution, of the step's previous
 iterate or, extrapolated as below, of the previous steps, and fails when
 it spends ``SWEEP_BUDGET`` sweeps, is not finite or fails the residual
@@ -143,15 +145,11 @@ __all__ = [
 ]
 
 
-#: SuperLU settings for the augmented matrix, factored for the
-#: initialization, for the first step and whenever a solve with the factor
-#: in use fails (module docstring).  The pattern is already in a
-#: fill-reducing order, nested dissection of the grid, so no column
-#: permutation is applied, and the threshold keeps a diagonal pivot unless
-#: it is ten times smaller than the largest entry of its column, compared
-#: after the symmetric diagonal scaling of :func:`_factor`.
-SUPERLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                       options={"SymmetricMode": True})
+#: SuperLU settings for the augmented matrix (module docstring).  Its
+#: pattern is in a fill-reducing order without zero pivots, so neither
+#: columns nor rows are permuted, and the sweeps of :func:`_correct` refine
+#: what a small pivot costs (static pivoting, Li & Demmel, SC 1998).
+SUPERLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0)
 
 #: correction sweeps a solve may spend with the factor of an earlier
 #: iterate or step; a solve that has not reached ``SWEEP_RTOL`` by then
@@ -311,12 +309,14 @@ def _build_pattern(V, Q, G):
 
     # ordering: the unknowns stably by the nested-dissection rank of their
     # vertex (velocity dofs number the interior vertices in turn, pressure
-    # dofs all), so each vertex keeps u, p, ζ; the dense mean row last
+    # dofs all), so each vertex keeps u, p, ζ; the mean multiplier just
+    # before the last pressure dof, so that no pivot of the factor is zero
     nv = V.mesh.n_vertices
     rank = np.empty(nv, dtype=np.int64)
     rank[_dissect(V.mesh.grid, np.arange(nv))] = np.arange(nv)
     inner = np.repeat(rank[V.node_dof >= 0], d)
-    perm = np.argsort(np.concatenate([inner, rank, inner, [nv]]), kind="stable")
+    perm = np.argsort(np.concatenate([inner, rank, inner]), kind="stable")
+    perm = np.insert(perm, np.flatnonzero((perm >= p0) & (perm < z0))[-1], lam)
     where = np.empty(n, dtype=np.int64)
     where[perm] = np.arange(n)
 
@@ -463,27 +463,10 @@ def _system_matrix(disc, dt, nu, beta, n_fac):
 
 
 def _factor(A, what):
-    """SuperLU factor of ``A`` after a symmetric diagonal scaling; returns
-    the solve with ``A``.
-
-    The scaling D = diag(|A_ii|^(-1/2)), 1 where A_ii = 0, gives the
-    scaled matrix a unit diagonal and coupling entries of order one at
-    every mesh size.  Unscaled, the mass diagonal (about h^d / dt) can fall
-    below a tenth of the gradient coupling in its column (about h^(d-1)),
-    as it does in the initialization matrix (dt = 1): SuperLU then pivots
-    off the diagonal, and the fill grows (10.8 times at 2-D n = 64).
-    """
-    d = np.abs(A.diagonal())
-    s = 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0))
-    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-    scaled = sp.csc_matrix((A.data * s[A.indices] * s[cols], A.indices,
-                            A.indptr), shape=A.shape)
-    try:
-        lu = spla.splu(scaled, **SUPERLU_OPTIONS)
-    except (RuntimeError, SystemError, MemoryError) as exc:
-        raise InternalError(f"{what}: factorization failed: "
-                            f"{type(exc).__name__}: {exc}")
-    return lambda b: s * lu.solve(s * b)
+    """SuperLU factor of ``A`` in the pattern's order, without pivoting;
+    returns the solve with ``A``."""
+    with InternalError.from_factorization(f"{what}: factorization failed"):
+        return spla.splu(A, **SUPERLU_OPTIONS).solve
 
 
 def _lagrange_weights(times, t):

@@ -256,6 +256,29 @@ def test_running_out_of_memory_elsewhere_is_an_internal_error(
     assert capsys.readouterr().err == "internal error: out of memory\n"
 
 
+def test_a_data_bound_factorization_out_of_memory_is_an_internal_error(
+        tmp_path, capsys, monkeypatch):
+    # a forced level's data bound factors the stiffness matrix after the
+    # run; SuperLU's SystemError there exits 5 like the step's
+    import types
+
+    from vmsns import diagnostics
+
+    def failing(*args, **kwargs):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(diagnostics, "spla", types.SimpleNamespace(splu=failing))
+    cfg = _write_cfg(tmp_path / "study.cfg",
+                     **{"mesh.n": "4",
+                        "physics.initial": "manufactured_poly",
+                        "physics.forcing": "manufactured_poly",
+                        "time.dt": "0.05", "time.T": "0.1"})
+    assert main(["study", "--config", cfg, "--out", str(tmp_path / "study"),
+                 "--levels", "1"]) == 5
+    assert ("internal error: H^-1 surrogate factorization failed: SystemError"
+            in capsys.readouterr().err)
+
+
 def test_study_writes_totals_and_rates(tmp_path, capsys):
     cfg = _write_cfg(tmp_path / "study.cfg",
                      **{"mesh.n": "2",
