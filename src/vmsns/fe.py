@@ -450,9 +450,16 @@ def advection_factor(V, a):
     grad = tab["grad"]                               # (nc, nq, n_loc, dim)
     cell_a = V._cellwise(a)                          # (nc, n_loc, dim)
     a_qp = tab["phi"] @ cell_a                       # (nc, nq, dim)
-    div_a = np.einsum("cqld,cld->cq", grad, cell_a)  # ∇·a = Σ_l a_l · ∇phi_l
-    return (np.einsum("cqld,cqd->cql", grad, a_qp)
-            + 0.5 * div_a[:, :, None] * tab["phi"])
+    half_div = np.einsum("cqld,cld->cq", grad, cell_a)  # ∇·a = Σ_l a_l · ∇phi_l
+    half_div *= 0.5
+    n_fac = np.einsum("cqld,cqd->cql", grad, a_qp)
+    # ½(∇·a) phi_l added in place one basis function at a time, through
+    # one (nc, nq) buffer: no (nc, nq, n_loc) temporary
+    term = np.empty_like(half_div)
+    for l, phi_l in enumerate(tab["phi"].T):
+        np.multiply(half_div, phi_l, out=term)
+        np.add(n_fac[:, :, l], term, out=n_fac[:, :, l])
+    return n_fac
 
 
 def as_qp_field(V, f):

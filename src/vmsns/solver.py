@@ -190,7 +190,7 @@ class AugmentedPattern:
     its slots, copies per velocity component and signs included.
     ``values`` holds the CSR data of M, K, G and K_Q and the pressure
     means m_p, and ``blocks`` the slice of v that each block of values
-    fills, in the order :func:`_build_pattern` lists them.
+    fills, in the order :func:`_augmented_entries` lists them.
     """
 
     n: int
@@ -244,18 +244,43 @@ def _dissect(grid, vertices):
 
 def _stable_order(keys, bound):
     """The stable sort order of the nonnegative integers ``keys`` below
-    ``bound``: one pass per 16-bit digit, least significant first, each a
-    stable sort of 16-bit integers, which numpy does by a radix sort in
-    linear time."""
-    order = np.arange(keys.size)
+    ``bound``, as int32 positions: one pass per 16-bit digit, least
+    significant first, each a stable sort of the digits in the order so
+    far, which numpy does by a radix sort in linear time.  A pass holds
+    the digits twice and its argsort beside the order."""
+    order = np.arange(keys.size, dtype=np.int32)
+    digit = np.empty(keys.size, dtype=np.uint16)
     for shift in range(0, int(bound - 1).bit_length(), 16):
-        digit = (keys[order] >> shift).astype(np.uint16)    # modulo 2¹⁶
-        order = order[np.argsort(digit, kind="stable")]
+        np.right_shift(keys, shift, out=digit, casting="unsafe")    # modulo 2¹⁶
+        order = order[np.argsort(np.take(digit, order), kind="stable")]
     return order
 
 
-def _build_pattern(V, Q, G):
-    """Pattern, assembly operator and ordering of the augmented matrix."""
+def _solve_order(V, Q):
+    """The augmented matrix's solve order: ``perm`` and its inverse
+    ``where``.  The unknowns go stably by the nested-dissection rank of
+    their vertex (velocity dofs number the interior vertices in turn,
+    pressure dofs all), so each vertex keeps u, p, ζ; the mean multiplier
+    goes just before the last pressure dof, so that no pivot of the factor
+    is zero."""
+    n_u, n_p = V.n_dofs, Q.n_scalar
+    lam = 2 * n_u + n_p
+    nv = V.mesh.n_vertices
+    rank = np.empty(nv, dtype=np.int64)
+    rank[_dissect(V.mesh.grid, np.arange(nv))] = np.arange(nv)
+    inner = np.repeat(rank[V.node_dof >= 0], V.components)
+    perm = np.argsort(np.concatenate([inner, rank, inner]), kind="stable")
+    perm = np.insert(perm, np.flatnonzero((perm >= n_u) & (perm < n_u + n_p))[-1], lam)
+    where = np.empty(lam + 1, dtype=np.int64)
+    where[perm] = np.arange(lam + 1)
+    return perm, where
+
+
+def _augmented_entries(V, Q, G, where):
+    """Every entry of the augmented matrix, in the order each slot sums
+    them: its CSC key (column × n + row, in solve order), the index in v
+    of its value and its sign, one array each; and the boundaries in v of
+    the value blocks."""
     n_u, n_p = V.n_dofs, Q.n_scalar
     p0, z0, lam = n_u, n_u + n_p, 2 * n_u + n_p
     n = lam + 1
@@ -307,42 +332,53 @@ def _build_pattern(V, Q, G):
              (vj, z0 + vi, 9, -1, vv_at), (vq, qj, 10, 1, vq_at),
              (qj, vq, 10, -1, vq_at)]
 
-    # ordering: the unknowns stably by the nested-dissection rank of their
-    # vertex (velocity dofs number the interior vertices in turn, pressure
-    # dofs all), so each vertex keeps u, p, ζ; the mean multiplier just
-    # before the last pressure dof, so that no pivot of the factor is zero
-    nv = V.mesh.n_vertices
-    rank = np.empty(nv, dtype=np.int64)
-    rank[_dissect(V.mesh.grid, np.arange(nv))] = np.arange(nv)
-    inner = np.repeat(rank[V.node_dof >= 0], d)
-    perm = np.argsort(np.concatenate([inner, rank, inner]), kind="stable")
-    perm = np.insert(perm, np.flatnonzero((perm >= p0) & (perm < z0))[-1], lam)
-    where = np.empty(n, dtype=np.int64)
-    where[perm] = np.arange(n)
-
-    keys, index, sign = [], [], []
+    total = sum(rows.size for rows, *_ in terms)
+    keys = np.empty(total, dtype=np.int64)
+    index = np.empty(total, dtype=np.int32)
+    sign = np.empty(total, dtype=np.int8)
+    a = 0
     for rows, cols, block, s, at in terms:
-        if at is None:
-            at = np.arange(sizes[block])
-        keys.append(where[cols] * n + where[rows])    # column-major: CSC order
-        index.append((start[block] + at).astype(np.int32))
-        sign.append(np.full(at.size, float(s)))
-    keys = np.concatenate(keys)
-    # each slot's terms stay in the order above
-    order = _stable_order(keys, n * n)
+        b = a + rows.size
+        np.multiply(where[cols], n, out=keys[a:b])    # column-major: CSC order
+        keys[a:b] += where[rows]
+        index[a:b] = start[block] + (np.arange(rows.size) if at is None else at)
+        sign[a:b] = s
+        a = b
+    return keys, index, sign, start
+
+
+def _build_pattern(V, Q, G):
+    """Pattern, assembly operator and ordering of the augmented matrix.
+    The build holds one array each of the entries' keys, value indices
+    and signs, and beside them the sort's order and one radix pass."""
+    perm, where = _solve_order(V, Q)
+    n = perm.size
+    keys, index, sign, start = _augmented_entries(V, Q, G, where)
+    order = _stable_order(keys, n * n)    # each slot's terms in list order
+    # indexing casts the int32 positions in chunks, where np.take would
+    # copy them all to intp first: the sorted keys stay below the passes'
+    # peak
     keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    starts = np.empty(keys.size, dtype=bool)              # a slot starts
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    del starts
     uniq = keys[first]
     nnz = uniq.size
-    assembly = sp.csr_matrix(
-        (np.concatenate(sign)[order], np.concatenate(index)[order],
-         np.append(first, keys.size).astype(np.int32)), shape=(nnz, start[-1]))
+    first = np.append(first, keys.size).astype(np.int32)
+    del keys
+    index = np.take(index, order)
+    sign = np.take(sign, order).astype(np.float64)
+    del order
+    assembly = sp.csr_matrix((sign, index, first), shape=(nnz, start[-1]))
     indptr = np.concatenate(
         [[0], np.cumsum(np.bincount(uniq // n, minlength=n))]).astype(np.int32)
     return AugmentedPattern(
         n=n, nnz=nnz, indptr=indptr, indices=(uniq % n).astype(np.int32),
         perm=perm, where=where, assembly=assembly,
-        values=(M.data, K.data, G.data, KQ.data, Q.mean_vector),
+        values=(V.mass.data, V.stiffness.data, G.data, Q.stiffness.data,
+                Q.mean_vector),
         blocks=tuple(slice(a, b) for a, b in zip(start[:-1].tolist(),
                                                  start[1:].tolist())))
 
@@ -438,7 +474,7 @@ def _system_matrix(disc, dt, nu, beta, n_fac):
     """The augmented matrix (module docstring) in the pattern's solve order,
     for the advection factor ``n_fac`` of the frozen advection velocity:
     its data is the pattern's assembly operator applied to the values, in
-    the blocks :func:`_build_pattern` lists."""
+    the blocks :func:`_augmented_entries` lists."""
     pat = disc.pattern
     m, k, g, kq, mp = pat.values
     conv, nn, ng = _cell_blocks(disc.V, disc.Q, n_fac)

@@ -46,7 +46,8 @@ def compute_tau(cfg, h, u_linf):
     """Global subscale relaxation time, held at least at ``cfg.tau_floor``.
 
     Raises ConfigurationError when it is not positive: a huge nu or
-    C_s drives it to 0, and the step divides by it.
+    C_s drives it to 0, and the step divides by it.  The message names
+    the settings by their file keys.
 
     Parameters
     ----------
@@ -64,9 +65,9 @@ def compute_tau(cfg, h, u_linf):
     tau = max(h * h / (cfg.C_s * cfg.nu + cfg.C_c * h * u_linf), cfg.tau_floor)
     if not tau > 0:
         raise ConfigurationError(
-            f"relaxation time tau = {tau!r} is not positive (nu = {cfg.nu!r}, "
-            f"C_s = {cfg.C_s!r}, C_c = {cfg.C_c!r}, h = {h!r}, "
-            f"|u|_inf = {u_linf!r})")
+            f"relaxation time tau = {tau!r} is not positive (physics.nu = "
+            f"{cfg.nu!r}, stab.C_s = {cfg.C_s!r}, stab.C_c = {cfg.C_c!r}, "
+            f"h = {h!r}, |u|_inf = {u_linf!r})")
     return tau
 
 

@@ -26,9 +26,11 @@ embedding by dictionary, set and entry loops, and the augmented system's
 nested-dissection order is compared with the reverse Cuthill-McKee band
 order.  The augmented matrix is also filled by one weight per term,
 concatenated and summed into its slots by ``np.bincount``, where the
-solver applies its assembly operator to each value once, and the step
-start is taken by one Lagrange extrapolation each of the velocities and
-the solutions, with the history rebuilt from lists.  A few helpers only
+solver applies its assembly operator to each value once; its pattern is
+built again by concatenating one array per term and numpy's stable
+argsort, where the solver fills one array of each and sorts by radix
+passes; and the step start is taken by one Lagrange extrapolation each
+of the velocities and the solutions, with the history rebuilt from lists.  A few helpers only
 the tests need (the zero subscale field, the composite mass and form, the
 mesh quality report, and the local energy estimator of gate 11 with its
 space-time bump) live here too.
@@ -951,6 +953,79 @@ def bincount_system_matrix(disc, dt, nu, beta, n_fac):
     ])
     data = np.bincount(positions, weights, minlength=pat.nnz + 1)[:pat.nnz]
     return sp.csc_matrix((data, pat.indices, pat.indptr), shape=(n, n))
+
+
+def concatenated_pattern(V, Q, G):
+    """The augmented pattern built by concatenating one array per term:
+    keys, value indices and signs are listed term by term, concatenated,
+    and ordered by numpy's stable argsort of the int64 keys, where the
+    solver fills one preallocated array of each and sorts by 16-bit
+    radix passes.  Returns (n, nnz, indptr, indices, perm, where, data,
+    F indices, F indptr, blocks)."""
+    from vmsns.solver import _csr_coords, _dissect
+
+    n_u, n_p = V.n_dofs, Q.n_scalar
+    p0, z0, lam = n_u, n_u + n_p, 2 * n_u + n_p
+    n = lam + 1
+    M, K, KQ = V.mass, V.stiffness, Q.stiffness
+    rM, cM = _csr_coords(M)
+    rK, cK = _csr_coords(K)
+    rG, cG = _csr_coords(G)
+    rQ, cQ = _csr_coords(KQ)
+    pdofs = p0 + np.arange(n_p)
+    lams = np.full(n_p, lam)
+    d = V.components
+    vd, qd = V.cell_vdofs, Q.cell_vdofs
+    nc, nl, nl_q = vd.shape[0], vd.shape[1], qd.shape[1]
+    n_vv, n_vq = nc * nl * nl, nc * nl * nl_q * d
+    sizes = [M.nnz, M.nnz, K.nnz, G.nnz, G.nnz, KQ.nnz, n_p, n_vv, n_vv, n_vv, n_vq]
+    start = np.cumsum([0] + sizes)
+    v_ok = vd[:, :, :1] >= 0
+    *vv, ok = np.broadcast_arrays(vd[:, :, None, :], vd[:, None, :, :],
+                                  np.arange(n_vv).reshape(nc, nl, nl, 1),
+                                  v_ok[:, :, None, :] & v_ok[:, None, :, :])
+    vi, vj, vv_at = (x[ok] for x in vv)
+    *vq, ok = np.broadcast_arrays(vd[:, :, None, :], qd[:, None, :, :],
+                                  np.arange(n_vq).reshape(nc, nl, nl_q, d),
+                                  v_ok[:, :, None, :] & (qd >= 0)[:, None, :, :])
+    vq, qj, vq_at = (x[ok] for x in vq)
+    qj = p0 + qj
+    terms = [(rM, cM, 0, 1, None), (z0 + rM, z0 + cM, 1, -1, None),
+             (rK, cK, 2, 1, None), (rG, p0 + cG, 3, 1, None),
+             (p0 + cG, rG, 3, 1, None), (z0 + rG, p0 + cG, 3, 1, None),
+             (p0 + cG, z0 + rG, 4, 1, None), (p0 + rQ, p0 + cQ, 5, -1, None),
+             (pdofs, lams, 6, 1, None), (lams, pdofs, 6, 1, None),
+             (vi, vj, 7, 1, vv_at), (z0 + vi, vj, 8, 1, vv_at),
+             (vj, z0 + vi, 9, -1, vv_at), (vq, qj, 10, 1, vq_at),
+             (qj, vq, 10, -1, vq_at)]
+
+    nv = V.mesh.n_vertices
+    rank = np.empty(nv, dtype=np.int64)
+    rank[_dissect(V.mesh.grid, np.arange(nv))] = np.arange(nv)
+    inner = np.repeat(rank[V.node_dof >= 0], d)
+    perm = np.argsort(np.concatenate([inner, rank, inner]), kind="stable")
+    perm = np.insert(perm, np.flatnonzero((perm >= p0) & (perm < z0))[-1], lam)
+    where = np.empty(n, dtype=np.int64)
+    where[perm] = np.arange(n)
+
+    keys, index, sign = [], [], []
+    for rows, cols, block, s, at in terms:
+        if at is None:
+            at = np.arange(sizes[block])
+        keys.append(where[cols] * n + where[rows])
+        index.append((start[block] + at).astype(np.int32))
+        sign.append(np.full(at.size, float(s)))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    uniq = keys[first]
+    indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(uniq // n, minlength=n))]).astype(np.int32)
+    blocks = tuple(slice(a, b) for a, b in zip(start[:-1].tolist(), start[1:].tolist()))
+    return (n, uniq.size, indptr, (uniq % n).astype(np.int32), perm, where,
+            np.concatenate(sign)[order], np.concatenate(index)[order],
+            np.append(first, keys.size).astype(np.int32), blocks)
 
 
 def _lagrange_extrapolate(times, values, t):

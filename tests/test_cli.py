@@ -141,7 +141,8 @@ def test_a_mesh_without_interior_velocity_dofs_is_a_configuration_error(
 @pytest.mark.parametrize("setting,named", [
     ({"time.T": "inf"}, "bad value for time.T: must be finite"),
     # finite, but C_s nu overflows and tau underflows to 0 in the first step
-    ({"physics.nu": "1e308"}, "tau = 0.0 is not positive (nu = 1e+308"),
+    ({"physics.nu": "1e308"}, "tau = 0.0 is not positive (physics.nu = 1e+308, "
+                              "stab.C_s = 4.0, stab.C_c = 2.0, h = "),
 ])
 def test_a_setting_that_is_not_finite_or_drives_tau_to_zero_exits_2(
         tmp_path, capsys, setting, named):

@@ -51,6 +51,18 @@ def test_advection_factor(spaces):
     assert orc.rel(advection_factor(V, a), orc.einsum_advection_factor(V, a)) <= TOL
 
 
+def test_advection_factor_in_place_is_the_out_of_place_sum(spaces):
+    """Adding ½(∇·a) phi_l into the contraction one basis function at a
+    time rounds exactly as the whole sum formed out of place."""
+    V, a = spaces["V"], spaces["a"]
+    tab = V.tabulation()
+    cell_a = V._cellwise(a)
+    div_a = np.einsum("cqld,cld->cq", tab["grad"], cell_a)
+    want = (np.einsum("cqld,cqd->cql", tab["grad"], tab["phi"] @ cell_a)
+            + 0.5 * div_a[:, :, None] * tab["phi"])
+    assert np.array_equal(advection_factor(V, a), want)
+
+
 def test_cell_blocks(spaces):
     V, Q = spaces["V"], spaces["Q"]
     n_fac = advection_factor(V, spaces["a"])

@@ -1,5 +1,6 @@
 """Time stepper: projection initialization, Picard stepping, energy law."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,39 @@ def test_augmented_pattern_fill_matches_explicit_blocks():
                               advection_factor(disc.V, a))
     assert orc.rel(_unpermuted(disc, A),
                    _explicit_augmented(disc, 0.05, 0.01, beta, a)) <= 1e-14
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (2, 8), (3, 3)])
+def test_pattern_equals_the_concatenated_build(dim, n):
+    """Every array of the pattern, its dtype included, equals the one the
+    concatenate-and-argsort build gives."""
+    disc = build_discretization(build_structured(dim, n))
+    pat, F = disc.pattern, disc.pattern.assembly
+    (n_, nnz, indptr, indices, perm, where, data, f_indices, f_indptr,
+     blocks) = orc.concatenated_pattern(disc.V, disc.Q, disc.G)
+    assert (pat.n, pat.nnz, pat.blocks) == (n_, nnz, blocks)
+    assert F.shape == (nnz, blocks[-1].stop)
+    for got, want in [(pat.indptr, indptr), (pat.indices, indices),
+                      (pat.perm, perm), (pat.where, where), (F.data, data),
+                      (F.indices, f_indices), (F.indptr, f_indptr)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 24), (3, 6)])
+def test_pattern_build_peaks_near_what_it_keeps(dim, n):
+    """The build's tracemalloc peak is at most 2.5 times the bytes the
+    returned pattern keeps (measured 1.98 at 2-D n = 24 and 2.24 at 3-D
+    n = 6; 4.2 and 4.4 when the terms' arrays were concatenated and
+    sorted with int64 positions)."""
+    disc = build_discretization(build_structured(dim, n))
+    tracemalloc.start()
+    try:
+        pattern = solver._build_pattern(disc.V, disc.Q, disc.G)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pattern.nnz == disc.pattern.nnz
+    assert peak <= 2.5 * kept, peak / kept
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (2, 8), (3, 3)])
