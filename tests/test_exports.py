@@ -3,7 +3,8 @@ only tests call lives in the test oracles, the entry points the benchmark
 times or wraps stay public functions, the calls
 that read run settings take one ScenarioConfig, only the table cache
 takes a quadrature order, the modules import each other without cycles,
-and a run imports neither graph routines nor the lab."""
+a run imports neither graph routines nor the lab, and neither a run nor
+the lab imports scipy.special."""
 
 import ast
 import importlib
@@ -114,6 +115,15 @@ def test_no_module_imports_the_lab_at_load():
     assert not importers, f"{importers} import spectral_lab at module level"
 
 
+def _fresh_interpreter(code, *args):
+    """What ``code`` prints last, run in a new interpreter with ``args``."""
+    path = [os.path.dirname(vmsns.__path__[0]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_a_run_imports_neither_csgraph_nor_the_lab():
     code = ("import sys\n"
             "from vmsns import solver\n"
@@ -121,11 +131,34 @@ def test_a_run_imports_neither_csgraph_nor_the_lab():
             "solver.run(ScenarioConfig(n=3, T=0.02))\n"
             "print(sorted(m for m in sys.modules if m.startswith(\n"
             "    ('scipy.sparse.csgraph', 'vmsns.spectral_lab'))))\n")
-    path = [os.path.dirname(vmsns.__path__[0]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(code) == "[]"
+
+
+_RUN_AND_CHECK = """\
+import os, sys
+from vmsns import cli
+os.chdir(sys.argv[1])
+with open("run.cfg", "w") as fh:
+    fh.write("mesh.dim = 2\\nmesh.n = 3\\nphysics.nu = 0.1\\n"
+             "physics.initial = manufactured_poly\\n"
+             "physics.forcing = manufactured_poly\\n"
+             "time.dt = 0.02\\ntime.T = 0.04\\noutput.formats = csv,vtk\\n")
+assert cli.main(["run", "--config", "run.cfg", "--out", "flow"]) == 0
+assert cli.main(["check", "--config", "run.cfg", "--out", "flow"]) == 0
+"""
+
+_LAB = """\
+from vmsns import spectral_lab
+spectral_lab.run_equivalence_suite(levels=(2, 3))
+"""
+
+
+@pytest.mark.parametrize("script", [_RUN_AND_CHECK, _LAB], ids=["run_and_check", "lab"])
+def test_neither_a_run_nor_the_lab_imports_scipy_special(script, tmp_path):
+    """The Gauss rules are a table, so no process loads ``scipy.special``."""
+    code = script + ("import sys\n"
+                     "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))\n")
+    assert _fresh_interpreter(code, str(tmp_path)) == "[]"
 
 
 def _functions_and_methods(module):
