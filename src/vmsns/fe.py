@@ -17,9 +17,13 @@ place, ``FeSpace.vdofs``; every scatter and gather, here and in the
 solver's step pattern, goes through it or its per-cell table
 ``FeSpace.cell_vdofs``.
 
-Dirichlet (zero-trace) constraints are imposed by eliminating boundary
-nodes from the dof numbering.  Zero-mean pressure spaces keep all nodes;
-the mean constraint is enforced downstream by a scalar multiplier.
+A space with ``zero_trace`` set imposes the Dirichlet condition by
+eliminating its boundary nodes from the dof numbering; any other space
+keeps all nodes.  The scheme's one pair of spaces, equal-order P1
+velocity and pressure (``equal_order_pair``), has no discrete inf-sup
+condition, and its pressure space keeps the constants: the pressure mean
+is pinned downstream, by the solver's multiplier row and by the lab's
+m_p m_pᵀ, not by the space.
 """
 
 from functools import cached_property
@@ -34,7 +38,7 @@ from .quadrature import simplex_quadrature
 
 __all__ = [
     "FeSpace",
-    "build_space",
+    "equal_order_pair",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_gradient_coupling",
@@ -102,10 +106,11 @@ def _symmetrized(mat):
 class FeSpace:
     """A (possibly vector-valued) continuous Lagrange space on a mesh.
 
-    Parameters are normally supplied through :func:`build_space`.  The
-    heavy per-cell tables are computed lazily and cached on the mesh per
-    degree and quadrature order; the space's own rule has order
-    ``quad_order``, and its transfer operators all act at that rule.
+    With ``zero_trace`` set the boundary nodes are eliminated (a zero
+    Dirichlet trace); no space constrains its mean (see the module
+    docstring).  The heavy per-cell tables are computed lazily and cached
+    on the mesh per degree and quadrature order; the space's own rule has
+    order ``quad_order``, and its transfer operators all act at that rule.
 
     Attributes
     ----------
@@ -114,8 +119,6 @@ class FeSpace:
         Polynomial order (1 or 2).
     components : int
         1 for scalar spaces, mesh.dim for velocities.
-    constraint : str
-        'none', 'zero_trace', or 'zero_mean'.
     n_scalar : int
         Number of unconstrained scalar nodes.
     n_dofs : int
@@ -131,19 +134,16 @@ class FeSpace:
         ``vdofs(cell_nodes)``.
     """
 
-    def __init__(self, mesh, degree, components, constraint):
+    def __init__(self, mesh, degree=1, components=1, zero_trace=False):
         if degree not in _BASIS:
             raise ConfigurationError(
                 f"unsupported polynomial degree {degree} (supported: 1, 2)")
         if components not in (1, mesh.dim):
             raise ConfigurationError(
                 f"components must be 1 or mesh.dim={mesh.dim}, got {components}")
-        if constraint not in ("none", "zero_trace", "zero_mean"):
-            raise ConfigurationError(f"unknown constraint {constraint!r}")
         self.mesh = mesh
         self.degree = degree
         self.components = components
-        self.constraint = constraint
 
         nv = mesh.n_vertices
         if degree == 1:
@@ -167,7 +167,7 @@ class FeSpace:
 
         n_nodes = self.nodes.shape[0]
         keep = np.ones(n_nodes, dtype=bool)
-        if constraint == "zero_trace":
+        if zero_trace:
             keep[boundary_nodes] = False
         self.node_dof = -np.ones(n_nodes, dtype=np.int64)
         self.node_dof[keep] = np.arange(int(keep.sum()))
@@ -343,13 +343,11 @@ class FeSpace:
         return assemble_stiffness(self)
 
     @cached_property
-    def _mass_lu(self):
+    def mass_solve(self):
+        """x = mass_solve(rhs) solves M x = rhs with the SuperLU factor of
+        M, taken on first use."""
         with InternalError.from_factorization("mass factorization failed"):
-            return spla.factorized(self.mass.tocsc())
-
-    def mass_solve(self, rhs):
-        """Solve M x = rhs with a cached sparse LU factorization."""
-        return self._mass_lu(np.asarray(rhs, dtype=float))
+            return spla.splu(self.mass.tocsc()).solve
 
     @cached_property
     def mean_vector(self):
@@ -362,9 +360,17 @@ class FeSpace:
         return self.scatter_cells(tab["phi"].T @ (tab["weights"][:, :, None] * ones))
 
 
-def build_space(m, degree=1, components=1, constraint="none"):
-    """Build a Lagrange space; see FeSpace for the field descriptions."""
-    return FeSpace(m, degree, components, constraint)
+def equal_order_pair(mesh):
+    """The scheme's P1/P1 pair (V, Q, G): the zero-trace P1 vector
+    velocity space, the P1 pressure space and their gradient coupling
+    ``assemble_gradient_coupling(V, Q)``; a mesh on which V has no dof is
+    a configuration error."""
+    V = FeSpace(mesh, components=mesh.dim, zero_trace=True)
+    if V.n_dofs == 0:
+        raise ConfigurationError(
+            "the zero-trace velocity space has no interior dof (n >= 2)")
+    Q = FeSpace(mesh)
+    return V, Q, assemble_gradient_coupling(V, Q)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,6 @@ import scipy.sparse.linalg as spla
 from . import scenarios
 from .diagnostics import energy_ledger_entry
 from .errors import (
-    ConfigurationError,
     InternalError,
     InvariantViolation,
     SolverDivergence,
@@ -116,9 +115,8 @@ from .errors import (
 from .fe import (
     advection_factor,
     as_qp_field,
-    assemble_gradient_coupling,
     assemble_load,
-    build_space,
+    equal_order_pair,
     linf_norm,
 )
 from .mesh import build_structured
@@ -386,12 +384,7 @@ def _build_pattern(V, Q, G):
 def build_discretization(mesh):
     """P1/P1 velocity/pressure spaces, the constant operator set and the
     pattern of the augmented Picard matrix, on a structured mesh."""
-    V = build_space(mesh, components=mesh.dim, constraint="zero_trace")
-    if V.n_dofs == 0:
-        raise ConfigurationError(
-            "the zero-trace velocity space has no interior dof (n >= 2)")
-    Q = build_space(mesh, components=1, constraint="zero_mean")
-    G = assemble_gradient_coupling(V, Q)
+    V, Q, G = equal_order_pair(mesh)
     return Discretization(mesh=mesh, V=V, Q=Q, G=G, GT=G.T.tocsr(),
                           pattern=_build_pattern(V, Q, G))
 

@@ -25,12 +25,12 @@ C = [G1; T_pp] (M★ = blockdiag(M1, I) the composite mass) is the
 pressure stiffness K_p, and TT = T_ppᵀT_pp = K_p - G1ᵀM1⁻¹G1 is the
 orthogonal subscale's pressure stabilization ‖π⊥∇q‖².  Everything on the
 discretely divergence-free subspace V = {v : Cᵀv = 0} goes through one
-cached np-square factor (``_schur``) of K_p + m_p m_pᵀ, pinned along the
-constants that C annihilates.  The Leray projection is v - M★⁻¹C r with
-(K_p + m_p m_pᵀ) r = Cᵀv.  The W/V equivalence reduces to an n1-sized
-problem: the fields of V with a zero resolved part have quotient exactly
-1, and the rest of V is the range of Π_V [I; 0], whose blocks follow from
-the same factor.  The inf-sup form needs no factor, and at s = 1 it is
+np-square factor of K_p + m_p m_pᵀ, pinned along the constants that C
+annihilates, which each space takes once (``StarSpace.schur``).  The
+Leray projection is v - M★⁻¹C r with (K_p + m_p m_pᵀ) r = Cᵀv.  The W/V
+equivalence reduces to an n1-sized problem: the fields of V with a zero
+resolved part have quotient exactly 1, and the rest of V is the range of
+Π_V [I; 0], whose blocks follow from the same factor.  The inf-sup form needs no factor, and at s = 1 it is
 K_p against K_p.  Nothing of the dimension of V is factored or
 eigendecomposed.
 
@@ -52,13 +52,14 @@ benchmark's recorded rows) and hold T_pp to the explicit B of the
 complete QR.  All eigensolves are dense and guarded by a size cap.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import ConfigurationError, InternalError, InvariantViolation
-from .fe import assemble_gradient_coupling, build_space
+from .fe import FeSpace, assemble_gradient_coupling, equal_order_pair
 from .mesh import extract_edges
 
 __all__ = [
@@ -177,6 +178,10 @@ class StarSpace:
     by a rank-revealing orthonormalization.  The complement basis itself
     is not kept: the lab reads the complement only through its gradient
     pairing T_pp (``tests/oracles.py: complement_basis`` rebuilds it).
+
+    The pressure Schur data (``schur``) and the W/V modes (``wv_modes``)
+    are computed on first use and cached on the space; a space made by
+    ``dataclasses.replace`` computes its own.
     """
 
     mesh: object
@@ -191,8 +196,6 @@ class StarSpace:
     h: float
     velocity: Spectrum     # pencil (K1, M1)
     pressure: Spectrum     # pencil (K_p, M_p), constant mode dropped
-    _cache: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     @property
     def n1(self):
@@ -212,6 +215,65 @@ class StarSpace:
             raise ConfigurationError(
                 f"star vector must have {self.n_star} entries, got {v.shape}")
         return v[:self.n1], v[self.n1:]
+
+    @cached_property
+    def schur(self):
+        """Pressure Schur data of the divergence constraint C = [G1; T_pp]:
+        (F, TT, factor) with F = M1⁻¹G1, TT = T_ppᵀT_pp = K_p - G1ᵀF and the
+        Cholesky factor of S + m_p m_pᵀ, where S = CᵀM★⁻¹C = G1ᵀF + TT is
+        K_p.
+
+        C annihilates the constant pressures, so S is singular along them;
+        the pin m_p m_pᵀ lifts that direction, and since every right-hand
+        side Cᵀv is orthogonal to the constants, the pinned solve returns
+        the zero-mean solution of S r = Cᵀv.
+        """
+        F = sla.solve(_sym(self.M1), self.G1, assume_a="pos")
+        K_p = self.Q.stiffness.toarray()
+        TT = K_p - _sym(self.G1.T @ F)
+        try:
+            factor = sla.cho_factor(K_p + np.outer(self.m_p, self.m_p),
+                                    lower=True)
+        except sla.LinAlgError as exc:
+            raise InternalError(
+                f"pinned pressure Schur complement is not positive definite: "
+                f"{exc}") from None
+        return F, TT, factor
+
+    @cached_property
+    def wv_modes(self):
+        """Constrained modes of the divergence-free subspace V that carry a
+        resolved part, in the blocks the W/V quotient needs.
+
+        The fields of V with a zero resolved part form an eigenspace of
+        the constrained form (eigenvalue h⁻²) on which the W/V quotient is
+        exactly 1; their M★-orthogonal complement in V is the range of
+        Y = Π_V [I; 0], whose blocks are I - F X and -T_pp X with
+        X = (S + m_p m_pᵀ)⁻¹ G1ᵀ (``schur``).  Y is M★-orthonormalised
+        through its n1 × n1 Gram (rank r), and the constrained form on its
+        range is decomposed as U Λ Uᵀ.  Returns (Λ, E, PP, unit): the
+        resolved modal coordinates E = Zᵀ M1 P₁ and complement Gram
+        PP = P_⊥ᵀP_⊥ of the modes P = Y R U, and the multiplicity
+        unit = d - r of the quotient 1, d = n_star - (np - 1) being the
+        dimension of V.
+        """
+        F, TT, factor = self.schur
+        X = sla.cho_solve(factor, self.G1.T)                  # (np, n1)
+        Y1 = np.eye(self.n1) - F @ X
+        YpYp = _sym(X.T @ TT @ X)                             # Y_⊥ᵀY_⊥
+        g, Vg = sla.eigh(_sym(Y1.T @ self.M1 @ Y1) + YpYp)
+        keep = g > SPECTRUM_TOL * g[-1]
+        R = Vg[:, keep] / np.sqrt(g[keep])                    # (YR)ᵀM★(YR) = I
+        N1 = Y1 @ R
+        NpNp = _sym(R.T @ YpYp @ R)
+        lam, U = sla.eigh(_sym(N1.T @ self.K1 @ N1) + NpNp / self.h ** 2)
+        if lam.min() <= 0:
+            raise InvariantViolation(
+                f"constrained form is not positive: min eigenvalue {lam.min():.3e}")
+        E = self.velocity.modes.T @ (self.M1 @ (N1 @ U))
+        PP = _sym(U.T @ NpNp @ U)
+        unit = self.n_star - (self.Q.n_dofs - 1) - lam.size
+        return lam, E, PP, unit
 
 
 def _embedding(mesh, V1, V2):
@@ -243,15 +305,10 @@ def build_star_space(mesh):
     complement contain the orthogonal part of every ∇q_h exactly, which
     is what the fractional inf-sup bound leans on.
     """
-    dim = mesh.dim
-    V1 = build_space(mesh, degree=1, components=dim, constraint="zero_trace")
-    V2 = build_space(mesh, degree=2, components=dim, constraint="none")
-    Q = build_space(mesh, degree=1, components=1, constraint="zero_mean")
+    V1, Q, G1 = equal_order_pair(mesh)
+    V2 = FeSpace(mesh, degree=2, components=mesh.dim)
     n1, n2 = V1.n_dofs, V2.n_dofs
     npres = Q.n_dofs
-    if n1 == 0:
-        raise ConfigurationError(
-            "complement construction needs interior velocity freedom (n >= 2)")
     if n2 + npres > MAX_DENSE_DOFS:
         raise ConfigurationError(
             f"star space has {n2 + npres} enriched DOFs, above the dense cap "
@@ -260,7 +317,7 @@ def build_star_space(mesh):
     M1 = V1.mass.toarray()
     K1 = V1.stiffness.toarray()
     K_p = Q.stiffness.toarray()
-    G1 = assemble_gradient_coupling(V1, Q).toarray()
+    G1 = G1.toarray()
     G2 = assemble_gradient_coupling(V2, Q).toarray()
     J = _embedding(mesh, V1, V2)
 
@@ -337,75 +394,8 @@ def composite_norm(space, v, s):
 
 
 # ---------------------------------------------------------------------------
-# divergence constraint through the pressure Schur complement
-# ---------------------------------------------------------------------------
-
-def _schur(space):
-    """Pressure Schur data of the divergence constraint C = [G1; T_pp]:
-    (F, TT, factor) with F = M1⁻¹G1, TT = T_ppᵀT_pp = K_p - G1ᵀF and the
-    Cholesky factor of S + m_p m_pᵀ, where S = CᵀM★⁻¹C = G1ᵀF + TT is K_p.
-
-    C annihilates the constant pressures, so S is singular along them;
-    the pin m_p m_pᵀ lifts that direction, and since every right-hand
-    side Cᵀv is orthogonal to the constants, the pinned solve returns the
-    zero-mean solution of S r = Cᵀv.  Cached on the space.
-    """
-    if "schur" not in space._cache:
-        F = sla.solve(_sym(space.M1), space.G1, assume_a="pos")
-        K_p = space.Q.stiffness.toarray()
-        TT = K_p - _sym(space.G1.T @ F)
-        try:
-            factor = sla.cho_factor(K_p + np.outer(space.m_p, space.m_p),
-                                    lower=True)
-        except sla.LinAlgError as exc:
-            raise InternalError(
-                f"pinned pressure Schur complement is not positive definite: "
-                f"{exc}") from None
-        space._cache["schur"] = (F, TT, factor)
-    return space._cache["schur"]
-
-
-# ---------------------------------------------------------------------------
 # norm equivalence on the divergence-free subspace
 # ---------------------------------------------------------------------------
-
-def _wv_modes(space):
-    """Constrained modes of the divergence-free subspace V that carry a
-    resolved part, in the blocks the W/V quotient needs.
-
-    The fields of V with a zero resolved part form an eigenspace of the
-    constrained form (eigenvalue h⁻²) on which the W/V quotient is exactly
-    1; their M★-orthogonal complement in V is the range of
-    Y = Π_V [I; 0], whose blocks are I - F X and -T_pp X with
-    X = (S + m_p m_pᵀ)⁻¹ G1ᵀ (``_schur``).  Y is M★-orthonormalised
-    through its n1 × n1 Gram (rank r), and the constrained form on its
-    range is decomposed as U Λ Uᵀ.  Returns (Λ, E, PP, unit): the
-    resolved modal coordinates E = Zᵀ M1 P₁ and complement Gram
-    PP = P_⊥ᵀP_⊥ of the modes P = Y R U, and the multiplicity
-    unit = d - r of the quotient 1, d = n_star - (np - 1) being the
-    dimension of V.  Cached.
-    """
-    if "wv" in space._cache:
-        return space._cache["wv"]
-    F, TT, factor = _schur(space)
-    X = sla.cho_solve(factor, space.G1.T)                 # (np, n1)
-    Y1 = np.eye(space.n1) - F @ X
-    YpYp = _sym(X.T @ TT @ X)                             # Y_⊥ᵀY_⊥
-    g, Vg = sla.eigh(_sym(Y1.T @ space.M1 @ Y1) + YpYp)
-    keep = g > SPECTRUM_TOL * g[-1]
-    R = Vg[:, keep] / np.sqrt(g[keep])                    # (YR)ᵀM★(YR) = I
-    N1 = Y1 @ R
-    NpNp = _sym(R.T @ YpYp @ R)
-    lam, U = sla.eigh(_sym(N1.T @ space.K1 @ N1) + NpNp / space.h ** 2)
-    if lam.min() <= 0:
-        raise InvariantViolation(
-            f"constrained form is not positive: min eigenvalue {lam.min():.3e}")
-    E = space.velocity.modes.T @ (space.M1 @ (N1 @ U))
-    PP = _sym(U.T @ NpNp @ U)
-    unit = space.n_star - (space.Q.n_dofs - 1) - lam.size
-    space._cache["wv"] = (lam, E, PP, unit)
-    return space._cache["wv"]
-
 
 def wv_equivalence(space, s):
     """Extremal ratios between the composite fractional norm restricted to
@@ -413,10 +403,10 @@ def wv_equivalence(space, s):
     norm (spectral calculus of the constrained form).
 
     V splits into two parts that are orthogonal in both norms and
-    invariant under the constrained form (``_wv_modes``).  On the fields
-    with a zero resolved part the quotient is exactly 1.  On the rest, in
-    the constrained modes P with eigenvalues Λ, the intrinsic norm of
-    x = P c is ‖Λ^{s/2} c‖ and the composite norm is
+    invariant under the constrained form (``StarSpace.wv_modes``).  On
+    the fields with a zero resolved part the quotient is exactly 1.  On
+    the rest, in the constrained modes P with eigenvalues Λ, the intrinsic
+    norm of x = P c is ‖Λ^{s/2} c‖ and the composite norm is
     cᵀ(P₁ᵀ W_s P₁ + h^(-2s) P_⊥ᵀP_⊥)c, with W_s the resolved Gram of index
     s, so the extremal quotients there are the extreme eigenvalues of the
     n1-sized symmetric matrix
@@ -427,7 +417,7 @@ def wv_equivalence(space, s):
     parts; the equivalence lemma asserts both stay within
     level-independent bounds for s in the admissible range.
     """
-    lam, E, PP, unit = _wv_modes(space)
+    lam, E, PP, unit = space.wv_modes
     lam1 = space.velocity.eigenvalues
     amb = E.T @ (lam1[:, None] ** s * E) + space.h ** (-2.0 * s) * PP
     scale = lam ** (-0.5 * s)
@@ -482,10 +472,11 @@ def leray_project(space, v):
 
     The projection is u = v - M★⁻¹C r with C = [G1; T_pp], and the
     zero-mean multiplier r solves (S + m_p m_pᵀ) r = Cᵀv through the
-    cached factor of the pinned pressure Schur complement (``_schur``):
-    one np-sized triangular solve pair and a few products per call.
+    cached factor of the pinned pressure Schur complement
+    (``StarSpace.schur``): one np-sized triangular solve pair and a few
+    products per call.
     """
-    F, _, factor = _schur(space)
+    F, _, factor = space.schur
     v_fe, v_perp = space.split(v)
     r = sla.cho_solve(factor, space.G1.T @ v_fe + space.T_pp.T @ v_perp)
     if not np.all(np.isfinite(r)):
@@ -507,7 +498,7 @@ def grad_probe(space, q):
     """Composite representation of a discrete pressure gradient: the
     resolved Riesz lift M1⁻¹ G1 q stacked with the complement pairing
     coordinates.  The worst-case probe family for projection stability."""
-    F, _, _ = _schur(space)
+    F, _, _ = space.schur
     q = np.asarray(q, dtype=float)
     return np.concatenate([F @ q, space.T_pp @ q])
 

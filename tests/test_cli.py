@@ -231,17 +231,54 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 def test_a_factorization_out_of_memory_is_an_internal_error(
         tmp_path, capsys, monkeypatch, exc):
     # SuperLU raises SystemError when it cannot expand its work space, and
-    # numpy MemoryError when it cannot allocate the factor's arrays
+    # numpy MemoryError when it cannot allocate the factor's arrays; only
+    # the augmented matrix's factor fails, not the mass factor taken first
     import scipy.sparse.linalg as spla
 
+    from vmsns.solver import SUPERLU_OPTIONS
+
+    splu = spla.splu
+
     def failing(*args, **kwargs):
-        raise exc("out of memory")
+        if kwargs == SUPERLU_OPTIONS:
+            raise exc("out of memory")
+        return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", failing)
     cfg = _write_cfg(tmp_path / "run.cfg")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "flow")]) == 5
     assert ("internal error: initialization solve: factorization failed: "
             f"{exc.__name__}") in capsys.readouterr().err
+
+
+@pytest.fixture
+def umfpack_switch():
+    """scipy's process-global choice of UMFPACK for its sparse solves,
+    switched on for one test."""
+    import scipy.sparse.linalg as spla
+
+    spla.use_solver(useUmfpack=True)
+    yield
+    spla.use_solver(useUmfpack=False)
+
+
+def _forced_ledger(tmp_path, name):
+    cfg = _write_cfg(tmp_path / f"{name}.cfg",
+                     **{"physics.initial": "manufactured_poly",
+                        "physics.forcing": "manufactured_poly"})
+    out = tmp_path / name
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    return (out / "ledger.csv").read_bytes()
+
+
+def test_a_global_scipy_solver_switch_cannot_break_a_run(
+        tmp_path, request, capsys):
+    # every sparse factor is a plain SuperLU call, which scipy's switch
+    # to UMFPACK does not reach: no exit code or ledger byte changes
+    want = _forced_ledger(tmp_path, "plain")
+    request.getfixturevalue("umfpack_switch")
+    assert _forced_ledger(tmp_path, "switched") == want
+    assert capsys.readouterr().err == ""
 
 
 def test_running_out_of_memory_elsewhere_is_an_internal_error(

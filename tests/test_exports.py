@@ -3,8 +3,9 @@ only tests call lives in the test oracles, the entry points the benchmark
 times or wraps stay public functions, the calls
 that read run settings take one ScenarioConfig, only the table cache
 takes a quadrature order, the modules import each other without cycles,
-a run imports neither graph routines nor the lab, and neither a run nor
-the lab imports scipy.special."""
+a run imports neither graph routines nor the lab, neither a run nor the
+lab imports scipy.special, and every module that defines a public
+function is a layer of the benchmark's tracer."""
 
 import ast
 import importlib
@@ -183,6 +184,34 @@ def test_only_the_table_cache_takes_a_quadrature_order(module):
     takes_order = [name for name, fn in _functions_and_methods(module)
                    if "order" in inspect.signature(fn).parameters]
     assert takes_order == (["fe.FeSpace.tabulation"] if module == "fe" else [])
+
+
+def _traced_layers():
+    """``LAYERS`` of the benchmark's tracer, read from its source."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "benchmark", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("benchmark/tracing.py assigns no LAYERS")
+
+
+@pytest.mark.parametrize("module", ["vmsns"] + [f"vmsns.{m}" for m in MODULES])
+def test_every_module_with_public_functions_is_a_traced_layer(module):
+    """The benchmark's tracer wraps each public function a module defines
+    (no leading underscore, a function, defined there) and books its time
+    to the module's layer; its closure check sums only ``LAYERS``, so a
+    public function elsewhere would fail every traced repetition."""
+    mod = importlib.import_module(module)
+    public = [name for name, obj in vars(mod).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == mod.__name__]
+    layer = module.rpartition(".")[2]
+    assert not public or layer in _traced_layers(), (
+        f"{module} defines public functions {public} but is no traced layer")
 
 
 @pytest.mark.parametrize("name", ["evaluate_callable", "volume"])

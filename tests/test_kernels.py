@@ -4,7 +4,7 @@ definitions, on P1 and P2 spaces in 2-D and 3-D, at each space's rule."""
 import numpy as np
 import pytest
 
-from vmsns.fe import FeSpace, advection_factor, build_space
+from vmsns.fe import FeSpace, advection_factor
 from vmsns.mesh import build_structured
 from vmsns.solver import _cell_blocks
 from vmsns.subgrid import continuity_pairing, residual_field, transport_pairing
@@ -19,8 +19,8 @@ TOL = 1e-13
 def spaces(request):
     dim, degree = request.param
     mesh = build_structured(dim, 3 if dim == 2 else 2)
-    V = build_space(mesh, degree=degree, components=dim, constraint="zero_trace")
-    Q = build_space(mesh, degree=degree, constraint="zero_mean")
+    V = FeSpace(mesh, degree=degree, components=dim, zero_trace=True)
+    Q = FeSpace(mesh, degree=degree)
     rng = np.random.default_rng(dim * 10 + degree)
     shape = V.tabulation()["weights"].shape + (dim,)
     return dict(V=V, Q=Q, u=rng.standard_normal(V.n_dofs),
@@ -94,7 +94,7 @@ def test_residual_field(spaces, frozen):
 
 
 def test_transfer_operators_are_built_once_per_space_and_kind(monkeypatch):
-    V = build_space(build_structured(2, 3), components=2, constraint="zero_trace")
+    V = FeSpace(build_structured(2, 3), components=2, zero_trace=True)
     built = []
     build = FeSpace._build_transfer
 
@@ -118,8 +118,8 @@ def test_transfer_operators_are_built_once_per_space_and_kind(monkeypatch):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_transfer_operators_hold_no_entry_on_an_eliminated_dof(degree):
-    V = build_space(build_structured(2, 3), degree=degree, components=2,
-                    constraint="zero_trace")
+    V = FeSpace(build_structured(2, 3), degree=degree, components=2,
+                zero_trace=True)
     kept = V.cell_vdofs >= 0
     nc, nq = V.tabulation()["weights"].shape
     # every row of a cell lists the cell's kept nodes, and only those
@@ -138,7 +138,7 @@ def test_transfer_operators_hold_no_entry_on_an_eliminated_dof(degree):
 def test_cells_on_eliminated_corners_transfer_nothing():
     # n = 3, P1: the corner cells of the diagonal split have every vertex
     # on the boundary, so every dof they touch is eliminated
-    V = build_space(build_structured(2, 3), components=2, constraint="zero_trace")
+    V = FeSpace(build_structured(2, 3), components=2, zero_trace=True)
     corner = ~(V.cell_vdofs >= 0).any(axis=(1, 2))
     assert corner.any() and not corner.all()
     nc, nq = V.tabulation()["weights"].shape

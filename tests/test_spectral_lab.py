@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmsns.errors import ConfigurationError, InternalError, InvariantViolation
-from vmsns.fe import build_space
+from vmsns.fe import FeSpace
 from vmsns.mesh import build_structured
 from vmsns.spectral_lab import (
     MAX_DENSE_DOFS,
@@ -40,7 +40,6 @@ from vmsns.spectral_lab import (
     run_equivalence_suite,
     spectral_decompose,
     wv_equivalence,
-    _schur,
 )
 
 import oracles as orc
@@ -58,7 +57,7 @@ def star_levels(request, star):
 
 @pytest.fixture(scope="module")
 def dirichlet_pencil():
-    W = build_space(build_structured(2, 8), constraint="zero_trace")
+    W = FeSpace(build_structured(2, 8), zero_trace=True)
     return W.stiffness.toarray(), W.mass.toarray()
 
 
@@ -83,7 +82,7 @@ def test_decomposition_reconstructs_operator(dirichlet_pencil):
 
 
 def test_dirichlet_ground_eigenvalue():
-    W = build_space(build_structured(2, 16), constraint="zero_trace")
+    W = FeSpace(build_structured(2, 16), zero_trace=True)
     spec = spectral_decompose(W.stiffness.toarray(), W.mass.toarray())
     exact = 2.0 * np.pi ** 2
     assert exact < spec.eigenvalues[0] < 1.02 * exact
@@ -101,14 +100,14 @@ def test_indefinite_metric_is_an_input_error():
 
 
 def test_null_mode_dropping():
-    Q = build_space(build_structured(2, 3))
+    Q = FeSpace(build_structured(2, 3))
     K = Q.stiffness.toarray()
     M = Q.mass.toarray()
     spec = spectral_decompose(K, M, drop_null=1)
     assert spec.eigenvalues.min() > 1.0
     assert len(spec.eigenvalues) == Q.n_dofs - 1
     # declaring a genuinely nonzero mode null must be caught
-    W = build_space(build_structured(2, 3), constraint="zero_trace")
+    W = FeSpace(build_structured(2, 3), zero_trace=True)
     with pytest.raises(InternalError):
         spectral_decompose(W.stiffness.toarray(), W.mass.toarray(), drop_null=1)
     with pytest.raises(ConfigurationError):
@@ -149,7 +148,7 @@ def test_fractional_norm_integer_orders(dirichlet_pencil):
 def test_fractional_norm_log_convexity(s, t, seed):
     """Interpolation inequality ‖w‖_s² <= ‖w‖_{s-t} ‖w‖_{s+t}: Cauchy-Schwarz
     in spectral coordinates, so it must hold for every field."""
-    Q = build_space(build_structured(2, 3), constraint="zero_trace")
+    Q = FeSpace(build_structured(2, 3), zero_trace=True)
     spec = spectral_decompose(Q.stiffness.toarray(), Q.mass.toarray())
     v = np.random.default_rng(seed).standard_normal(Q.n_dofs)
     mid = fractional_norm(v, s, spec)
@@ -371,11 +370,27 @@ def test_unpinned_singular_schur_complement_is_an_internal_error(star4):
 def test_a_replaced_star_space_computes_its_own_schur_factor(star4):
     # dataclasses.replace gives the new space an empty cache, so a space
     # with another pressure pin is not served the factor of the first
-    _schur(star4)
+    star4.schur
     pinned = dataclasses.replace(star4, m_p=2.0 * star4.m_p)
     K = star4.Q.stiffness.toarray() + np.outer(pinned.m_p, pinned.m_p)
     b = np.ones(len(K))
-    assert orc.rel(K @ sla.cho_solve(_schur(pinned)[2], b), b) < 1e-10
+    assert orc.rel(K @ sla.cho_solve(pinned.schur[2], b), b) < 1e-10
+
+
+def test_each_lab_level_factors_its_pinned_schur_complement_once(monkeypatch):
+    from vmsns import spectral_lab
+
+    calls = []
+    cho_factor = spectral_lab.sla.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_lab.sla, "cho_factor", counting)
+    run_equivalence_suite(levels=(2, 3))
+    # one np-square factor per level: 9 pressure dofs at n = 2, 16 at n = 3
+    assert calls == [(9, 9), (16, 16)]
 
 
 def test_leray_stability_rejects_zero_probe(star4):

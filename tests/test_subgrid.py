@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vmsns.config import ScenarioConfig
 from vmsns.errors import ConfigurationError, InvariantViolation
-from vmsns.fe import advection_factor, build_space
+from vmsns.fe import FeSpace, advection_factor
 from vmsns.mesh import build_structured
 from vmsns.subgrid import (
     advance_subscale,
@@ -24,8 +24,8 @@ import oracles as orc
 
 def _spaces(n=4):
     m = build_structured(2, n)
-    V = build_space(m, components=2, constraint="zero_trace")
-    Q = build_space(m, constraint="zero_mean")
+    V = FeSpace(m, components=2, zero_trace=True)
+    Q = FeSpace(m)
     return V, Q
 
 
